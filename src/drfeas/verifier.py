@@ -418,15 +418,18 @@ def _check_inside_trajectory(rng, n, step_fn, report):
     # Settling takes on the order of gap / d(q,L) steps, so a point at a
     # tiny positive depth would need an unbounded budget; the two sampled
     # regimes cover both resolutions of the eventually-constant claim.
+    L = hs.boundary()
     inside = []
     for _ in range(2):
-        p = hs.boundary().project(rng.uniform(-COORD_RANGE, COORD_RANGE, n))
+        p = L.project(rng.uniform(-COORD_RANGE, COORD_RANGE, n))
         if rng.random() >= 0.15:
             p = p - rng.uniform(0.05, 8.0) * hs.a
         inside.append(p)
-    outside = list(rng.uniform(-COORD_RANGE, COORD_RANGE, (3, n)))
+    # The remaining points are uniform and may fall inside H too; one that
+    # lands less deep than the inside regime goes onto L instead.
+    outside = [L.project(p) if -0.05 < hs.value(p) < 0.0 else p
+               for p in rng.uniform(-COORD_RANGE, COORD_RANGE, (3, n))]
     Q = FinitePointSet(inside + outside)
-    L = hs.boundary()
     x = rng.uniform(-COORD_RANGE, COORD_RANGE, n)
     entered = False
     for _ in range(60):
@@ -470,8 +473,12 @@ def _finite_oracle(Q: FinitePointSet, hs: HalfSpace):
 
 
 def _knapsack_oracle(ks: BinaryKnapsackSet, hs: HalfSpace):
-    corners = ks._corners(0, 1 << ks.dim)
-    mask = (corners @ ks.c >= ks.threshold) & (corners @ hs.a - hs.b <= 1e-12)
+    m = ks.dim
+    shifts = np.arange(m - 1, -1, -1)
+    corners = ((np.arange(1 << m)[:, None] >> shifts) & 1).astype(float)
+    # Weights summed row by row, as BinaryKnapsackSet defines feasibility.
+    weights = np.sum(corners * ks.c, axis=1)
+    mask = (weights >= ks.threshold) & (corners @ hs.a - hs.b <= 1e-12)
     return list(corners[mask])
 
 

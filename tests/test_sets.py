@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from drfeas.geometry import HalfSpace
 from drfeas.sets import (
+    KNAPSACK_CAP,
+    TIE_TOL,
     BinaryKnapsackSet,
     CapExceededError,
     DegenerateProjectionError,
@@ -127,13 +129,121 @@ class TestBinaryKnapsack:
 
     def test_cap_enforced(self):
         with pytest.raises(CapExceededError):
-            BinaryKnapsackSet(np.ones(30), 1.0)
+            BinaryKnapsackSet(np.ones(KNAPSACK_CAP + 1), 1.0)
 
     def test_contains(self):
         ks = BinaryKnapsackSet(np.array([2.0, 1.0]), 2.0)
         assert ks.contains([1.0, 0.0])
         assert not ks.contains([0.0, 1.0])  # below threshold
         assert not ks.contains([0.5, 0.5])  # not a corner
+
+    def test_contains_agrees_with_projection_at_rounding_edge(self):
+        # thresholds equal to a corner's weight as rounded by two summation
+        # orders: membership and projection must apply one rule to it
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            m = int(rng.integers(2, 13))
+            c = np.round(rng.uniform(0.0, 3.0, m), 2)
+            y = rng.integers(0, 2, m).astype(float)
+            for threshold in (float(np.sum(c * y)), float(c @ y)):
+                if c.sum() >= threshold:
+                    ks = BinaryKnapsackSet(c, threshold)
+                    on_itself = any(np.array_equal(p, y) for p in ks.project_all(y))
+                    assert ks.contains(y) == on_itself
+
+
+def _scan(c, threshold, x):
+    """Reference projection: every corner of {0,1}^m, in bit-string order."""
+    m = c.size
+    shifts = np.arange(m - 1, -1, -1)
+    corners = ((np.arange(1 << m)[:, None] >> shifts) & 1).astype(float)
+    corners = corners[np.sum(corners * c, axis=1) >= threshold]
+    d2 = np.sum((corners - x) ** 2, axis=1)
+    return list(corners[d2 <= d2.min() + TIE_TOL])
+
+
+def _knapsack_instance(family, m, rng):
+    """(c, threshold, x) for one of the reference-test families."""
+    if family in ("integer", "lattice"):
+        c = rng.integers(0, 5, m).astype(float)
+        c[rng.integers(m)] += 1.0
+        threshold = float(c @ rng.integers(0, 2, m))  # reached exactly
+    else:
+        c = rng.uniform(0.0, 3.0, m)
+        threshold = float(rng.uniform(0.0, c.sum()))
+    if family == "zero-threshold":
+        threshold = 0.0
+    if family == "lattice":
+        x = rng.integers(0, 3, m) / 2.0
+    elif family == "scaled":
+        # |x| ~ 1e7 makes squared distances ~1e14, whose rounding ties
+        # corners that differ by a coordinate with x_i within 1e-3 of 1/2
+        x = rng.uniform(-1.0, 1.0, m) * 1e7
+        near_half = rng.random(m) < 0.5
+        x[near_half] = 0.5 + rng.uniform(-1e-3, 1e-3, near_half.sum())
+    else:
+        x = rng.uniform(-2.0, 3.0, m)
+    return c, threshold, x
+
+
+def _assert_same_ties(ties, ref):
+    assert len(ties) == len(ref)
+    for p, r in zip(ties, ref):
+        assert p.dtype == r.dtype and np.array_equal(p, r)
+
+
+KNAPSACK_FAMILIES = ("random", "integer", "lattice", "scaled", "zero-threshold")
+
+
+class TestBinaryKnapsackSplitSearch:
+    @pytest.mark.parametrize("family", KNAPSACK_FAMILIES)
+    def test_identical_to_full_scan(self, family):
+        rng = np.random.default_rng(KNAPSACK_FAMILIES.index(family))
+        most = 0
+        for m in range(1, 17):
+            for _ in range(3):
+                c, threshold, x = _knapsack_instance(family, m, rng)
+                ref = _scan(c, threshold, x)
+                _assert_same_ties(BinaryKnapsackSet(c, threshold).project_all(x), ref)
+                most = max(most, len(ref))
+        if family in ("lattice", "scaled"):
+            assert most > 20  # mass ties, exact or by rounding
+
+    def test_corner_kept_out_by_rounding_only(self):
+        # [1,1,0] weighs one ulp under the threshold, so only the far
+        # all-ones corner is feasible although [1,1,0] is the cheapest
+        c = np.array([1.0, 1.2e-16, 1.2e-16])
+        ks = BinaryKnapsackSet(c, float(c.sum()))
+        for x in ([1.0, 1.0, 0.0], [0.5, 1.0, 0.0], [1.0, 0.6, 0.6]):
+            ref = _scan(ks.c, ks.threshold, np.array(x))
+            _assert_same_ties(ks.project_all(x), ref)
+            assert [p.tolist() for p in ref] == [[1.0, 1.0, 1.0]]
+
+    def test_ties_beyond_a_rounded_out_corner(self):
+        # the cheapest corner [1,1,0,0] is out by one ulp of weight; the
+        # feasible tie [1,1,1,1] costs more than it by over the band width
+        c = np.array([1.0, 1.2e-16, 1.2e-16, 0.0])
+        ks = BinaryKnapsackSet(c, float(c.sum()))
+        x = (1.0 - np.array([-1.0, -1.0, 0.9e-12, 0.5e-12])) / 2.0
+        ref = _scan(ks.c, ks.threshold, x)
+        _assert_same_ties(ks.project_all(x), ref)
+        assert [p.tolist() for p in ref] == [[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 1.0, 1.0]]
+
+    def test_projection_at_cap(self):
+        # with unit weights the projection takes the coordinates of least
+        # cost 1 - 2x_i: all negative ones, topped up to the threshold
+        m, need = KNAPSACK_CAP, KNAPSACK_CAP // 2
+        ks = BinaryKnapsackSet(np.ones(m), float(need))
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            x = rng.uniform(-1.0, 2.0, m)
+            cost = 1.0 - 2.0 * x
+            order = np.argsort(cost)
+            take = max(need, int(np.count_nonzero(cost < 0)))
+            expected = np.zeros(m)
+            expected[order[:take]] = 1.0
+            (p,) = ks.project_all(x)
+            assert np.array_equal(p, expected)
 
 
 class TestTriadicSet:

@@ -52,6 +52,15 @@ def test_lemma_suite_passes():
     assert report.passed, report.failures[:3]
 
 
+@pytest.mark.parametrize("seed", [11605531106, 1099])
+def test_lemma_suite_keeps_outside_points_off_shallow_depths(seed):
+    # A uniform "outside" point landed 2.9e-5 (resp. 4.1e-4) inside H, and
+    # the trajectory outlived the 2000-step budget (by ~3e5 steps for the
+    # first seed) before settling.
+    report = check_lemmas(trials=100, dims=DIMS, seed=seed)
+    assert report.passed, report.failures[:3]
+
+
 def test_theorem_suite_agrees_with_oracles():
     report = check_theorems_finite(trials=40, dims=DIMS, seed=11,
                                    knapsack_trials=40)
