@@ -1,22 +1,28 @@
 """Douglas-Rachford and alternating-projection iteration drivers.
 
-The specialized driver handles the half-space problem with the case-split
-operator; the generic driver handles an arbitrary single-valued constraint
-paired with a projectable set.  Both record a full trace and run cycle
-detection; the half-space driver additionally watches for the structural
+``run_dr`` iterates the half-space case-split operator, ``run_dr_generic``
+pairs an arbitrary single-valued constraint with a projectable set, and
+``run_ap`` alternates projections.  All three are one loop, ``_iterate``,
+with a different step strategy.  Every run records a full trace and runs
+cycle detection; the half-space strategy also watches for the structural
 linear-divergence pattern (constant infeasible auxiliary point, iterates
 marching along the inward normal by a fixed increment).
+
+Points are checked once, when a driver starts: x0, and that the set and
+the constraint share a dimension.  In the loop the one point check is the
+set's ``project_all``, which also rejects an iterate that has overflowed.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .geometry import HalfSpace, Hyperplane, as_point
+from .geometry import DimensionMismatchError, HalfSpace, as_point
 from .sets import DegenerateProjectionError, ProjectableSet
 
 __all__ = [
@@ -102,12 +108,6 @@ class Trace:
     def __getitem__(self, i):
         return self.records[i]
 
-    def xs(self) -> np.ndarray:
-        return np.array([r.x for r in self.records])
-
-    def qs(self) -> np.ndarray:
-        return np.array([r.q for r in self.records])
-
 
 @dataclass(frozen=True)
 class DivergenceCertificate:
@@ -163,9 +163,12 @@ def dr_step(x, q, hs: HalfSpace, eps_h: float = 1e-9) -> np.ndarray:
     Case split: q when <a, 2q - x> <= b (+ eps_h), otherwise
     q + (<a,x> + b - 2<a,q>) a, which equals (x + R_H(2q - x)) / 2.
     """
-    x = as_point(x, hs.dim)
-    q = as_point(q, hs.dim)
-    a, b = hs.a, hs.b
+    return _step(as_point(x, hs.dim), as_point(q, hs.dim), hs.a, hs.b, eps_h)
+
+
+def _step(x: np.ndarray, q: np.ndarray, a: np.ndarray, b: float,
+          eps_h: float) -> np.ndarray:
+    """``dr_step`` on checked float64 arrays and the unit normal's (a, b)."""
     if float(a @ (2.0 * q - x)) <= b + eps_h:
         return q.copy()
     return q + (float(a @ x) + b - 2.0 * float(a @ q)) * a
@@ -182,14 +185,10 @@ def dr_step_generic(x, constraint, proj_set: ProjectableSet,
     of R_A(x).
     """
     x = as_point(x, constraint.dim)
-    if cfg.reflect_order == "set-first":
-        q = _select(proj_set.project_all(x), k, cfg.tie_rule, rng)
-        nxt = 0.5 * (x + constraint.reflect(2.0 * q - x))
-    else:
-        r = constraint.reflect(x)
-        q = _select(proj_set.project_all(r), k, cfg.tie_rule, rng)
-        nxt = 0.5 * (x + 2.0 * q - r)
-    return nxt, q
+    step = _TwoSetStep(constraint, cfg)
+    src = step.source(x)
+    q = _select(proj_set.project_all(src), k, cfg.tie_rule, rng)
+    return step.advance(x, q, src), q
 
 
 def _select(ties: list[np.ndarray], k: int, rule: str,
@@ -211,6 +210,9 @@ class _CycleDetector:
     ``confirm=True`` a candidate recurrence is only reported after the
     orbit repeats for one further full period, which rejects grid-cell
     near-misses produced by orbits still drifting toward a limit cycle.
+    A state whose quantized coordinates overflow (|state| / eps beyond the
+    float range) is keyed on its exact coordinates instead, so distinct
+    states never share an infinite key.
     """
 
     def __init__(self, eps: float, confirm: bool = False):
@@ -222,7 +224,11 @@ class _CycleDetector:
 
     def add(self, state: np.ndarray, index: int,
             tag: str = "") -> Optional[tuple[int, int]]:
-        key = (tag,) + tuple(np.round(state / self.eps).tolist())
+        cell = (state / self.eps).round().tolist()
+        if math.inf in cell or -math.inf in cell:
+            key = (tag, "exact", *state.tolist())
+        else:
+            key = (tag, *cell)
         self.keys.append(key)
         if self.pending is not None:
             first, period, done = self.pending
@@ -277,11 +283,11 @@ class _DivergenceDetector:
         if not self.streak:
             return True
         last = self.streak[-1]
-        if not np.all(np.abs(rec.q - last.q) <= self.cfg.eps_cycle):
+        if not np.abs(rec.q - last.q).max() <= self.cfg.eps_cycle:
             return False
         inc = rec.d_qL
         step = rec.x - last.x
-        return bool(np.all(np.abs(step + inc * self.hs.a) <= self.cfg.eps_cycle))
+        return bool(np.abs(step + inc * self.hs.a).max() <= self.cfg.eps_cycle)
 
     def push(self, rec: IterateRecord) -> Optional[DivergenceCertificate]:
         if self._extends(rec):
@@ -294,7 +300,7 @@ class _DivergenceDetector:
             return None
         q = self.streak[-1].q
         if (self.blocked_q is not None
-                and np.all(np.abs(q - self.blocked_q) <= self.cfg.eps_cycle)):
+                and np.abs(q - self.blocked_q).max() <= self.cfg.eps_cycle):
             return None
         a = self.hs.a
         start = self.streak[0].k
@@ -345,29 +351,154 @@ def _fingerprint(*parts) -> str:
     return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
 
 
-def _halfspace_record(k: int, x: np.ndarray, q: np.ndarray, hs: HalfSpace) -> IterateRecord:
-    vx = hs.value(x)
-    vq = hs.value(q)
-    return IterateRecord(
-        k=k, x=x.copy(), q=q.copy(),
-        d_xH=max(0.0, vx), d_qH=max(0.0, vq),
-        d_xL=abs(vx), d_qL=abs(vq),
-    )
-
-
-def _generic_record(k: int, x: np.ndarray, q: np.ndarray, constraint) -> IterateRecord:
-    if isinstance(constraint, HalfSpace):
-        return _halfspace_record(k, x, q, constraint)
-    if isinstance(constraint, Hyperplane):
-        dx, dq = constraint.distance(x), constraint.distance(q)
-        return IterateRecord(k, x.copy(), q.copy(), dx, dq, dx, dq)
-    dx, dq = constraint.distance(x), constraint.distance(q)
-    return IterateRecord(k, x.copy(), q.copy(), dx, dq, dx, dq)
+def _halfspace_record(k: int, x: np.ndarray, q: np.ndarray,
+                      a: np.ndarray, b: float) -> IterateRecord:
+    vx, vq = float(a @ x - b), float(a @ q - b)  # HalfSpace.value, unchecked
+    return IterateRecord(k, x.copy(), q.copy(), max(0.0, vx), max(0.0, vq),
+                         abs(vx), abs(vq))
 
 
 def _beta_estimate(records, window: int) -> float:
-    tail = records[-window:]
-    return min(r.d_qH for r in tail)
+    return min(r.d_qH for r in records[-window:])
+
+
+class _Strategy:
+    """One driver's step; ``_iterate`` holds what the drivers share.
+
+    A step selects q among the nearest points of ``source(x)``, records,
+    and moves to ``advance(x, q, source(x))``.  ``verdict`` may end the
+    run from the records; ``watch`` feeds the cycle detector.
+    """
+
+    tag = ""
+    norm_capped = True      # stop when |x| exceeds cfg.norm_cap
+
+    def __init__(self, constraint, cfg: SolverConfig):
+        self.constraint, self.cfg = constraint, cfg
+
+    def source(self, x):
+        return x
+
+    def record(self, k, x, q) -> IterateRecord:
+        c = self.constraint
+        if isinstance(c, HalfSpace):
+            return _halfspace_record(k, x, q, c.a, c.b)
+        dx, dq = c._distance(x), c._distance(q)
+        return IterateRecord(k, x.copy(), q.copy(), dx, dq, dx, dq)
+
+    def verdict(self, records) -> Optional[RunOutcome]:
+        return None
+
+    def watch(self, cyc: _CycleDetector, x, q, k) -> Optional[tuple[int, int]]:
+        return cyc.add(x, k)
+
+
+class _HalfSpaceSplit(_Strategy):
+    """The case-split step against a half-space, with divergence detection."""
+
+    tag = "dr"
+
+    def __init__(self, proj_set: ProjectableSet, hs: HalfSpace, cfg: SolverConfig):
+        super().__init__(hs, cfg)
+        self.proj_set, self.div = proj_set, _DivergenceDetector(hs, cfg)
+
+    def record(self, k, x, q):
+        return _halfspace_record(k, x, q, self.constraint.a, self.constraint.b)
+
+    def verdict(self, records):
+        cert = self.div.push(records[-1])
+        if cert is None:
+            return None
+        if _ray_stable(self.proj_set, cert.q_fixed, self.constraint):
+            return Diverging(cert, _beta_estimate(records, self.cfg.window))
+        self.div.block(cert.q_fixed)
+        return None
+
+    def advance(self, x, q, src):
+        return _step(x, q, self.constraint.a, self.constraint.b, self.cfg.eps_h)
+
+
+class _TwoSetStep(_Strategy):
+    """x' = (x + R_A(2q - x)) / 2 (set-first), or x' = (x + 2q - R_A(x)) / 2
+    with q a nearest point of R_A(x) (constraint-first)."""
+
+    tag = "dr-generic"
+
+    def __init__(self, constraint, cfg: SolverConfig):
+        super().__init__(constraint, cfg)
+        self.set_first = cfg.reflect_order == "set-first"
+
+    def source(self, x):
+        return x if self.set_first else self.constraint._reflect(x)
+
+    def advance(self, x, q, src):
+        if self.set_first:
+            return 0.5 * (x + self.constraint._reflect(2.0 * q - x))
+        return 0.5 * (x + 2.0 * q - src)
+
+
+class _Alternating(_Strategy):
+    """x_{k+1} = P_A(q_k), watched over the half-steps x_0, q_0, x_1, ..."""
+
+    tag = "ap"
+    norm_capped = False
+
+    def watch(self, cyc, x, q, k):
+        hit = cyc.add(x, 2 * k, tag="x")
+        return hit if hit is not None else cyc.add(q, 2 * k + 1, tag="q")
+
+    def advance(self, x, q, src):
+        return self.constraint._project(q)
+
+
+def _iterate(proj_set: ProjectableSet, constraint, x0, cfg: SolverConfig,
+             strategy: _Strategy) -> tuple[Trace, RunOutcome]:
+    """The loop of every driver: stop rule, detectors, caps and the trace."""
+    x = as_point(x0, constraint.dim)
+    if proj_set.dim != constraint.dim:
+        raise DimensionMismatchError(f"set has dimension {proj_set.dim}, "
+                                     f"constraint has dimension {constraint.dim}")
+    fp = _fingerprint(strategy.tag, proj_set.key(), constraint.key(),
+                      x.tobytes(), cfg.key())
+    rule, eps_h, max_iter = cfg.tie_rule, cfg.eps_h, cfg.max_iter
+    norm_cap = cfg.norm_cap if strategy.norm_capped else math.inf
+    rng = np.random.default_rng(cfg.seed) if rule == "random" else None
+    records: list[IterateRecord] = []
+    cyc = _CycleDetector(cfg.eps_cycle, confirm=True)
+    outcome: Optional[RunOutcome]
+    k = 0
+    while True:
+        src = strategy.source(x)
+        try:
+            ties = proj_set.project_all(src)
+        except DegenerateProjectionError:
+            outcome = DegenerateProjection(at_index=k)
+            break
+        q = _select(ties, k, rule, rng)
+        rec = strategy.record(k, x, q)
+        records.append(rec)
+        if rec.d_qH <= eps_h:
+            outcome = Solved(q=q.copy(), iterations=k)
+            break
+        outcome = strategy.verdict(records)
+        if outcome is not None:
+            break
+        hit = strategy.watch(cyc, x, q, k)
+        if hit is not None:
+            outcome = CycleDetected(period=hit[0], first_index=hit[1])
+            break
+        if k >= max_iter:
+            outcome = MaxIterations(rec.d_qH, _beta_estimate(records, cfg.window))
+            break
+        # math.sqrt(x.dot(x)) is np.linalg.norm(x) for a 1-D float array.
+        if math.sqrt(float(x.dot(x))) > norm_cap:
+            outcome = MaxIterations(
+                rec.d_qH, _beta_estimate(records, cfg.window), norm_capped=True
+            )
+            break
+        x = strategy.advance(x, q, src)
+        k += 1
+    return Trace(tuple(records), fp), outcome
 
 
 def run_dr(proj_set: ProjectableSet, hs: HalfSpace, x0,
@@ -378,47 +509,7 @@ def run_dr(proj_set: ProjectableSet, hs: HalfSpace, x0,
     membership; otherwise runs the divergence and cycle detectors each
     step, falling back to MaxIterations.
     """
-    x = as_point(x0, hs.dim)
-    rng = np.random.default_rng(cfg.seed)
-    records: list[IterateRecord] = []
-    cyc = _CycleDetector(cfg.eps_cycle, confirm=True)
-    div = _DivergenceDetector(hs, cfg)
-    fp = _fingerprint("dr", proj_set.key(), hs.key(), x.tobytes(), cfg.key())
-    outcome: RunOutcome
-    k = 0
-    while True:
-        try:
-            ties = proj_set.project_all(x)
-        except DegenerateProjectionError:
-            outcome = DegenerateProjection(at_index=k)
-            break
-        q = _select(ties, k, cfg.tie_rule, rng)
-        rec = _halfspace_record(k, x, q, hs)
-        records.append(rec)
-        if rec.d_qH <= cfg.eps_h:
-            outcome = Solved(q=q.copy(), iterations=k)
-            break
-        cert = div.push(rec)
-        if cert is not None:
-            if _ray_stable(proj_set, cert.q_fixed, hs):
-                outcome = Diverging(cert, _beta_estimate(records, cfg.window))
-                break
-            div.block(cert.q_fixed)
-        hit = cyc.add(x, k)
-        if hit is not None:
-            outcome = CycleDetected(period=hit[0], first_index=hit[1])
-            break
-        if k >= cfg.max_iter:
-            outcome = MaxIterations(rec.d_qH, _beta_estimate(records, cfg.window))
-            break
-        if float(np.linalg.norm(x)) > cfg.norm_cap:
-            outcome = MaxIterations(
-                rec.d_qH, _beta_estimate(records, cfg.window), norm_capped=True
-            )
-            break
-        x = dr_step(x, q, hs, cfg.eps_h)
-        k += 1
-    return Trace(tuple(records), fp), outcome
+    return _iterate(proj_set, hs, x0, cfg, _HalfSpaceSplit(proj_set, hs, cfg))
 
 
 def run_dr_generic(constraint, proj_set: ProjectableSet, x0,
@@ -431,41 +522,7 @@ def run_dr_generic(constraint, proj_set: ProjectableSet, x0,
     """
     if isinstance(constraint, HalfSpace) and cfg.reflect_order == "set-first":
         return run_dr(proj_set, constraint, x0, cfg)
-    x = as_point(x0, constraint.dim)
-    rng = np.random.default_rng(cfg.seed)
-    records: list[IterateRecord] = []
-    cyc = _CycleDetector(cfg.eps_cycle, confirm=True)
-    fp = _fingerprint(
-        "dr-generic", proj_set.key(), constraint.key(), x.tobytes(), cfg.key()
-    )
-    outcome: RunOutcome
-    k = 0
-    while True:
-        try:
-            nxt, q = dr_step_generic(x, constraint, proj_set, cfg, k, rng)
-        except DegenerateProjectionError:
-            outcome = DegenerateProjection(at_index=k)
-            break
-        rec = _generic_record(k, x, q, constraint)
-        records.append(rec)
-        if rec.d_qH <= cfg.eps_h:
-            outcome = Solved(q=q.copy(), iterations=k)
-            break
-        hit = cyc.add(x, k)
-        if hit is not None:
-            outcome = CycleDetected(period=hit[0], first_index=hit[1])
-            break
-        if k >= cfg.max_iter:
-            outcome = MaxIterations(rec.d_qH, _beta_estimate(records, cfg.window))
-            break
-        if float(np.linalg.norm(x)) > cfg.norm_cap:
-            outcome = MaxIterations(
-                rec.d_qH, _beta_estimate(records, cfg.window), norm_capped=True
-            )
-            break
-        x = nxt
-        k += 1
-    return Trace(tuple(records), fp), outcome
+    return _iterate(proj_set, constraint, x0, cfg, _TwoSetStep(constraint, cfg))
 
 
 def run_ap(proj_set: ProjectableSet, constraint, x0,
@@ -477,36 +534,4 @@ def run_ap(proj_set: ProjectableSet, constraint, x0,
     constraint projection is reported with period 2 (period and
     first_index are counted in half-steps).
     """
-    x = as_point(x0, constraint.dim)
-    rng = np.random.default_rng(cfg.seed)
-    records: list[IterateRecord] = []
-    cyc = _CycleDetector(cfg.eps_cycle, confirm=True)
-    fp = _fingerprint(
-        "ap", proj_set.key(), constraint.key(), x.tobytes(), cfg.key()
-    )
-    outcome: RunOutcome
-    k = 0
-    while True:
-        try:
-            ties = proj_set.project_all(x)
-        except DegenerateProjectionError:
-            outcome = DegenerateProjection(at_index=k)
-            break
-        q = _select(ties, k, cfg.tie_rule, rng)
-        rec = _generic_record(k, x, q, constraint)
-        records.append(rec)
-        if rec.d_qH <= cfg.eps_h:
-            outcome = Solved(q=q.copy(), iterations=k)
-            break
-        hit = cyc.add(x, 2 * k, tag="x")
-        if hit is None:
-            hit = cyc.add(q, 2 * k + 1, tag="q")
-        if hit is not None:
-            outcome = CycleDetected(period=hit[0], first_index=hit[1])
-            break
-        if k >= cfg.max_iter:
-            outcome = MaxIterations(rec.d_qH, _beta_estimate(records, cfg.window))
-            break
-        x = constraint.project(q)
-        k += 1
-    return Trace(tuple(records), fp), outcome
+    return _iterate(proj_set, constraint, x0, cfg, _Alternating(constraint, cfg))

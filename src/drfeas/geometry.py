@@ -20,18 +20,7 @@ __all__ = [
     "HalfSpace",
     "Hyperplane",
     "as_point",
-    "dist_halfspace",
-    "dist_hyperplane",
-    "project_halfspace",
-    "project_hyperplane",
-    "reflect_halfspace",
-    "reflect_hyperplane",
 ]
-
-# Default absolute tolerance for half-space membership tests.  Runs override
-# it through SolverConfig.eps_h; it drives the stopping rule so it is kept
-# explicit rather than buried in comparisons.
-DEFAULT_MEMBERSHIP_TOL = 1e-9
 
 # A nonzero normal shorter than this is treated as zero and rejected.
 _ZERO_NORMAL_TOL = 1e-300
@@ -48,13 +37,13 @@ def as_point(coords, dim: int | None = None) -> np.ndarray:
     given) dimension mismatch.
     """
     p = np.asarray(coords, dtype=float)
-    if p.ndim == 0:
-        p = p.reshape(1)
     if p.ndim != 1:
-        raise ValueError(f"point must be 1-D, got shape {p.shape}")
+        if p.ndim != 0:
+            raise ValueError(f"point must be 1-D, got shape {p.shape}")
+        p = p.reshape(1)
     if p.size == 0:
         raise ValueError("point must have dimension >= 1")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise ValueError("point has non-finite coordinates")
     if dim is not None and p.size != dim:
         raise DimensionMismatchError(
@@ -64,11 +53,13 @@ def as_point(coords, dim: int | None = None) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class HalfSpace:
-    """The closed half-space {x : <a,x> <= b} with unit normal a.
+class _Flat:
+    """What HalfSpace and Hyperplane share: a unit normal a and offset b.
 
     Any nonzero input normal is normalized and b is rescaled by the same
-    factor, so (t*a, t*b) for t > 0 describes the same object.
+    factor, so (t*a, t*b) for t > 0 describes the same object.  The public
+    methods check their point; the underscored ones take a point that is
+    already a checked float array of dimension ``dim``.
     """
 
     a: np.ndarray
@@ -78,7 +69,7 @@ class HalfSpace:
         a = as_point(self.a)
         norm = float(np.linalg.norm(a))
         if norm < _ZERO_NORMAL_TOL:
-            raise ValueError("half-space normal must be nonzero")
+            raise ValueError(f"{self._kind} normal must be nonzero")
         a = a / norm
         a.setflags(write=False)
         object.__setattr__(self, "a", a)
@@ -88,98 +79,67 @@ class HalfSpace:
     def dim(self) -> int:
         return self.a.size
 
-    def value(self, x: np.ndarray) -> float:
-        """Signed offset <a,x> - b (positive outside)."""
-        x = as_point(x, self.dim)
+    def _value(self, x: np.ndarray) -> float:
         return float(self.a @ x - self.b)
 
-    def distance(self, x: np.ndarray) -> float:
-        return max(0.0, self.value(x))
+    def distance(self, x) -> float:
+        return self._distance(as_point(x, self.dim))
 
-    def contains(self, x: np.ndarray, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
+    def project(self, x) -> np.ndarray:
+        return self._project(as_point(x, self.dim))
+
+    def reflect(self, x) -> np.ndarray:
+        return self._reflect(as_point(x, self.dim))
+
+    def key(self) -> tuple:
+        return (type(self).__name__, self.a.tobytes(), self.b)
+
+
+@dataclass(frozen=True)
+class HalfSpace(_Flat):
+    """The closed half-space {x : <a,x> <= b} with unit normal a."""
+
+    _kind = "half-space"
+
+    def value(self, x) -> float:
+        """Signed offset <a,x> - b (positive outside)."""
+        return self._value(as_point(x, self.dim))
+
+    def _distance(self, x: np.ndarray) -> float:
+        return max(0.0, self._value(x))
+
+    def contains(self, x, tol: float = 1e-9) -> bool:
         return self.value(x) <= tol
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        v = self.value(x)
-        if v <= 0.0:
-            return np.array(x, dtype=float)
-        return as_point(x) - v * self.a
+    def _project(self, x: np.ndarray) -> np.ndarray:
+        v = self._value(x)
+        return x.copy() if v <= 0.0 else x - v * self.a
 
-    def reflect(self, x: np.ndarray) -> np.ndarray:
-        v = self.value(x)
-        if v <= 0.0:
-            return np.array(x, dtype=float)
-        return as_point(x) - 2.0 * v * self.a
+    def _reflect(self, x: np.ndarray) -> np.ndarray:
+        v = self._value(x)
+        return x.copy() if v <= 0.0 else x - 2.0 * v * self.a
 
     def boundary(self) -> "Hyperplane":
         return Hyperplane(self.a, self.b)
 
-    def key(self) -> tuple:
-        return ("HalfSpace", self.a.tobytes(), self.b)
-
 
 @dataclass(frozen=True)
-class Hyperplane:
+class Hyperplane(_Flat):
     """The hyperplane {x : <a,x> = b} with unit normal a."""
 
-    a: np.ndarray
-    b: float
+    _kind = "hyperplane"
 
-    def __post_init__(self):
-        a = as_point(self.a)
-        norm = float(np.linalg.norm(a))
-        if norm < _ZERO_NORMAL_TOL:
-            raise ValueError("hyperplane normal must be nonzero")
-        a = a / norm
-        a.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", float(self.b) / norm)
+    def value(self, x) -> float:
+        return self._value(as_point(x, self.dim))
 
-    @property
-    def dim(self) -> int:
-        return self.a.size
+    def _distance(self, x: np.ndarray) -> float:
+        return abs(self._value(x))
 
-    def value(self, x: np.ndarray) -> float:
-        x = as_point(x, self.dim)
-        return float(self.a @ x - self.b)
-
-    def distance(self, x: np.ndarray) -> float:
-        return abs(self.value(x))
-
-    def contains(self, x: np.ndarray, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
+    def contains(self, x, tol: float = 1e-9) -> bool:
         return abs(self.value(x)) <= tol
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        return as_point(x, self.dim) - self.value(x) * self.a
+    def _project(self, x: np.ndarray) -> np.ndarray:
+        return x - self._value(x) * self.a
 
-    def reflect(self, x: np.ndarray) -> np.ndarray:
-        return as_point(x, self.dim) - 2.0 * self.value(x) * self.a
-
-    def key(self) -> tuple:
-        return ("Hyperplane", self.a.tobytes(), self.b)
-
-
-def dist_halfspace(x, hs: HalfSpace) -> float:
-    """Distance max(0, <a,x> - b) from x to the half-space."""
-    return hs.distance(as_point(x))
-
-
-def dist_hyperplane(x, hp: Hyperplane) -> float:
-    """Distance |<a,x> - b| from x to the hyperplane."""
-    return hp.distance(as_point(x))
-
-
-def project_halfspace(x, hs: HalfSpace) -> np.ndarray:
-    return hs.project(as_point(x, hs.dim))
-
-
-def project_hyperplane(x, hp: Hyperplane) -> np.ndarray:
-    return hp.project(as_point(x, hp.dim))
-
-
-def reflect_halfspace(x, hs: HalfSpace) -> np.ndarray:
-    return hs.reflect(as_point(x, hs.dim))
-
-
-def reflect_hyperplane(x, hp: Hyperplane) -> np.ndarray:
-    return hp.reflect(as_point(x, hp.dim))
+    def _reflect(self, x: np.ndarray) -> np.ndarray:
+        return x - 2.0 * self._value(x) * self.a

@@ -80,7 +80,12 @@ class ProjectableSet(abc.ABC):
 
 
 class ReflectableConstraint(abc.ABC):
-    """A convex set with single-valued projector and reflector."""
+    """A convex set with single-valued projector and reflector.
+
+    The public methods check their point; the underscored ones take a point
+    that is already a checked float array of dimension ``dim``, so the
+    drivers check each point once.  ``_project`` defaults to ``project``.
+    """
 
     @property
     @abc.abstractmethod
@@ -89,13 +94,20 @@ class ReflectableConstraint(abc.ABC):
     @abc.abstractmethod
     def project(self, x) -> np.ndarray: ...
 
+    def _project(self, x: np.ndarray) -> np.ndarray:
+        return self.project(x)
+
     def reflect(self, x) -> np.ndarray:
-        x = as_point(x, self.dim)
-        return 2.0 * self.project(x) - x
+        return self._reflect(as_point(x, self.dim))
+
+    def _reflect(self, x: np.ndarray) -> np.ndarray:
+        return 2.0 * self._project(x) - x
 
     def distance(self, x) -> float:
-        x = as_point(x, self.dim)
-        return float(np.linalg.norm(x - self.project(x)))
+        return self._distance(as_point(x, self.dim))
+
+    def _distance(self, x: np.ndarray) -> float:
+        return float(np.linalg.norm(x - self._project(x)))
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         return self.distance(x) <= tol
@@ -116,9 +128,7 @@ def _bit_rows(idx: np.ndarray, m: int) -> np.ndarray:
 
 def _tie_filter(candidates: np.ndarray, d2: np.ndarray) -> list[np.ndarray]:
     """Rows of ``candidates`` whose squared distance is minimal within TIE_TOL."""
-    best = float(d2.min())
-    idx = np.flatnonzero(d2 <= best + TIE_TOL)
-    return [candidates[i].copy() for i in idx]
+    return list(candidates[d2 <= float(d2.min()) + TIE_TOL])
 
 
 class FinitePointSet(ProjectableSet):
@@ -147,8 +157,7 @@ class FinitePointSet(ProjectableSet):
 
     def project_all(self, x) -> list[np.ndarray]:
         x = as_point(x, self.dim)
-        d2 = np.sum((self.points - x) ** 2, axis=1)
-        return _tie_filter(self.points, d2)
+        return _tie_filter(self.points, ((self.points - x) ** 2).sum(axis=1))
 
     def distance(self, x) -> float:
         x = as_point(x, self.dim)
@@ -384,7 +393,9 @@ class Slab(ReflectableConstraint):
         return self.a.size
 
     def project(self, x) -> np.ndarray:
-        x = as_point(x, self.dim)
+        return self._project(as_point(x, self.dim))
+
+    def _project(self, x: np.ndarray) -> np.ndarray:
         t = float(self.a @ x)
         clamped = min(max(t, self.lower), self.upper)
         return x + (clamped - t) * self.a
@@ -434,7 +445,9 @@ class PlanarCone(ReflectableConstraint):
         return s >= -tol and t >= -tol
 
     def project(self, x) -> np.ndarray:
-        x = as_point(x, 2)
+        return self._project(as_point(x, 2))
+
+    def _project(self, x: np.ndarray) -> np.ndarray:
         s, t = self._coords(x)
         if s >= 0.0 and t >= 0.0:
             return x.copy()
@@ -470,14 +483,18 @@ class DiagonalSet(ReflectableConstraint):
         return 2 * self.block_dim
 
     def project(self, x) -> np.ndarray:
-        x = as_point(x, self.dim)
+        return self._project(as_point(x, self.dim))
+
+    def _project(self, x: np.ndarray) -> np.ndarray:
         n = self.block_dim
         mean = 0.5 * (x[:n] + x[n:])
         return np.concatenate([mean, mean])
 
     def reflect(self, x) -> np.ndarray:
+        return self._reflect(as_point(x, self.dim))
+
+    def _reflect(self, x: np.ndarray) -> np.ndarray:
         # 2 P_D - I swaps the two blocks; do it exactly.
-        x = as_point(x, self.dim)
         n = self.block_dim
         return np.concatenate([x[n:], x[:n]])
 
@@ -515,7 +532,7 @@ class ProductSet(ProjectableSet):
         x = as_point(x, self.dim)
         per_block = []
         for comp, blk in zip(self.components, self._blocks(x)):
-            if hasattr(comp, "project_all"):
+            if isinstance(comp, ProjectableSet):
                 per_block.append(comp.project_all(blk))
             else:
                 per_block.append([comp.project(blk)])

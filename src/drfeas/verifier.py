@@ -9,6 +9,7 @@ the checks have power.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,44 +65,27 @@ class PropertyReport:
 # Deliberately broken operators.  Each suite must report failures when run
 # with its mutant, otherwise the suite is vacuous.
 
-def _mutant_flipped_case(x, q, hs, eps_h=1e-9):
-    """Case condition inverted."""
-    x, q, a, b = as_point(x), as_point(q), hs.a, hs.b
-    if float(a @ (2.0 * q - x)) > b + eps_h:
-        return q.copy()
-    return q + (float(a @ x) + b - 2.0 * float(a @ q)) * a
-
-
-def _mutant_dropped_offset(x, q, hs, eps_h=1e-9):
-    """Offset b missing from the shift coefficient."""
-    x, q, a, b = as_point(x), as_point(q), hs.a, hs.b
-    if float(a @ (2.0 * q - x)) <= b + eps_h:
-        return q.copy()
-    return q + (float(a @ x) - 2.0 * float(a @ q)) * a
-
-
-def _mutant_wrong_sign(x, q, hs, eps_h=1e-9):
-    """Shift applied with the wrong sign."""
-    x, q, a, b = as_point(x), as_point(q), hs.a, hs.b
-    if float(a @ (2.0 * q - x)) <= b + eps_h:
-        return q.copy()
-    return q - (float(a @ x) + b - 2.0 * float(a @ q)) * a
-
-
-def _mutant_half_step(x, q, hs, eps_h=1e-9):
-    """Shift halved."""
-    x, q, a, b = as_point(x), as_point(q), hs.a, hs.b
-    if float(a @ (2.0 * q - x)) <= b + eps_h:
-        return q.copy()
-    return q + 0.5 * (float(a @ x) + b - 2.0 * float(a @ q)) * a
+def _mutant(keep_q, shift):
+    """dr_step with its case test keep_q(<a,2q-x>, b + eps_h) and its shift
+    coefficient shift(<a,x>, b, <a,q>) along a replaced."""
+    def step(x, q, hs, eps_h=1e-9):
+        x, q, a, b = as_point(x), as_point(q), hs.a, hs.b
+        if keep_q(float(a @ (2.0 * q - x)), b + eps_h):
+            return q.copy()
+        return q + shift(float(a @ x), b, float(a @ q)) * a
+    return step
 
 
 MUTANTS = {
-    "prop1": ("flipped-case-condition", _mutant_flipped_case),
-    "prop2": ("dropped-offset-term", _mutant_dropped_offset),
-    "prop3": ("wrong-sign-shift", _mutant_wrong_sign),
+    "prop1": ("flipped-case-condition",
+              _mutant(operator.gt, lambda ax, b, aq: ax + b - 2.0 * aq)),
+    "prop2": ("dropped-offset-term",
+              _mutant(operator.le, lambda ax, b, aq: ax - 2.0 * aq)),
+    "prop3": ("wrong-sign-shift",
+              _mutant(operator.le, lambda ax, b, aq: -(ax + b - 2.0 * aq))),
     "prop4": ("dropped-slack-term", None),  # check-level mutant, see check_prop4
-    "lemmas": ("half-length-shift", _mutant_half_step),
+    "lemmas": ("half-length-shift",
+               _mutant(operator.le, lambda ax, b, aq: 0.5 * (ax + b - 2.0 * aq))),
 }
 
 

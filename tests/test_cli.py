@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, trace output, and error handling."""
 
+import hashlib
 import json
 import os
 
@@ -8,6 +9,20 @@ import pytest
 from drfeas.cli import main
 
 PROBLEM_DIR = os.path.join(os.path.dirname(__file__), "..", "problems")
+
+
+# sha256 of each bundled problem's CSV trace and of the `repro all` output.
+# Refactors of the drivers must keep both byte-identical.
+GOLDEN_CSV = {
+    "corner-cycle.json": "a83a5e0380a96455996130f24686e6052df25fa5aa78e8f0c965fee985214383",
+    "four-points.json": "b6da1cdf4a0bbfc927b020b2b9bb45b1cc6e1033c32faf28a124dad454819809",
+    "infeasible.json": "6d8c2e6081815bd23fe688007d6f68117556f7dfbd1aa8b85544febf9e36cd45",
+    "knapsack.json": "fd1071023b787232a1553a7a0543dd7be789289584c08eddcb68939694eb5379",
+    "sphere.json": "ae0a53ecb9e8e8c4dee6c1482bf290faf4f97e31feaa9b18c8e196bc9a5a2a0b",
+    "triadic.json": "845b480064958b193a2564e7417884796ed70629e8a62efd86897f3e2c376ef5",
+    "two-points.json": "9bd9421fff4d212a601523a89006d71226999062ff9d85a30e555399166e6029",
+}
+GOLDEN_REPRO_ALL = "89a72fa1e8a538f240304632b9181dedbd1d5d58f51394d1e3193ba3b252ba13"
 
 
 def problem(name: str) -> str:
@@ -125,6 +140,23 @@ class TestSolveFlags:
             "--reflect-order", "set-first",
         ])
         assert code in (0, 3)
+
+
+class TestGoldenOutput:
+    def test_every_bundled_problem_is_pinned(self):
+        bundled = sorted(f for f in os.listdir(PROBLEM_DIR) if f.endswith(".json"))
+        assert bundled == sorted(GOLDEN_CSV)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CSV))
+    def test_bundled_trace_is_byte_identical(self, name, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        main(["solve", problem(name), "--output", str(out)])
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CSV[name]
+
+    def test_repro_all_output_is_byte_identical(self, capsys):
+        assert main(["repro", "all"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == GOLDEN_REPRO_ALL
 
 
 class TestCompare:

@@ -20,7 +20,7 @@ from drfeas.engine import (
     run_dr,
     run_dr_generic,
 )
-from drfeas.geometry import HalfSpace, Hyperplane
+from drfeas.geometry import DimensionMismatchError, HalfSpace, Hyperplane
 from drfeas.sets import FinitePointSet, Sphere, TriadicSet
 
 COORD = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
@@ -135,6 +135,15 @@ class TestDetectCycle:
         a, b = np.array([0.0, 1.0]), np.array([1.0, 0.0])
         assert detect_cycle([a, b] * 4, confirm=True) == (2, 0)
 
+    def test_overflowing_grid_keys_do_not_collide(self):
+        # |state| / eps_cycle overflows to inf here; distinct states must
+        # not share that key, while an exact repeat is still a cycle
+        with np.errstate(over="ignore"):
+            states = [[1e10, 0.0], [2e10, 0.0], [3e10, 5.0]]
+            assert detect_cycle(states, eps_cycle=1e-300) is None
+            assert detect_cycle([[1e10, 0.0], [1e10, 0.0]],
+                                eps_cycle=1e-300) == (1, 0)
+
 
 class TestRunDr:
     HS = HalfSpace(np.array([0.0, 1.0]), 0.0)
@@ -212,6 +221,67 @@ class TestRunDr:
         cfg = SolverConfig(tie_rule="rotate", max_iter=3)
         trace, _ = run_dr(Q, hs, [0.0, 2.0], cfg)
         assert np.array_equal(trace[0].q, [-1, 2])
+
+
+class _CountingSet(FinitePointSet):
+    def __init__(self, points):
+        super().__init__(points)
+        self.calls = 0
+
+    def project_all(self, x):
+        self.calls += 1
+        return super().project_all(x)
+
+
+def _drivers(Q, constraint, x0):
+    """The three drivers on the same data, as zero-argument calls."""
+    return [
+        lambda: run_dr(Q, constraint, x0),
+        lambda: run_dr_generic(constraint, Q, x0,
+                               SolverConfig(reflect_order="constraint-first")),
+        lambda: run_ap(Q, constraint, x0),
+    ]
+
+
+class TestRunBoundary:
+    """Drivers check x0 and the dimensions once, before the first step."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_x0_is_rejected(self, bad):
+        for run in _drivers(FinitePointSet([[1.0]]), HalfSpace([1.0], 0.0), [bad]):
+            with pytest.raises(ValueError, match="non-finite"):
+                run()
+
+    def test_dimension_mismatch_raises_before_any_step(self):
+        Q = _CountingSet([[1.0, 2.0]])
+        for run in _drivers(Q, HalfSpace([1.0], 0.0), [0.0]):
+            with pytest.raises(DimensionMismatchError):
+                run()
+        assert Q.calls == 0
+
+    def test_overflowing_iterate_raises(self):
+        # the step from x0 = 0 toward q = 1.5e308 overflows; the next
+        # projection rejects the non-finite iterate
+        Q = FinitePointSet([[1.5e308]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                run_dr(Q, HalfSpace([1.0], 0.0), [0.0])
+            with pytest.raises(ValueError, match="non-finite"):
+                run_dr_generic(Hyperplane([1.0], 0.0), Q, [0.0])
+
+    def test_random_tie_rule_trace_is_pinned(self):
+        # ties at steps 0, 1 and 3; the seeded draws pick a path that the
+        # "first" rule does not take
+        Q = FinitePointSet([(-1, -2), (1, 0), (0, -1), (-1, 2), (-2, 2)])
+        hs = HalfSpace([2.0, 0.0], -1.0)
+        cfg = SolverConfig(tie_rule="random", seed=42)
+        trace, outcome = run_dr(Q, hs, [1.5, -1.5], cfg)
+        assert [r.x.tolist() for r in trace] == [
+            [1.5, -1.5], [0.0, 0.0], [-0.5, -1.0], [-1.0, -1.0], [-1.5, -1.0]]
+        assert [r.q.tolist() for r in trace] == [
+            [1.0, 0.0], [0.0, -1.0], [0.0, -1.0], [0.0, -1.0], [-1.0, -2.0]]
+        assert isinstance(outcome, Solved) and outcome.iterations == 4
+        assert trace.fingerprint == "8e611811feccc340"
 
 
 class TestRunAp:
