@@ -2,13 +2,13 @@
 
 Exit codes encode the run outcome for scripting:
 0 solved, 2 diverging, 3 cycle detected, 4 iteration cap reached,
-5 degenerate projection, 1 input or usage error.
+5 degenerate projection, 1 input or usage error (one ``error:`` line on
+stderr).  The setting flags come from ``drfeas.problems.SETTINGS``.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -26,9 +26,7 @@ from .engine import (
     run_ap,
     run_dr_generic,
 )
-from .geometry import HalfSpace
-from .problems import ProblemFormatError, load_problem
-from .sets import DegenerateProjectionError
+from .problems import SETTINGS, ProblemFormatError, load_problem, solver_config
 
 __all__ = ["main"]
 
@@ -101,44 +99,19 @@ def trace_to_json(trace: Trace, outcome) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _add_override_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--max-iter", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None,
-                   help="membership tolerance for the stopping rule")
-    p.add_argument("--cycle-tol", type=float, default=None,
-                   help="state quantization grid for cycle detection")
-    p.add_argument("--window", type=int, default=None,
-                   help="evidence window for the divergence certificate")
-    p.add_argument("--tie-rule", choices=["first", "rotate", "random"],
-                   default=None)
-    p.add_argument("--reflect-order",
-                   choices=["set-first", "constraint-first"], default=None)
-    p.add_argument("--seed", type=int, default=None)
-
-
-def _apply_overrides(cfg, args):
-    updates = {}
-    if args.max_iter is not None:
-        updates["max_iter"] = args.max_iter
-    if args.tol is not None:
-        updates["eps_h"] = args.tol
-    if args.cycle_tol is not None:
-        updates["eps_cycle"] = args.cycle_tol
-    if args.window is not None:
-        updates["window"] = args.window
-    if args.tie_rule is not None:
-        updates["tie_rule"] = args.tie_rule
-    if args.reflect_order is not None:
-        updates["reflect_order"] = args.reflect_order
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    return dataclasses.replace(cfg, **updates) if updates else cfg
+def _add_setting_flags(p: argparse.ArgumentParser) -> None:
+    group = p.add_argument_group(
+        "settings", "override the problem file's config keys of the same name")
+    for name, (_, kind, choices) in SETTINGS.items():
+        group.add_argument("--" + name.replace("_", "-"), dest=name,
+                           type=kind, choices=choices, default=None)
 
 
 def _load(args):
-    problem = load_problem(args.problem)
-    constraint, proj_set, x0, cfg = problem.build()
-    return constraint, proj_set, x0, _apply_overrides(cfg, args)
+    constraint, proj_set, x0, cfg = load_problem(args.problem).build()
+    flags = {name: getattr(args, name) for name in SETTINGS
+             if getattr(args, name) is not None}
+    return constraint, proj_set, x0, solver_config(flags, cfg)
 
 
 def _emit_trace(trace, outcome, args) -> None:
@@ -155,12 +128,7 @@ def _emit_trace(trace, outcome, args) -> None:
 
 def cmd_solve(args) -> int:
     constraint, proj_set, x0, cfg = _load(args)
-    try:
-        trace, outcome = run_dr_generic(constraint, proj_set, x0, cfg)
-    except DegenerateProjectionError:
-        print("error: projection degenerate at the start point",
-              file=sys.stderr)
-        return 5
+    trace, outcome = run_dr_generic(constraint, proj_set, x0, cfg)
     _emit_trace(trace, outcome, args)
     print(_summary(outcome))
     return EXIT_CODES[type(outcome)]
@@ -202,9 +170,8 @@ def cmd_repro(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    dims = tuple(int(d) for d in args.dims.split(","))
     reports = verifier_mod.run_all_suites(
-        trials=args.trials, dims=dims, seed=args.seed,
+        trials=args.trials, dims=args.dims, seed=args.seed,
         oracle_trials=args.oracle_trials,
     )
     for report in reports:
@@ -212,8 +179,22 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+def _dims(text: str) -> tuple[int, ...]:
+    try:
+        return verifier_mod.check_dims(text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors, so ``main`` exits 1 on them: 2 means Diverging."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="drfeas",
         description="Douglas-Rachford feasibility solver for a constraint "
                     "set paired with a (possibly non-convex) projectable set",
@@ -222,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="run the solver on a problem file")
     p_solve.add_argument("problem", help="path to a JSON problem file")
-    _add_override_flags(p_solve)
+    _add_setting_flags(p_solve)
     p_solve.add_argument("--format", choices=["csv", "json"], default="csv")
     p_solve.add_argument("--output", default=None,
                          help="trace destination ('-' for stdout)")
@@ -233,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the split method and alternating projections side by side",
     )
     p_cmp.add_argument("problem")
-    _add_override_flags(p_cmp)
+    _add_setting_flags(p_cmp)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_repro = sub.add_parser("repro", help="run named experiments")
@@ -243,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the property suites")
     p_verify.add_argument("--trials", type=int, default=10000)
     p_verify.add_argument("--oracle-trials", type=int, default=100)
-    p_verify.add_argument("--dims", default="1,2,3,4,5",
+    p_verify.add_argument("--dims", type=_dims, default="1,2,3,4,5",
                           help="comma-separated ambient dimensions")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=cmd_verify)
@@ -251,14 +232,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except ProblemFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (argparse.ArgumentError, ProblemFormatError,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

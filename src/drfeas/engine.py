@@ -11,6 +11,8 @@ marching along the inward normal by a fixed increment).
 Points are checked once, when a driver starts: x0, and that the set and
 the constraint share a dimension.  In the loop the one point check is the
 set's ``project_all``, which also rejects an iterate that has overflowed.
+``SolverConfig`` checks its own values (``drfeas.problems.SETTINGS`` names
+them for users).  DR runs end as MaxIterations once |x| > ``NORM_CAP``.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ __all__ = [
 
 TIE_RULES = ("first", "rotate", "random")
 REFLECT_ORDERS = ("set-first", "constraint-first")
+NORM_CAP = 1e12     # fallback bailout when no certificate forms
 
 
 @dataclass(frozen=True)
@@ -60,13 +63,12 @@ class SolverConfig:
     reflect_order: str = "set-first"
     tie_rule: str = "first"
     seed: int = 0
-    norm_cap: float = 1e12       # fallback bailout when no certificate forms
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.eps_h <= 0 or self.eps_cycle <= 0 or self.norm_cap <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.eps_h < math.inf and 0 < self.eps_cycle < math.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.window < 1:
             raise ValueError("window must be >= 1")
         if self.reflect_order not in REFLECT_ORDERS:
@@ -75,15 +77,22 @@ class SolverConfig:
             raise ValueError(f"tie_rule must be one of {TIE_RULES}")
 
     def key(self) -> tuple:
+        # NORM_CAP is a run parameter too, so the fingerprint covers it.
         return (
             self.max_iter, self.eps_h, self.eps_cycle, self.window,
-            self.reflect_order, self.tie_rule, self.seed, self.norm_cap,
+            self.reflect_order, self.tie_rule, self.seed, NORM_CAP,
         )
 
 
 @dataclass(frozen=True)
 class IterateRecord:
-    """One step: iterate x_k, selected projection q_k, and their distances."""
+    """One step: iterate x_k, selected projection q_k, and their distances.
+
+    ``d_xH``/``d_qH`` are the distances of x_k and q_k to the constraint.
+    ``d_xL`` is |<a,x_k> - b|, the distance of x_k to the boundary
+    hyperplane, for a half-space constraint; for any other constraint it
+    repeats ``d_xH``.
+    """
 
     k: int
     x: np.ndarray
@@ -91,7 +100,6 @@ class IterateRecord:
     d_xH: float
     d_qH: float
     d_xL: float
-    d_qL: float
 
 
 @dataclass(frozen=True)
@@ -285,7 +293,7 @@ class _DivergenceDetector:
         last = self.streak[-1]
         if not np.abs(rec.q - last.q).max() <= self.cfg.eps_cycle:
             return False
-        inc = rec.d_qL
+        inc = rec.d_qH  # q is outside H here, so d(q,H) = d(q,L)
         step = rec.x - last.x
         return bool(np.abs(step + inc * self.hs.a).max() <= self.cfg.eps_cycle)
 
@@ -309,7 +317,7 @@ class _DivergenceDetector:
         )
         return DivergenceCertificate(
             q_fixed=q.copy(),
-            increment=self.streak[-1].d_qL,
+            increment=self.streak[-1].d_qH,
             start_index=start,
             offsets=offsets,
         )
@@ -355,7 +363,7 @@ def _halfspace_record(k: int, x: np.ndarray, q: np.ndarray,
                       a: np.ndarray, b: float) -> IterateRecord:
     vx, vq = float(a @ x - b), float(a @ q - b)  # HalfSpace.value, unchecked
     return IterateRecord(k, x.copy(), q.copy(), max(0.0, vx), max(0.0, vq),
-                         abs(vx), abs(vq))
+                         abs(vx))
 
 
 def _beta_estimate(records, window: int) -> float:
@@ -371,7 +379,7 @@ class _Strategy:
     """
 
     tag = ""
-    norm_capped = True      # stop when |x| exceeds cfg.norm_cap
+    norm_capped = True      # stop when |x| exceeds NORM_CAP
 
     def __init__(self, constraint, cfg: SolverConfig):
         self.constraint, self.cfg = constraint, cfg
@@ -384,7 +392,7 @@ class _Strategy:
         if isinstance(c, HalfSpace):
             return _halfspace_record(k, x, q, c.a, c.b)
         dx, dq = c._distance(x), c._distance(q)
-        return IterateRecord(k, x.copy(), q.copy(), dx, dq, dx, dq)
+        return IterateRecord(k, x.copy(), q.copy(), dx, dq, dx)
 
     def verdict(self, records) -> Optional[RunOutcome]:
         return None
@@ -461,7 +469,7 @@ def _iterate(proj_set: ProjectableSet, constraint, x0, cfg: SolverConfig,
     fp = _fingerprint(strategy.tag, proj_set.key(), constraint.key(),
                       x.tobytes(), cfg.key())
     rule, eps_h, max_iter = cfg.tie_rule, cfg.eps_h, cfg.max_iter
-    norm_cap = cfg.norm_cap if strategy.norm_capped else math.inf
+    norm_cap = NORM_CAP if strategy.norm_capped else math.inf
     rng = np.random.default_rng(cfg.seed) if rule == "random" else None
     records: list[IterateRecord] = []
     cyc = _CycleDetector(cfg.eps_cycle, confirm=True)

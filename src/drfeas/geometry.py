@@ -1,5 +1,8 @@
 """Half-space and hyperplane geometry: distances, projectors, reflectors.
 
+``ReflectableConstraint`` is the interface of every convex constraint with
+a single-valued projector; ``drfeas.sets`` holds the others.
+
 Points are 1-D numpy arrays of finite floats.  Normals are normalized at
 construction so the closed-form formulas
 
@@ -11,6 +14,7 @@ fix interior points.
 
 from __future__ import annotations
 
+import abc
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +23,7 @@ __all__ = [
     "DimensionMismatchError",
     "HalfSpace",
     "Hyperplane",
+    "ReflectableConstraint",
     "as_point",
 ]
 
@@ -52,14 +57,49 @@ def as_point(coords, dim: int | None = None) -> np.ndarray:
     return p
 
 
+class ReflectableConstraint(abc.ABC):
+    """A convex set with single-valued projector and reflector.
+
+    The public methods check their point; the underscored ones take a point
+    that is already a checked float array of dimension ``dim``, so the
+    drivers check each point once.
+    """
+
+    @property
+    @abc.abstractmethod
+    def dim(self) -> int: ...
+
+    @abc.abstractmethod
+    def _project(self, x: np.ndarray) -> np.ndarray: ...
+
+    def project(self, x) -> np.ndarray:
+        return self._project(as_point(x, self.dim))
+
+    def reflect(self, x) -> np.ndarray:
+        return self._reflect(as_point(x, self.dim))
+
+    def _reflect(self, x: np.ndarray) -> np.ndarray:
+        return 2.0 * self._project(x) - x
+
+    def distance(self, x) -> float:
+        return self._distance(as_point(x, self.dim))
+
+    def _distance(self, x: np.ndarray) -> float:
+        return float(np.linalg.norm(x - self._project(x)))
+
+    def contains(self, x, tol: float = 1e-9) -> bool:
+        return self.distance(x) <= tol
+
+    @abc.abstractmethod
+    def key(self) -> tuple: ...
+
+
 @dataclass(frozen=True)
-class _Flat:
+class _Flat(ReflectableConstraint):
     """What HalfSpace and Hyperplane share: a unit normal a and offset b.
 
     Any nonzero input normal is normalized and b is rescaled by the same
-    factor, so (t*a, t*b) for t > 0 describes the same object.  The public
-    methods check their point; the underscored ones take a point that is
-    already a checked float array of dimension ``dim``.
+    factor, so (t*a, t*b) for t > 0 describes the same object.
     """
 
     a: np.ndarray
@@ -81,15 +121,6 @@ class _Flat:
 
     def _value(self, x: np.ndarray) -> float:
         return float(self.a @ x - self.b)
-
-    def distance(self, x) -> float:
-        return self._distance(as_point(x, self.dim))
-
-    def project(self, x) -> np.ndarray:
-        return self._project(as_point(x, self.dim))
-
-    def reflect(self, x) -> np.ndarray:
-        return self._reflect(as_point(x, self.dim))
 
     def key(self) -> tuple:
         return (type(self).__name__, self.a.tobytes(), self.b)

@@ -1,19 +1,24 @@
-"""Problem-file schema: JSON descriptions of an instance plus overrides.
+"""Problem-file schema: JSON descriptions of an instance plus settings.
 
 A problem file pairs one constraint, one projectable set, a start point,
-and optional solver-configuration overrides.  Validation is strict:
-unknown fields are rejected at every level and block dimensions must be
-consistent, because these files are user-supplied.
+and optional solver settings.  Validation is strict: unknown fields are
+rejected at every level and block dimensions must be consistent, because
+these files are user-supplied.
+
+``SETTINGS`` lists the solver settings: the ``config`` keys and, with
+dashes, the CLI flags.  ``solver_config`` applies them to a
+``SolverConfig``; any bad name or value is a ``ProblemFormatError``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import SolverConfig
+from .engine import REFLECT_ORDERS, TIE_RULES, SolverConfig
 from .geometry import HalfSpace, Hyperplane
 from .sets import (
     BinaryKnapsackSet,
@@ -26,132 +31,100 @@ from .sets import (
     TriadicSet,
 )
 
-__all__ = ["ProblemFile", "ProblemFormatError", "load_problem"]
+__all__ = ["ProblemFile", "ProblemFormatError", "SETTINGS", "load_problem",
+           "solver_config"]
 
 
 class ProblemFormatError(ValueError):
     """The problem description violates the schema."""
 
 
-CONSTRAINT_FIELDS = {
-    "halfspace": {"a", "b"},
-    "hyperplane": {"a", "b"},
-    "slab": {"a", "lower", "upper"},
-    "cone": {"apex", "p1", "p2"},
-    "diagonal": {"block_dim"},
-}
-
-SET_FIELDS = {
-    "finite": {"points"},
-    "sphere": {"center", "radius"},
-    "knapsack": {"c", "threshold"},
-    "triadic": {"depth"},
-    "product": {"components"},
-}
-
-CONFIG_FIELDS = {
-    "max_iter", "tol", "cycle_tol", "window",
-    "tie_rule", "reflect_order", "seed",
+# Setting name -> (SolverConfig field, value type, allowed values or None).
+SETTINGS = {
+    "max_iter": ("max_iter", int, None),
+    "tol": ("eps_h", float, None),
+    "cycle_tol": ("eps_cycle", float, None),
+    "window": ("window", int, None),
+    "tie_rule": ("tie_rule", str, TIE_RULES),
+    "reflect_order": ("reflect_order", str, REFLECT_ORDERS),
+    "seed": ("seed", int, None),
 }
 
 
-def _require_fields(spec: dict, allowed: set, context: str) -> None:
-    extra = set(spec) - allowed - {"type"}
-    if extra:
-        raise ProblemFormatError(
-            f"{context}: unknown field(s) {sorted(extra)}"
-        )
-    missing = {f for f in allowed if f not in spec and f != "depth"}
-    if missing:
-        raise ProblemFormatError(
-            f"{context}: missing field(s) {sorted(missing)}"
-        )
-
-
-def _build_constraint(spec: dict):
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ProblemFormatError("constraint must be an object with a type")
-    kind = spec["type"]
-    if kind not in CONSTRAINT_FIELDS:
-        raise ProblemFormatError(f"unknown constraint type {kind!r}")
-    _require_fields(spec, CONSTRAINT_FIELDS[kind], f"constraint {kind}")
-    try:
-        if kind == "halfspace":
-            return HalfSpace(np.asarray(spec["a"], float), float(spec["b"]))
-        if kind == "hyperplane":
-            return Hyperplane(np.asarray(spec["a"], float), float(spec["b"]))
-        if kind == "slab":
-            return Slab(np.asarray(spec["a"], float),
-                        float(spec["lower"]), float(spec["upper"]))
-        if kind == "cone":
-            return PlanarCone.from_boundary_points(
-                spec["apex"], spec["p1"], spec["p2"]
-            )
-        return DiagonalSet(int(spec["block_dim"]))
-    except ProblemFormatError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ProblemFormatError(f"constraint {kind}: {exc}") from exc
-
-
-def _build_set(spec: dict):
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ProblemFormatError("set must be an object with a type")
-    kind = spec["type"]
-    if kind not in SET_FIELDS:
-        raise ProblemFormatError(f"unknown set type {kind!r}")
-    _require_fields(spec, SET_FIELDS[kind], f"set {kind}")
-    try:
-        if kind == "finite":
-            return FinitePointSet(spec["points"])
-        if kind == "sphere":
-            return Sphere(spec["center"], float(spec["radius"]))
-        if kind == "knapsack":
-            return BinaryKnapsackSet(np.asarray(spec["c"], float),
-                                     float(spec["threshold"]))
-        if kind == "triadic":
-            return TriadicSet(int(spec.get("depth", 60)))
-        components = spec["components"]
-        if not isinstance(components, list) or not components:
-            raise ProblemFormatError("product components must be a nonempty list")
-        built = []
-        for comp in components:
-            if isinstance(comp, dict) and comp.get("type") in CONSTRAINT_FIELDS:
-                built.append(_build_constraint(comp))
-            else:
-                built.append(_build_set(comp))
-        return ProductSet(built)
-    except ProblemFormatError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ProblemFormatError(f"set {kind}: {exc}") from exc
-
-
-def _build_config(spec: dict) -> SolverConfig:
-    if not isinstance(spec, dict):
+def solver_config(settings: dict,
+                  base: SolverConfig = SolverConfig()) -> SolverConfig:
+    """``base`` with the named ``SETTINGS`` converted and applied."""
+    if not isinstance(settings, dict):
         raise ProblemFormatError("config must be an object")
-    extra = set(spec) - CONFIG_FIELDS
+    extra = set(settings) - set(SETTINGS)
     if extra:
         raise ProblemFormatError(f"config: unknown field(s) {sorted(extra)}")
-    kwargs = {}
-    if "max_iter" in spec:
-        kwargs["max_iter"] = int(spec["max_iter"])
-    if "tol" in spec:
-        kwargs["eps_h"] = float(spec["tol"])
-    if "cycle_tol" in spec:
-        kwargs["eps_cycle"] = float(spec["cycle_tol"])
-    if "window" in spec:
-        kwargs["window"] = int(spec["window"])
-    if "tie_rule" in spec:
-        kwargs["tie_rule"] = str(spec["tie_rule"])
-    if "reflect_order" in spec:
-        kwargs["reflect_order"] = str(spec["reflect_order"])
-    if "seed" in spec:
-        kwargs["seed"] = int(spec["seed"])
     try:
-        return SolverConfig(**kwargs)
-    except ValueError as exc:
+        return dataclasses.replace(base, **{
+            SETTINGS[name][0]: SETTINGS[name][1](value)
+            for name, value in settings.items()
+        })
+    except (TypeError, ValueError) as exc:
         raise ProblemFormatError(f"config: {exc}") from exc
+
+
+# Type name -> (builder, the spec fields it takes in order); only a
+# triadic set's "depth" may be left out.
+CONSTRAINT_TYPES = {
+    "halfspace": (HalfSpace, ("a", "b")),
+    "hyperplane": (Hyperplane, ("a", "b")),
+    "slab": (Slab, ("a", "lower", "upper")),
+    "cone": (PlanarCone.from_boundary_points, ("apex", "p1", "p2")),
+    "diagonal": (lambda n: DiagonalSet(int(n)), ("block_dim",)),
+}
+
+SET_TYPES = {
+    "finite": (FinitePointSet, ("points",)),
+    "sphere": (Sphere, ("center", "radius")),
+    "knapsack": (BinaryKnapsackSet, ("c", "threshold")),
+    "triadic": (TriadicSet, ("depth",)),
+    "product": (lambda specs: ProductSet(_components(specs)), ("components",)),
+}
+
+
+def _build(spec, types: dict, what: str):
+    """Check ``spec`` against its type's fields, then build it.
+
+    ``what`` is "constraint" or "set"; a TypeError or ValueError from the
+    builder becomes a ProblemFormatError that names the type.
+    """
+    if not isinstance(spec, dict) or "type" not in spec:
+        raise ProblemFormatError(f"{what} must be an object with a type")
+    kind = spec["type"]
+    if not isinstance(kind, str) or kind not in types:
+        raise ProblemFormatError(f"unknown {what} type {kind!r}")
+    build, fields = types[kind]
+    extra = set(spec) - set(fields) - {"type"}
+    if extra:
+        raise ProblemFormatError(
+            f"{what} {kind}: unknown field(s) {sorted(extra)}")
+    missing = [f for f in fields if f not in spec and f != "depth"]
+    if missing:
+        raise ProblemFormatError(
+            f"{what} {kind}: missing field(s) {sorted(missing)}")
+    try:
+        return build(*(spec[f] for f in fields if f in spec))
+    except ProblemFormatError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ProblemFormatError(f"{what} {kind}: {exc}") from exc
+
+
+def _components(specs) -> list:
+    """Product components: constraints by their type name, else sets."""
+    if not isinstance(specs, list) or not specs:
+        raise ProblemFormatError("product components must be a nonempty list")
+    return [
+        _build(c, CONSTRAINT_TYPES, "constraint")
+        if isinstance(c, dict) and c.get("type") in CONSTRAINT_TYPES
+        else _build(c, SET_TYPES, "set")
+        for c in specs
+    ]
 
 
 @dataclass
@@ -189,8 +162,8 @@ class ProblemFile:
         return out
 
     def build(self):
-        constraint = _build_constraint(self.constraint)
-        proj_set = _build_set(self.set)
+        constraint = _build(self.constraint, CONSTRAINT_TYPES, "constraint")
+        proj_set = _build(self.set, SET_TYPES, "set")
         if not isinstance(self.x0, (list, tuple)) or not self.x0:
             raise ProblemFormatError("x0 must be a nonempty coordinate list")
         try:
@@ -209,7 +182,7 @@ class ProblemFile:
                 f"dimension mismatch: x0 is {x0.size}-D, "
                 f"problem is {constraint.dim}-D"
             )
-        return constraint, proj_set, x0, _build_config(self.config)
+        return constraint, proj_set, x0, solver_config(self.config)
 
 
 def load_problem(path: str) -> ProblemFile:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import HalfSpace, Hyperplane, as_point
+from .geometry import ReflectableConstraint, as_point
 
 __all__ = [
     "BinaryKnapsackSet",
@@ -77,48 +77,6 @@ class ProjectableSet(abc.ABC):
     @abc.abstractmethod
     def key(self) -> tuple:
         """Hashable description used for trace fingerprints."""
-
-
-class ReflectableConstraint(abc.ABC):
-    """A convex set with single-valued projector and reflector.
-
-    The public methods check their point; the underscored ones take a point
-    that is already a checked float array of dimension ``dim``, so the
-    drivers check each point once.  ``_project`` defaults to ``project``.
-    """
-
-    @property
-    @abc.abstractmethod
-    def dim(self) -> int: ...
-
-    @abc.abstractmethod
-    def project(self, x) -> np.ndarray: ...
-
-    def _project(self, x: np.ndarray) -> np.ndarray:
-        return self.project(x)
-
-    def reflect(self, x) -> np.ndarray:
-        return self._reflect(as_point(x, self.dim))
-
-    def _reflect(self, x: np.ndarray) -> np.ndarray:
-        return 2.0 * self._project(x) - x
-
-    def distance(self, x) -> float:
-        return self._distance(as_point(x, self.dim))
-
-    def _distance(self, x: np.ndarray) -> float:
-        return float(np.linalg.norm(x - self._project(x)))
-
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        return self.distance(x) <= tol
-
-    @abc.abstractmethod
-    def key(self) -> tuple: ...
-
-
-# HalfSpace and Hyperplane already implement the full constraint surface.
-ReflectableConstraint.register(HalfSpace)
-ReflectableConstraint.register(Hyperplane)
 
 
 def _bit_rows(idx: np.ndarray, m: int) -> np.ndarray:

@@ -21,6 +21,7 @@ from .sets import BinaryKnapsackSet, FinitePointSet
 __all__ = [
     "MUTANTS",
     "PropertyReport",
+    "check_dims",
     "check_lemmas",
     "check_prop1",
     "check_prop2",
@@ -566,8 +567,17 @@ def mutant_killed(suite_id: str, trials=300, seed=0) -> bool:
     return not report.passed
 
 
+def check_dims(dims) -> tuple[int, ...]:
+    """``dims`` as a tuple of ints; ValueError unless each is at least 1."""
+    dims = tuple(int(d) for d in dims)
+    if not dims or min(dims) < 1:
+        raise ValueError(f"dimensions must be at least 1, got {list(dims)}")
+    return dims
+
+
 def run_all_suites(trials=10000, dims=(1, 2, 3, 4, 5), seed=0,
                    oracle_trials=100) -> list[PropertyReport]:
+    dims = check_dims(dims)
     reports = [
         check_prop1(trials, dims, seed),
         check_prop2(trials, dims, seed),

@@ -1,12 +1,15 @@
 """Command-line interface: exit codes, trace output, and error handling."""
 
+import dataclasses
 import hashlib
 import json
 import os
 
 import pytest
 
-from drfeas.cli import main
+from drfeas.cli import build_parser, main
+from drfeas.engine import SolverConfig
+from drfeas.problems import SETTINGS
 
 PROBLEM_DIR = os.path.join(os.path.dirname(__file__), "..", "problems")
 
@@ -140,6 +143,50 @@ class TestSolveFlags:
             "--reflect-order", "set-first",
         ])
         assert code in (0, 3)
+
+
+class TestBadInput:
+    """Input and usage errors exit 1 with one error line, no traceback."""
+
+    def assert_one_error_line(self, capsys):
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags", [
+        ["--tol", "-1"], ["--cycle-tol", "0"], ["--window", "0"],
+        ["--tie-rule", "bogus"], ["--max-iter", "x"],
+    ])
+    def test_bad_setting_flag(self, flags, capsys):
+        assert main(["solve", problem("four-points.json")] + flags) == 1
+        self.assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("config", [{"max_iter": "x"}, {"seed": None}])
+    def test_bad_config_value(self, config, tmp_path, capsys):
+        data = json.loads(open(problem("triadic.json")).read())
+        data["config"] = config
+        assert main(["solve", write_problem(tmp_path, data)]) == 1
+        self.assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("dims", ["0", "2,0", "a"])
+    def test_bad_verify_dims(self, dims, capsys):
+        # --dims 0 used to loop forever drawing a nonzero 0-D vector
+        assert main(["verify", "--trials", "1", "--dims", dims]) == 1
+        self.assert_one_error_line(capsys)
+
+
+class TestSettingsTable:
+    def test_settings_cover_solver_config_and_both_commands(self):
+        fields = [f.name for f in dataclasses.fields(SolverConfig)]
+        assert sorted(field for field, _, _ in SETTINGS.values()) == sorted(fields)
+        default = SolverConfig()
+        for command in ("solve", "compare"):
+            for name, (field, kind, _) in SETTINGS.items():
+                value = getattr(default, field)
+                args = build_parser().parse_args([
+                    command, "p.json", "--" + name.replace("_", "-"), str(value)])
+                assert getattr(args, name) == value
+                assert isinstance(value, kind)
 
 
 class TestGoldenOutput:

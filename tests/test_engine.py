@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drfeas.engine import (
+    NORM_CAP,
     CycleDetected,
     DegenerateProjection,
     Diverging,
@@ -214,6 +215,25 @@ class TestRunDr:
             SolverConfig(reflect_order="backwards")
         with pytest.raises(ValueError):
             SolverConfig(max_iter=0)
+
+    @pytest.mark.parametrize("eps", [0.0, -1.0, float("inf"), float("nan")])
+    def test_tolerances_must_be_positive_and_finite(self, eps):
+        # an infinite eps_h "solves" every run at k=0, an infinite
+        # eps_cycle puts every state in one grid cell
+        with pytest.raises(ValueError, match="tolerances"):
+            SolverConfig(eps_h=eps)
+        with pytest.raises(ValueError, match="tolerances"):
+            SolverConfig(eps_cycle=eps)
+
+    def test_norm_cap_ends_the_march(self):
+        # q = (0, 1e11) stays outside H and x marches down by 1e11 a step:
+        # |x| passes NORM_CAP long before a 25-step certificate could form
+        trace, outcome = run_dr(FinitePointSet([[0.0, 1e11]]),
+                                HalfSpace([0.0, 1.0], 0.0), [0.0, 0.0])
+        assert len(trace) == 12
+        assert outcome == MaxIterations(1e11, 1e11, norm_capped=True)
+        assert np.linalg.norm(trace[-1].x) > NORM_CAP
+        assert SolverConfig().key()[-1] == NORM_CAP
 
     def test_rotate_tie_rule_alternates(self):
         Q = FinitePointSet([(-1, 2), (1, 2)])

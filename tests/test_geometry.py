@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drfeas.geometry import HalfSpace, Hyperplane, as_point
+from drfeas.geometry import HalfSpace, Hyperplane, ReflectableConstraint, as_point
 
 COORD = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
 
@@ -109,3 +109,15 @@ def test_as_point_validates():
         as_point([1, 2, 3], 2)
     with pytest.raises(ValueError):
         as_point([np.nan, 0.0], 2)
+
+
+class TestReflectableConstraint:
+    def test_projector_is_required(self):
+        class NoProjector(ReflectableConstraint):
+            dim = 1
+
+            def key(self):
+                return ()
+
+        with pytest.raises(TypeError):
+            NoProjector()

@@ -9,7 +9,12 @@ import pytest
 
 from drfeas.engine import SolverConfig
 from drfeas.geometry import HalfSpace, Hyperplane
-from drfeas.problems import ProblemFile, ProblemFormatError, load_problem
+from drfeas.problems import (
+    ProblemFile,
+    ProblemFormatError,
+    load_problem,
+    solver_config,
+)
 from drfeas.sets import FinitePointSet, ProductSet, Slab, Sphere, TriadicSet
 
 PROBLEM_DIR = os.path.join(os.path.dirname(__file__), "..", "problems")
@@ -47,6 +52,14 @@ class TestParsing:
         assert cfg.tie_rule == "rotate"
         assert cfg.reflect_order == "constraint-first"
         assert cfg.seed == 3
+
+    def test_solver_config_applies_settings_over_base(self):
+        base = SolverConfig(max_iter=7, seed=4)
+        cfg = solver_config({"tol": "1e-6", "seed": 2}, base)
+        assert cfg == SolverConfig(max_iter=7, eps_h=1e-6, seed=2)
+        assert solver_config({}, base) == base
+        with pytest.raises(ProblemFormatError, match="unknown"):
+            solver_config({"eps_h": 1e-6}, base)
 
     @pytest.mark.parametrize("kind,spec", [
         ("hyperplane", {"type": "hyperplane", "a": [1.0, 0.0], "b": 2.0}),
