@@ -62,33 +62,30 @@ def _summary(outcome) -> str:
     return f"DegenerateProjection at index {outcome.at_index}"
 
 
+def _rows(trace: Trace):
+    """(k, x, q, d_xH, d_qH, d_xL) per step, as Python ints and floats."""
+    return zip(range(len(trace)), trace.x.tolist(), trace.q.tolist(),
+               trace.d_xH.tolist(), trace.d_qH.tolist(), trace.d_xL.tolist())
+
+
 def trace_to_csv(trace: Trace) -> str:
     """One row per step; float repr keeps output byte-identical per input."""
-    if not trace.records:
+    if not len(trace):
         return ""
-    n = trace.records[0].x.size
+    n = trace.dim
     header = (["k"] + [f"x{i}" for i in range(n)] + [f"q{i}" for i in range(n)]
               + ["d_xH", "d_qH", "d_xL"])
     lines = [",".join(header)]
-    for r in trace.records:
-        row = ([str(r.k)] + [repr(float(v)) for v in r.x]
-               + [repr(float(v)) for v in r.q]
-               + [repr(r.d_xH), repr(r.d_qH), repr(r.d_xL)])
-        lines.append(",".join(row))
+    for k, x, q, *dist in _rows(trace):
+        lines.append(",".join([str(k), *map(repr, x), *map(repr, q),
+                               *map(repr, dist)]))
     return "\n".join(lines) + "\n"
 
 
 def trace_to_json(trace: Trace, outcome) -> str:
     records = [
-        {
-            "k": r.k,
-            "x": [float(v) for v in r.x],
-            "q": [float(v) for v in r.q],
-            "d_xH": r.d_xH,
-            "d_qH": r.d_qH,
-            "d_xL": r.d_xL,
-        }
-        for r in trace.records
+        {"k": k, "x": x, "q": q, "d_xH": d_xH, "d_qH": d_qH, "d_xL": d_xL}
+        for k, x, q, d_xH, d_qH, d_xL in _rows(trace)
     ]
     payload = {
         "fingerprint": trace.fingerprint,
@@ -141,9 +138,9 @@ def cmd_compare(args) -> int:
     rows = [
         ("method", "outcome", "steps", "final d(x,H)", "final d(q,H)"),
         ("DR", _summary(dr_out), str(len(dr_trace)),
-         f"{dr_trace.records[-1].d_xH:.3g}", f"{dr_trace.records[-1].d_qH:.3g}"),
+         f"{dr_trace[-1].d_xH:.3g}", f"{dr_trace[-1].d_qH:.3g}"),
         ("AP", _summary(ap_out), str(len(ap_trace)),
-         f"{ap_trace.records[-1].d_xH:.3g}", f"{ap_trace.records[-1].d_qH:.3g}"),
+         f"{ap_trace[-1].d_xH:.3g}", f"{ap_trace[-1].d_qH:.3g}"),
     ]
     widths = [max(len(row[i]) for row in rows) for i in range(5)]
     for row in rows:
@@ -179,11 +176,18 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+def _checked(check):
+    """An argparse type from a check that raises ValueError."""
+    def parse(text: str):
+        try:
+            return check(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return parse
+
+
 def _dims(text: str) -> tuple[int, ...]:
-    try:
-        return verifier_mod.check_dims(text.split(","))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+    return verifier_mod.check_dims(text.split(","))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -222,9 +226,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_repro.set_defaults(func=cmd_repro)
 
     p_verify = sub.add_parser("verify", help="run the property suites")
-    p_verify.add_argument("--trials", type=int, default=10000)
-    p_verify.add_argument("--oracle-trials", type=int, default=100)
-    p_verify.add_argument("--dims", type=_dims, default="1,2,3,4,5",
+    trials = _checked(verifier_mod.check_trials)
+    p_verify.add_argument("--trials", type=trials, default=10000)
+    p_verify.add_argument("--oracle-trials", type=trials, default=100)
+    p_verify.add_argument("--dims", type=_checked(_dims), default="1,2,3,4,5",
                           help="comma-separated ambient dimensions")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.set_defaults(func=cmd_verify)

@@ -8,6 +8,13 @@ cycle detection; the half-space strategy also watches for the structural
 linear-divergence pattern (constant infeasible auxiliary point, iterates
 marching along the inward normal by a fixed increment).
 
+The trace is stored as columns: each step appends x, q and its three
+distances to growable float64 arrays, 8 bytes per coordinate and
+distance (56 B per step in 2-D, plus the arrays' spare capacity).
+``IterateRecord`` objects and the run's fingerprint are built only when
+first read: ``Trace.records`` builds and caches every record,
+``trace[i]`` builds record i alone.
+
 Points are checked once, when a driver starts: x0, and that the set and
 the constraint share a dimension.  In the loop the one point check is the
 set's ``project_all``, which also rejects an iterate that has overflowed.
@@ -19,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -102,19 +110,68 @@ class IterateRecord:
     d_xL: float
 
 
-@dataclass(frozen=True)
 class Trace:
-    records: tuple[IterateRecord, ...]
-    fingerprint: str
+    """The steps of one run, stored as columns.
+
+    ``x`` and ``q`` are (n, dim) arrays, ``d_xH``, ``d_qH`` and ``d_xL``
+    length-n arrays; all five are read-only views of the columns.
+    ``records``, ``trace[i]`` and iteration give ``IterateRecord`` objects
+    with their own copies of x and q.  ``fingerprint`` hashes the run's
+    inputs (driver tag, set and constraint keys, x0, settings) when first
+    read.
+    """
+
+    __slots__ = ("dim", "_cols", "_fingerprint_parts", "_fingerprint",
+                 "_records")
+
+    def __init__(self, dim: int, fingerprint_parts: tuple):
+        self.dim = dim
+        # x, q (flattened row by row), d_xH, d_qH, d_xL
+        self._cols = (array("d"), array("d"), array("d"), array("d"),
+                      array("d"))
+        self._fingerprint_parts = fingerprint_parts
+        self._fingerprint: Optional[str] = None
+        self._records: Optional[tuple[IterateRecord, ...]] = None
+
+    def _view(self, i: int) -> np.ndarray:
+        v = np.frombuffer(memoryview(self._cols[i]).toreadonly(), np.float64)
+        return v.reshape(-1, self.dim) if i < 2 else v
+
+    x = property(lambda self: self._view(0))
+    q = property(lambda self: self._view(1))
+    d_xH = property(lambda self: self._view(2))
+    d_qH = property(lambda self: self._view(3))
+    d_xL = property(lambda self: self._view(4))
+
+    @property
+    def fingerprint(self) -> str:
+        if self._fingerprint is None:
+            self._fingerprint = _fingerprint(*self._fingerprint_parts)
+        return self._fingerprint
+
+    @property
+    def records(self) -> tuple[IterateRecord, ...]:
+        if self._records is None:
+            xs, qs, dxH, dqH, dxL = self._cols
+            self._records = tuple(map(
+                IterateRecord, range(len(self)),
+                np.array(xs).reshape(-1, self.dim),
+                np.array(qs).reshape(-1, self.dim), dxH, dqH, dxL))
+        return self._records
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._cols[2])
 
     def __iter__(self):
         return iter(self.records)
 
     def __getitem__(self, i):
-        return self.records[i]
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        k = range(len(self))[i]
+        _, _, dxH, dqH, dxL = self._cols
+        return IterateRecord(k, self.x[k].copy(), self.q[k].copy(),
+                             dxH[k], dqH[k], dxL[k])
 
 
 @dataclass(frozen=True)
@@ -177,9 +234,9 @@ def dr_step(x, q, hs: HalfSpace, eps_h: float = 1e-9) -> np.ndarray:
 def _step(x: np.ndarray, q: np.ndarray, a: np.ndarray, b: float,
           eps_h: float) -> np.ndarray:
     """``dr_step`` on checked float64 arrays and the unit normal's (a, b)."""
-    if float(a @ (2.0 * q - x)) <= b + eps_h:
+    if float(a.dot(2.0 * q - x)) <= b + eps_h:
         return q.copy()
-    return q + (float(a @ x) + b - 2.0 * float(a @ q)) * a
+    return q + (float(a.dot(x)) + b - 2.0 * float(a.dot(q))) * a
 
 
 def dr_step_generic(x, constraint, proj_set: ProjectableSet,
@@ -273,52 +330,66 @@ def detect_cycle(states, eps_cycle: float = 1e-9,
 
 
 class _DivergenceDetector:
-    """Watches for the constant-q, fixed-increment march out of the half-space."""
+    """Watches for the constant-q, fixed-increment march out of the half-space.
+
+    The streak is kept as raw values: its length and first step, the
+    previous step's x and q, and the x of every streak step in one flat
+    float64 array, from which a certificate's offsets are read.
+    """
 
     def __init__(self, hs: HalfSpace, cfg: SolverConfig):
         self.hs = hs
         self.cfg = cfg
-        self.streak: list[IterateRecord] = []
+        self.length = 0
+        self.start = 0
+        self.xs = array("d")
+        self.last_x: Optional[np.ndarray] = None
+        self.last_q: Optional[np.ndarray] = None
         self.blocked_q: Optional[np.ndarray] = None
 
     def block(self, q: np.ndarray) -> None:
         """Suppress further certificates while the auxiliary point equals q."""
         self.blocked_q = q.copy()
 
-    def _extends(self, rec: IterateRecord) -> bool:
-        if rec.d_xH > self.cfg.eps_h or rec.d_qH <= self.cfg.eps_h:
+    def _extends(self, x, q, d_xH: float, d_qH: float) -> bool:
+        if d_xH > self.cfg.eps_h or d_qH <= self.cfg.eps_h:
             return False
-        if not self.streak:
+        if not self.length:
             return True
-        last = self.streak[-1]
-        if not np.abs(rec.q - last.q).max() <= self.cfg.eps_cycle:
+        if not np.abs(q - self.last_q).max() <= self.cfg.eps_cycle:
             return False
-        inc = rec.d_qH  # q is outside H here, so d(q,H) = d(q,L)
-        step = rec.x - last.x
+        inc = d_qH  # q is outside H here, so d(q,H) = d(q,L)
+        step = x - self.last_x
         return bool(np.abs(step + inc * self.hs.a).max() <= self.cfg.eps_cycle)
 
     def push(self, rec: IterateRecord) -> Optional[DivergenceCertificate]:
-        if self._extends(rec):
-            self.streak.append(rec)
-        elif rec.d_xH <= self.cfg.eps_h and rec.d_qH > self.cfg.eps_h:
-            self.streak = [rec]
+        return self.observe(rec.k, rec.x, rec.q, rec.d_xH, rec.d_qH)
+
+    def observe(self, k: int, x: np.ndarray, q: np.ndarray, d_xH: float,
+                d_qH: float) -> Optional[DivergenceCertificate]:
+        """Take step k; a certificate once the streak outlasts the window."""
+        if self._extends(x, q, d_xH, d_qH):
+            if not self.length:
+                self.start, self.xs = k, array("d")
+            self.length += 1
+            self.xs.extend(x.tolist())
+        elif d_xH <= self.cfg.eps_h and d_qH > self.cfg.eps_h:
+            self.length, self.start, self.xs = 1, k, array("d", x.tolist())
         else:
-            self.streak = []
-        if len(self.streak) <= self.cfg.window:
+            self.length = 0
+        self.last_x, self.last_q = x, q
+        if self.length <= self.cfg.window:
             return None
-        q = self.streak[-1].q
         if (self.blocked_q is not None
                 and np.abs(q - self.blocked_q).max() <= self.cfg.eps_cycle):
             return None
         a = self.hs.a
-        start = self.streak[0].k
-        offsets = tuple(
-            float(a @ (q - r.x)) for r in self.streak[1:]
-        )
+        xs = np.array(self.xs).reshape(self.length, -1)
+        offsets = tuple(float(a @ (q - x_i)) for x_i in xs[1:])
         return DivergenceCertificate(
             q_fixed=q.copy(),
-            increment=self.streak[-1].d_qH,
-            start_index=start,
+            increment=d_qH,
+            start_index=self.start,
             offsets=offsets,
         )
 
@@ -359,23 +430,24 @@ def _fingerprint(*parts) -> str:
     return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
 
 
-def _halfspace_record(k: int, x: np.ndarray, q: np.ndarray,
-                      a: np.ndarray, b: float) -> IterateRecord:
-    vx, vq = float(a @ x - b), float(a @ q - b)  # HalfSpace.value, unchecked
-    return IterateRecord(k, x.copy(), q.copy(), max(0.0, vx), max(0.0, vq),
-                         abs(vx))
+def _halfspace_distances(x: np.ndarray, q: np.ndarray, a: np.ndarray,
+                         b: float) -> tuple[float, float, float]:
+    vx, vq = float(a.dot(x)) - b, float(a.dot(q)) - b  # HalfSpace._value
+    return max(0.0, vx), max(0.0, vq), abs(vx)
 
 
-def _beta_estimate(records, window: int) -> float:
-    return min(r.d_qH for r in records[-window:])
+def _beta_estimate(d_qH, window: int) -> float:
+    """The least d(q,H) over the last ``window`` steps of a d_qH column."""
+    return min(d_qH[-window:])
 
 
 class _Strategy:
     """One driver's step; ``_iterate`` holds what the drivers share.
 
-    A step selects q among the nearest points of ``source(x)``, records,
-    and moves to ``advance(x, q, source(x))``.  ``verdict`` may end the
-    run from the records; ``watch`` feeds the cycle detector.
+    A step selects q among the nearest points of ``source(x)``, records
+    x, q and their ``distances``, and moves to ``advance(x, q, source(x))``.
+    ``verdict`` may end the run from the step's values and the d_qH
+    column; ``watch`` feeds the cycle detector.
     """
 
     tag = ""
@@ -387,14 +459,15 @@ class _Strategy:
     def source(self, x):
         return x
 
-    def record(self, k, x, q) -> IterateRecord:
+    def distances(self, x, q) -> tuple[float, float, float]:
+        """(d_xH, d_qH, d_xL) of ``IterateRecord``."""
         c = self.constraint
         if isinstance(c, HalfSpace):
-            return _halfspace_record(k, x, q, c.a, c.b)
-        dx, dq = c._distance(x), c._distance(q)
-        return IterateRecord(k, x.copy(), q.copy(), dx, dq, dx)
+            return _halfspace_distances(x, q, c.a, c.b)
+        dx = c._distance(x)
+        return dx, c._distance(q), dx
 
-    def verdict(self, records) -> Optional[RunOutcome]:
+    def verdict(self, k, x, q, d_xH, d_qH, d_qH_col) -> Optional[RunOutcome]:
         return None
 
     def watch(self, cyc: _CycleDetector, x, q, k) -> Optional[tuple[int, int]]:
@@ -410,15 +483,15 @@ class _HalfSpaceSplit(_Strategy):
         super().__init__(hs, cfg)
         self.proj_set, self.div = proj_set, _DivergenceDetector(hs, cfg)
 
-    def record(self, k, x, q):
-        return _halfspace_record(k, x, q, self.constraint.a, self.constraint.b)
+    def distances(self, x, q):
+        return _halfspace_distances(x, q, self.constraint.a, self.constraint.b)
 
-    def verdict(self, records):
-        cert = self.div.push(records[-1])
+    def verdict(self, k, x, q, d_xH, d_qH, d_qH_col):
+        cert = self.div.observe(k, x, q, d_xH, d_qH)
         if cert is None:
             return None
         if _ray_stable(self.proj_set, cert.q_fixed, self.constraint):
-            return Diverging(cert, _beta_estimate(records, self.cfg.window))
+            return Diverging(cert, _beta_estimate(d_qH_col, self.cfg.window))
         self.div.block(cert.q_fixed)
         return None
 
@@ -466,12 +539,12 @@ def _iterate(proj_set: ProjectableSet, constraint, x0, cfg: SolverConfig,
     if proj_set.dim != constraint.dim:
         raise DimensionMismatchError(f"set has dimension {proj_set.dim}, "
                                      f"constraint has dimension {constraint.dim}")
-    fp = _fingerprint(strategy.tag, proj_set.key(), constraint.key(),
-                      x.tobytes(), cfg.key())
+    trace = Trace(x.size, (strategy.tag, proj_set.key(), constraint.key(),
+                           x.tobytes(), cfg.key()))
+    xs, qs, d_xH_col, d_qH_col, d_xL_col = trace._cols
     rule, eps_h, max_iter = cfg.tie_rule, cfg.eps_h, cfg.max_iter
     norm_cap = NORM_CAP if strategy.norm_capped else math.inf
     rng = np.random.default_rng(cfg.seed) if rule == "random" else None
-    records: list[IterateRecord] = []
     cyc = _CycleDetector(cfg.eps_cycle, confirm=True)
     outcome: Optional[RunOutcome]
     k = 0
@@ -483,12 +556,16 @@ def _iterate(proj_set: ProjectableSet, constraint, x0, cfg: SolverConfig,
             outcome = DegenerateProjection(at_index=k)
             break
         q = _select(ties, k, rule, rng)
-        rec = strategy.record(k, x, q)
-        records.append(rec)
-        if rec.d_qH <= eps_h:
+        d_xH, d_qH, d_xL = strategy.distances(x, q)
+        xs.extend(x.tolist())
+        qs.extend(q.tolist())
+        d_xH_col.append(d_xH)
+        d_qH_col.append(d_qH)
+        d_xL_col.append(d_xL)
+        if d_qH <= eps_h:
             outcome = Solved(q=q.copy(), iterations=k)
             break
-        outcome = strategy.verdict(records)
+        outcome = strategy.verdict(k, x, q, d_xH, d_qH, d_qH_col)
         if outcome is not None:
             break
         hit = strategy.watch(cyc, x, q, k)
@@ -496,17 +573,17 @@ def _iterate(proj_set: ProjectableSet, constraint, x0, cfg: SolverConfig,
             outcome = CycleDetected(period=hit[0], first_index=hit[1])
             break
         if k >= max_iter:
-            outcome = MaxIterations(rec.d_qH, _beta_estimate(records, cfg.window))
+            outcome = MaxIterations(d_qH, _beta_estimate(d_qH_col, cfg.window))
             break
         # math.sqrt(x.dot(x)) is np.linalg.norm(x) for a 1-D float array.
         if math.sqrt(float(x.dot(x))) > norm_cap:
             outcome = MaxIterations(
-                rec.d_qH, _beta_estimate(records, cfg.window), norm_capped=True
+                d_qH, _beta_estimate(d_qH_col, cfg.window), norm_capped=True
             )
             break
         x = strategy.advance(x, q, src)
         k += 1
-    return Trace(tuple(records), fp), outcome
+    return trace, outcome
 
 
 def run_dr(proj_set: ProjectableSet, hs: HalfSpace, x0,

@@ -15,6 +15,7 @@ fix interior points.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,9 @@ def as_point(coords, dim: int | None = None) -> np.ndarray:
     """Validate and return coords as a 1-D float array.
 
     Rejects empty input, non-finite coordinates, and (when ``dim`` is
-    given) dimension mismatch.
+    given) dimension mismatch.  One reduction, |p|², decides finiteness
+    unless it is not finite itself (a non-finite coordinate, or finite
+    ones whose squares overflow); only then are the coordinates tested.
     """
     p = np.asarray(coords, dtype=float)
     if p.ndim != 1:
@@ -48,7 +51,7 @@ def as_point(coords, dim: int | None = None) -> np.ndarray:
         p = p.reshape(1)
     if p.size == 0:
         raise ValueError("point must have dimension >= 1")
-    if not np.isfinite(p).all():
+    if not math.isfinite(p.dot(p)) and not np.isfinite(p).all():
         raise ValueError("point has non-finite coordinates")
     if dim is not None and p.size != dim:
         raise DimensionMismatchError(
@@ -120,7 +123,7 @@ class _Flat(ReflectableConstraint):
         return self.a.size
 
     def _value(self, x: np.ndarray) -> float:
-        return float(self.a @ x - self.b)
+        return float(self.a.dot(x)) - self.b
 
     def key(self) -> tuple:
         return (type(self).__name__, self.a.tobytes(), self.b)

@@ -87,7 +87,7 @@ def fig1_four_points() -> ExperimentResult:
     hs = HalfSpace(np.array([-2.0, 3.0]), 0.0)
     trace, outcome = run_dr(Q, hs, [0.0, 3.0])
     checks = {
-        "first_iterate": _close(trace.records[1].x, (0.0, 0.2), HAND),
+        "first_iterate": _close(trace[1].x, (0.0, 0.2), HAND),
         "solved": isinstance(outcome, Solved),
         "solution": isinstance(outcome, Solved)
         and _close(outcome.q, (-2.0, -2.0), TIGHT),
@@ -97,7 +97,7 @@ def fig1_four_points() -> ExperimentResult:
     checks["perturbed_start_solved"] = isinstance(perturbed, Solved)
     flipped_tr, _ = run_dr(Q, HalfSpace(np.array([2.0, -3.0]), 0.0), [0.0, 3.0])
     checks["orientation_guard"] = len(flipped_tr) <= 1 or not _close(
-        flipped_tr.records[1].x, (0.0, 0.2), HAND
+        flipped_tr[1].x, (0.0, 0.2), HAND
     )
     return ExperimentResult(
         "fig1-four-points", all(checks.values()), checks, {"dr": trace}
@@ -116,7 +116,7 @@ def ex_ap_failure() -> ExperimentResult:
     x0 = [-2.0, 2.0]
     ap_trace, ap_out = run_ap(Q, hs, x0)
     foot = np.array([12.0 / 13.0, 8.0 / 13.0])
-    tail = ap_trace.records[-1]
+    tail = ap_trace[-1]
     checks = {
         "ap_cycles": isinstance(ap_out, CycleDetected) and ap_out.period == 2,
         "cycle_q": _close(tail.q, (0.0, 2.0), HAND),
@@ -156,8 +156,8 @@ def ex4_triadic() -> ExperimentResult:
     cfg = SolverConfig(max_iter=25, eps_h=1e-30, eps_cycle=1e-14)
     trace, outcome = run_dr(Q, hs, [1.0], cfg)
     ok_closed_form = all(
-        _close(trace.records[k].x, 3.0 ** (-k), HAND)
-        and _close(trace.records[k].q, 2.0 * 3.0 ** (-(k + 1)), HAND)
+        _close(trace[k].x, 3.0 ** (-k), HAND)
+        and _close(trace[k].q, 2.0 * 3.0 ** (-(k + 1)), HAND)
         for k in range(16)
     )
     cert = detect_linear_divergence(
@@ -187,10 +187,10 @@ def fig4_hyperplane_cycle() -> ExperimentResult:
         "first_index_1": isinstance(outcome, CycleDetected)
         and outcome.first_index == 1,
         "orbit_exact": all(
-            _close(trace.records[1 + i].x, orbit[i], TIGHT) for i in range(4)
+            _close(trace[1 + i].x, orbit[i], TIGHT) for i in range(4)
         ),
         "orbit_recurs": all(
-            _close(trace.records[5 + i].x, orbit[i], TIGHT)
+            _close(trace[5 + i].x, orbit[i], TIGHT)
             for i in range(min(4, len(trace) - 5))
         ),
     }
@@ -213,7 +213,7 @@ def fig3_cone_cycle() -> ExperimentResult:
         and outcome.first_index <= 50,
     }
     if isinstance(outcome, CycleDetected):
-        pts = [trace.records[outcome.first_index + i].x for i in range(2)]
+        pts = [trace[outcome.first_index + i].x for i in range(2)]
         drawn = [np.array([0.305, 0.392]), np.array([0.325, 0.727])]
         # match orbit points to drawn points irrespective of phase
         d0 = max(np.abs(pts[0] - drawn[0]).max(), np.abs(pts[1] - drawn[1]).max())
@@ -277,8 +277,8 @@ def ex_pierra_cycles() -> ExperimentResult:
         and out_d.first_index == 0
     )
     checks["diag_first_values"] = _close(
-        tr_d.records[1].x, (0, 3 / 5, 0, 1 / 5), TIGHT
-    ) and _close(tr_d.records[2].x, (0, 2 / 5, 0, 4 / 5), TIGHT)
+        tr_d[1].x, (0, 3 / 5, 0, 1 / 5), TIGHT
+    ) and _close(tr_d[2].x, (0, 2 / 5, 0, 4 / 5), TIGHT)
 
     # reflect the product set first
     tr_p, out_p = run_dr_generic(
@@ -288,8 +288,8 @@ def ex_pierra_cycles() -> ExperimentResult:
         isinstance(out_p, CycleDetected) and out_p.period == 2
     )
     checks["product_first_values"] = _close(
-        tr_p.records[1].x, (0, 1 / 5, 0, 3 / 5), TIGHT
-    ) and _close(tr_p.records[2].x, (0, 4 / 5, 0, 2 / 5), TIGHT)
+        tr_p[1].x, (0, 1 / 5, 0, 3 / 5), TIGHT
+    ) and _close(tr_p[2].x, (0, 4 / 5, 0, 2 / 5), TIGHT)
 
     # scalar doubleton blocks: the whole problem lives in the plane
     tr_2, out_2 = run_dr_generic(
@@ -302,8 +302,8 @@ def ex_pierra_cycles() -> ExperimentResult:
         isinstance(out_2, CycleDetected) and out_2.period == 2
     )
     checks["doubleton_values"] = _close(
-        tr_2.records[1].x, (1 / 4, 3 / 4), TIGHT
-    ) and _close(tr_2.records[2].x, (3 / 4, 1 / 4), TIGHT)
+        tr_2[1].x, (1 / 4, 3 / 4), TIGHT
+    ) and _close(tr_2[2].x, (3 / 4, 1 / 4), TIGHT)
 
     return ExperimentResult(
         "pierra-2-cycles",
@@ -338,7 +338,7 @@ def sphere_halfspace(b: float = -0.5) -> ExperimentResult:
     hs = HalfSpace(np.array([0.0, 1.0]), b)
     trace, outcome = run_dr(sphere, hs, [1.0, 1.0])
     limit = np.array([math.sqrt(1.0 - b * b), b])
-    last = trace.records[-1]
+    last = trace[-1]
     checks = {}
     if isinstance(outcome, Solved):
         q = outcome.q

@@ -22,6 +22,7 @@ __all__ = [
     "MUTANTS",
     "PropertyReport",
     "check_dims",
+    "check_trials",
     "check_lemmas",
     "check_prop1",
     "check_prop2",
@@ -532,7 +533,7 @@ def _x_settles_after(trace, Q, hs) -> bool:
 
     Settling takes on the order of gap / d(q,L) steps, hence the loose cap.
     """
-    x = trace.records[-1].x
+    x = trace[-1].x
     for _ in range(5000):
         q = Q.project_all(x)[0]
         if hs.distance(q) > TOL:
@@ -575,9 +576,18 @@ def check_dims(dims) -> tuple[int, ...]:
     return dims
 
 
+def check_trials(trials) -> int:
+    """``trials`` as an int; ValueError if it is negative."""
+    trials = int(trials)
+    if trials < 0:
+        raise ValueError(f"trial counts must be at least 0, got {trials}")
+    return trials
+
+
 def run_all_suites(trials=10000, dims=(1, 2, 3, 4, 5), seed=0,
                    oracle_trials=100) -> list[PropertyReport]:
     dims = check_dims(dims)
+    trials, oracle_trials = check_trials(trials), check_trials(oracle_trials)
     reports = [
         check_prop1(trials, dims, seed),
         check_prop2(trials, dims, seed),

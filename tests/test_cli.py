@@ -148,10 +148,11 @@ class TestSolveFlags:
 class TestBadInput:
     """Input and usage errors exit 1 with one error line, no traceback."""
 
-    def assert_one_error_line(self, capsys):
-        err = capsys.readouterr().err
+    def assert_one_error_line(self, capsys) -> str:
+        out, err = capsys.readouterr()
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
+        return out
 
     @pytest.mark.parametrize("flags", [
         ["--tol", "-1"], ["--cycle-tol", "0"], ["--window", "0"],
@@ -173,6 +174,15 @@ class TestBadInput:
         # --dims 0 used to loop forever drawing a nonzero 0-D vector
         assert main(["verify", "--trials", "1", "--dims", dims]) == 1
         self.assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("counts", [
+        ["--trials", "-3", "--oracle-trials", "-2"],
+        ["--trials", "2", "--oracle-trials", "-2"],
+    ])
+    def test_negative_verify_trials(self, counts, capsys):
+        # used to run no trial and report "passed": true with exit 0
+        assert main(["verify", "--dims", "2"] + counts) == 1
+        assert self.assert_one_error_line(capsys) == ""
 
 
 class TestSettingsTable:

@@ -1,10 +1,13 @@
 """Tests for the iteration drivers, cycle detection, and divergence logic."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drfeas import engine
 from drfeas.engine import (
     NORM_CAP,
     CycleDetected,
@@ -304,6 +307,82 @@ class TestRunBoundary:
         assert trace.fingerprint == "8e611811feccc340"
 
 
+class TestColumnarTrace:
+    """The trace stores columns; records and the fingerprint are built on read."""
+
+    Q = FinitePointSet([(-1, -2), (1, 0), (0, -1), (-1, 2), (-2, 2)])
+    HS = HalfSpace([2.0, 0.0], -1.0)
+    CFG = SolverConfig(tie_rule="random", seed=42)
+
+    def test_columns_match_records(self):
+        trace, _ = run_dr(self.Q, self.HS, [1.5, -1.5], self.CFG)
+        assert len(trace) == 5 and trace.dim == 2
+        assert np.array_equal(trace.x, [r.x for r in trace.records])
+        assert np.array_equal(trace.q, [r.q for r in trace.records])
+        for name in ("d_xH", "d_qH", "d_xL"):
+            assert getattr(trace, name).tolist() == [
+                getattr(r, name) for r in trace.records]
+        assert [r.k for r in trace] == list(range(5))
+        assert trace.records is trace.records
+        assert not trace.x.flags.writeable
+
+    def test_single_record_equals_records_entry(self):
+        trace, _ = run_dr(self.Q, self.HS, [1.5, -1.5], self.CFG)
+        for i in (0, 2, -1):
+            one, cached = trace[i], trace.records[i]
+            assert one.k == cached.k
+            assert np.array_equal(one.x, cached.x)
+            assert np.array_equal(one.q, cached.q)
+            assert (one.d_xH, one.d_qH, one.d_xL) == (
+                cached.d_xH, cached.d_qH, cached.d_xL)
+        assert [r.k for r in trace[1:4]] == [1, 2, 3]
+        with pytest.raises(IndexError):
+            trace[5]
+
+    def test_mutating_inputs_and_records_leaves_the_trace_unchanged(self):
+        x0 = np.array([1.5, -1.5])
+        trace, _ = run_dr(self.Q, self.HS, x0, self.CFG)
+        xs, qs = trace.x.copy(), trace.q.copy()
+        x0[:] = 99.0
+        trace[0].x[:] = 77.0
+        trace.records[-1].x[:] = 55.0
+        trace.records[-1].q[:] = 55.0
+        assert np.array_equal(trace.x, xs) and np.array_equal(trace.q, qs)
+        assert trace[0].x.tolist() == [1.5, -1.5]
+        assert trace[-1].q.tolist() == [-1.0, -2.0]
+        assert trace.fingerprint == "8e611811feccc340"
+
+    def test_fingerprint_is_hashed_once_on_first_read(self, monkeypatch):
+        calls = []
+
+        def counting(*parts):
+            calls.append(parts)
+            return real(*parts)
+
+        real = engine._fingerprint
+        monkeypatch.setattr(engine, "_fingerprint", counting)
+        trace, _ = run_dr(self.Q, self.HS, [1.5, -1.5], self.CFG)
+        assert len(calls) == 0
+        assert trace.fingerprint == "8e611811feccc340"
+        assert trace.fingerprint == "8e611811feccc340"
+        assert len(calls) == 1
+
+    def test_long_march_memory_per_record(self):
+        # a 20001-step constant-q march (the window is never reached);
+        # a frozen IterateRecord per step held 478 B/record here
+        cfg = SolverConfig(max_iter=20000, window=10**6)
+        Q, hs = FinitePointSet([(0.0, 1.0)]), HalfSpace([0.0, 1.0], 0.0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            trace, outcome = run_dr(Q, hs, [0.0, 1.0], cfg)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert isinstance(outcome, MaxIterations) and len(trace) == 20001
+        assert held / len(trace) <= 478 / 4
+
+
 class TestRunAp:
     def test_two_point_bounce(self):
         Q = FinitePointSet([(0, 2), (1, -2)])
@@ -330,6 +409,21 @@ class TestDivergenceScan:
         assert cert.increment == pytest.approx(
             outcome.certificate.increment, abs=1e-12
         )
+
+    def test_scan_certificate_equals_driver_certificate(self):
+        # an oblique march: the offsets are rounded dot products, so the
+        # scan over records and the driver's raw-value detector must take
+        # the same values in the same order
+        hs = HalfSpace(np.array([0.3, 0.7, -0.2]), 0.1)
+        Q = FinitePointSet([(0.5, 0.9, 0.1)])
+        trace, outcome = run_dr(Q, hs, [0.2, 0.3, 0.4])
+        assert isinstance(outcome, Diverging)
+        cert = detect_linear_divergence(trace.records, hs)
+        driver = outcome.certificate
+        assert cert.offsets == driver.offsets
+        assert (cert.increment, cert.start_index) == (
+            driver.increment, driver.start_index)
+        assert np.array_equal(cert.q_fixed, driver.q_fixed)
 
     def test_shrinking_march_yields_no_certificate(self):
         hs = HalfSpace(np.array([1.0]), 0.0)

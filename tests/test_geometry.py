@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drfeas.geometry import HalfSpace, Hyperplane, ReflectableConstraint, as_point
@@ -57,10 +57,22 @@ class TestHalfSpace:
 
     @given(st.integers(1, 5).flatmap(lambda n: st.tuples(halfspaces(n), vectors(n))))
     @settings(max_examples=200, deadline=None)
+    # Normalising a short normal scales b to about -2.7e6: the involution
+    # below is then off by 1.9e-9, and the projection's value by 1.4e-9.
+    @example((HalfSpace(np.array([1.7288148030820244e-06, -5.321132123046609e-07]),
+                        -4.913355062972306), np.zeros(2)))
+    @example((HalfSpace(np.array([-7.78814e-07, -8.77657e-07]), -4.661524),
+              np.zeros(2)))
     def test_projection_properties(self, hv):
         hs, x = hv
+        # Each reflection rounds <a,x> - b and the update at magnitudes up
+        # to 2 max(|x|, |b|), so two of them (or a projection and its value)
+        # are off by a few ulp of that scale: at most about 10 eps * scale
+        # over 2e5 random cases with |b| up to 5e6.  The tolerances are
+        # 1e-9 relative to the scale, and absolute below scale 1.
+        tol = 1e-9 * max(1.0, float(np.abs(x).max()), abs(hs.b))
         p = hs.project(x)
-        assert hs.contains(p, tol=1e-9)
+        assert hs.contains(p, tol=tol)
         # projection is idempotent
         assert np.allclose(hs.project(p), p, atol=1e-9)
         # the piecewise reflector fixes interior points and mirrors the rest
@@ -70,7 +82,7 @@ class TestHalfSpace:
             assert np.allclose(hs.reflect(x), 2.0 * p - x, atol=1e-9)
         # the boundary reflector is an involution
         hp = hs.boundary()
-        assert np.allclose(hp.reflect(hp.reflect(x)), x, atol=1e-9)
+        assert np.allclose(hp.reflect(hp.reflect(x)), x, atol=tol)
 
     @given(st.integers(1, 5).flatmap(lambda n: st.tuples(halfspaces(n), vectors(n))))
     @settings(max_examples=200, deadline=None)
@@ -109,6 +121,33 @@ def test_as_point_validates():
         as_point([1, 2, 3], 2)
     with pytest.raises(ValueError):
         as_point([np.nan, 0.0], 2)
+
+
+# numpy reports the overflow of |p|^2 for coordinates beyond about 1e154
+OVERFLOW_WARNING = "ignore:overflow encountered in dot:RuntimeWarning"
+
+
+@pytest.mark.filterwarnings(OVERFLOW_WARNING)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_as_point_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        as_point([1.0, bad])
+    with pytest.raises(ValueError, match="non-finite"):
+        as_point([1e200, bad])  # |p|^2 overflows either way
+
+
+@pytest.mark.filterwarnings(OVERFLOW_WARNING)
+def test_as_point_accepts_finite_coordinates_whose_squares_overflow():
+    p = as_point([1e200, -1e200], 2)
+    assert p.tolist() == [1e200, -1e200]
+
+
+def test_as_point_shapes():
+    assert as_point(3).tolist() == [3.0]  # a 0-d value is a 1-D point
+    with pytest.raises(ValueError, match="1-D"):
+        as_point([[1.0, 2.0]])
+    with pytest.raises(ValueError, match="dimension >= 1"):
+        as_point([])
 
 
 class TestReflectableConstraint:

@@ -81,6 +81,13 @@ def test_reports_serialize_to_json():
     assert payload["seed"] == 0
 
 
+@pytest.mark.parametrize("counts", [(-3, 1), (1, -2)])
+def test_run_all_suites_rejects_negative_trial_counts(counts):
+    trials, oracle_trials = counts
+    with pytest.raises(ValueError, match="at least 0"):
+        run_all_suites(trials=trials, dims=(2,), oracle_trials=oracle_trials)
+
+
 def test_run_all_suites_covers_registry():
     reports = run_all_suites(trials=50, dims=(2, 3), seed=5, oracle_trials=10)
     assert len(reports) == len(SUITES)
