@@ -8,6 +8,10 @@ cycle detection; the half-space strategy also watches for the structural
 linear-divergence pattern (constant infeasible auxiliary point, iterates
 marching along the inward normal by a fixed increment).
 
+A march outlasting the window is declared ``Diverging`` only if its q
+attains m = min over Q of <a,p> (the set's ``min_along``, computed once)
+and m > b: then it never hands over, and Q misses H.  Nothing is probed.
+
 The trace is stored as columns: each step appends x, q and its three
 distances to growable float64 arrays, 8 bytes per coordinate and
 distance (56 B per step in 2-D, plus the arrays' spare capacity).
@@ -197,8 +201,12 @@ class Solved:
 
 @dataclass(frozen=True)
 class Diverging:
+    """Q misses H.  ``support`` is m = min over Q of <a,p>; the witness
+    m > b with <a, certificate.q_fixed> = m needs only Q and H to check."""
+
     certificate: DivergenceCertificate
     beta_estimate: float
+    support: float
 
 
 @dataclass(frozen=True)
@@ -345,11 +353,6 @@ class _DivergenceDetector:
         self.xs = array("d")
         self.last_x: Optional[np.ndarray] = None
         self.last_q: Optional[np.ndarray] = None
-        self.blocked_q: Optional[np.ndarray] = None
-
-    def block(self, q: np.ndarray) -> None:
-        """Suppress further certificates while the auxiliary point equals q."""
-        self.blocked_q = q.copy()
 
     def _extends(self, x, q, d_xH: float, d_qH: float) -> bool:
         if d_xH > self.cfg.eps_h or d_qH <= self.cfg.eps_h:
@@ -362,12 +365,9 @@ class _DivergenceDetector:
         step = x - self.last_x
         return bool(np.abs(step + inc * self.hs.a).max() <= self.cfg.eps_cycle)
 
-    def push(self, rec: IterateRecord) -> Optional[DivergenceCertificate]:
-        return self.observe(rec.k, rec.x, rec.q, rec.d_xH, rec.d_qH)
-
     def observe(self, k: int, x: np.ndarray, q: np.ndarray, d_xH: float,
-                d_qH: float) -> Optional[DivergenceCertificate]:
-        """Take step k; a certificate once the streak outlasts the window."""
+                d_qH: float) -> bool:
+        """Take step k; whether the streak now outlasts the window."""
         if self._extends(x, q, d_xH, d_qH):
             if not self.length:
                 self.start, self.xs = k, array("d")
@@ -378,11 +378,10 @@ class _DivergenceDetector:
         else:
             self.length = 0
         self.last_x, self.last_q = x, q
-        if self.length <= self.cfg.window:
-            return None
-        if (self.blocked_q is not None
-                and np.abs(q - self.blocked_q).max() <= self.cfg.eps_cycle):
-            return None
+        return self.length > self.cfg.window
+
+    def certificate(self, q: np.ndarray, d_qH: float) -> DivergenceCertificate:
+        """The current streak's certificate, q and d_qH of its last step."""
         a = self.hs.a
         xs = np.array(self.xs).reshape(self.length, -1)
         offsets = tuple(float(a @ (q - x_i)) for x_i in xs[1:])
@@ -402,28 +401,9 @@ def detect_linear_divergence(records, hs: HalfSpace,
     cfg = SolverConfig(window=window, eps_h=eps_h, eps_cycle=eps_cycle)
     det = _DivergenceDetector(hs, cfg)
     for rec in records:
-        cert = det.push(rec)
-        if cert is not None:
-            return cert
+        if det.observe(rec.k, rec.x, rec.q, rec.d_xH, rec.d_qH):
+            return det.certificate(rec.q, rec.d_qH)
     return None
-
-
-def _ray_stable(proj_set: ProjectableSet, q: np.ndarray, hs: HalfSpace,
-                factor: float = 1e7) -> bool:
-    """Whether q stays a nearest point arbitrarily far down the inward ray.
-
-    The fixed-increment march is only genuine divergence if the constant
-    auxiliary point never loses a nearest-point comparison; a far probe
-    along the ray distinguishes that from a transient march that would
-    eventually hand over to another point of the set.
-    """
-    scale = 1.0 + float(np.linalg.norm(q))
-    probe = q - factor * scale * hs.a
-    try:
-        ties = proj_set.project_all(probe)
-    except DegenerateProjectionError:
-        return False
-    return any(float(np.linalg.norm(p - q)) <= 1e-9 * scale for p in ties)
 
 
 def _fingerprint(*parts) -> str:
@@ -482,18 +462,22 @@ class _HalfSpaceSplit(_Strategy):
     def __init__(self, proj_set: ProjectableSet, hs: HalfSpace, cfg: SolverConfig):
         super().__init__(hs, cfg)
         self.proj_set, self.div = proj_set, _DivergenceDetector(hs, cfg)
+        self.support: Optional[float] = None
 
     def distances(self, x, q):
         return _halfspace_distances(x, q, self.constraint.a, self.constraint.b)
 
     def verdict(self, k, x, q, d_xH, d_qH, d_qH_col):
-        cert = self.div.observe(k, x, q, d_xH, d_qH)
-        if cert is None:
+        if not self.div.observe(k, x, q, d_xH, d_qH):
             return None
-        if _ray_stable(self.proj_set, cert.q_fixed, self.constraint):
-            return Diverging(cert, _beta_estimate(d_qH_col, self.cfg.window))
-        self.div.block(cert.q_fixed)
-        return None
+        hs = self.constraint
+        if self.support is None:
+            self.support = self.proj_set.min_along(hs.a)
+        m = self.support
+        if float(hs.a.dot(q)) - m > self.cfg.eps_cycle or not m > hs.b:
+            return None
+        return Diverging(self.div.certificate(q, d_qH),
+                         _beta_estimate(d_qH_col, self.cfg.window), m)
 
     def advance(self, x, q, src):
         return _step(x, q, self.constraint.a, self.constraint.b, self.cfg.eps_h)

@@ -26,10 +26,12 @@ __all__ = [
     "Hyperplane",
     "ReflectableConstraint",
     "as_point",
+    "unit_normal",
 ]
 
-# A nonzero normal shorter than this is treated as zero and rejected.
-_ZERO_NORMAL_TOL = 1e-300
+# The least normal float.  A normal whose a·a is below it has an inexact
+# norm (a·a is subnormal), so unit_normal rejects it.
+_TINY = float(np.finfo(float).tiny)
 
 
 class DimensionMismatchError(ValueError):
@@ -58,6 +60,27 @@ def as_point(coords, dim: int | None = None) -> np.ndarray:
             f"expected dimension {dim}, got {p.size}"
         )
     return p
+
+
+def unit_normal(a, *offsets, kind: str = "constraint"):
+    """(a / |a|, *offsets / |a|): a unit normal and its rescaled offsets.
+
+    Rejects a normal whose a·a is subnormal or overflows, and offsets that
+    are not finite after the rescaling.  ``kind`` names the object in
+    error messages.
+    """
+    a = as_point(a)
+    aa = float(a.dot(a))
+    if not _TINY <= aa < math.inf:
+        raise ValueError(f"{kind} normal must be nonzero, with a·a a "
+                         f"finite normal float")
+    norm = math.sqrt(aa)  # np.linalg.norm(a), bit for bit
+    scaled = [float(t) / norm for t in offsets]
+    if not all(map(math.isfinite, scaled)):
+        raise ValueError(f"{kind} offsets must be finite after normalizing")
+    a = a / norm
+    a.setflags(write=False)
+    return a, *scaled
 
 
 class ReflectableConstraint(abc.ABC):
@@ -101,22 +124,17 @@ class ReflectableConstraint(abc.ABC):
 class _Flat(ReflectableConstraint):
     """What HalfSpace and Hyperplane share: a unit normal a and offset b.
 
-    Any nonzero input normal is normalized and b is rescaled by the same
-    factor, so (t*a, t*b) for t > 0 describes the same object.
+    The input normal is normalized and b is rescaled by the same factor
+    (``unit_normal``), so (t*a, t*b) for t > 0 describes the same object.
     """
 
     a: np.ndarray
     b: float
 
     def __post_init__(self):
-        a = as_point(self.a)
-        norm = float(np.linalg.norm(a))
-        if norm < _ZERO_NORMAL_TOL:
-            raise ValueError(f"{self._kind} normal must be nonzero")
-        a = a / norm
-        a.setflags(write=False)
+        a, b = unit_normal(self.a, self.b, kind=self._kind)
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", float(self.b) / norm)
+        object.__setattr__(self, "b", b)
 
     @property
     def dim(self) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ReflectableConstraint, as_point
+from .geometry import ReflectableConstraint, as_point, unit_normal
 
 __all__ = [
     "BinaryKnapsackSet",
@@ -67,6 +67,10 @@ class ProjectableSet(abc.ABC):
     def project_all(self, x) -> list[np.ndarray]:
         """All nearest points to x, in a deterministic order."""
 
+    @abc.abstractmethod
+    def min_along(self, a: np.ndarray) -> float:
+        """The least <a,p> over the set (its support function at -a)."""
+
     def distance(self, x) -> float:
         p = self.project_all(x)[0]
         return float(np.linalg.norm(as_point(x, self.dim) - p))
@@ -117,6 +121,9 @@ class FinitePointSet(ProjectableSet):
         x = as_point(x, self.dim)
         return _tie_filter(self.points, ((self.points - x) ** 2).sum(axis=1))
 
+    def min_along(self, a: np.ndarray) -> float:
+        return float((self.points @ a).min())
+
     def distance(self, x) -> float:
         x = as_point(x, self.dim)
         d2 = np.sum((self.points - x) ** 2, axis=1)
@@ -136,8 +143,8 @@ class Sphere(ProjectableSet):
         self.center = as_point(center)
         self.center.setflags(write=False)
         self.radius = float(radius)
-        if self.radius <= 0.0:
-            raise ValueError("sphere radius must be positive")
+        if not 0.0 < self.radius < np.inf:
+            raise ValueError("sphere radius must be positive and finite")
 
     @property
     def dim(self) -> int:
@@ -152,6 +159,9 @@ class Sphere(ProjectableSet):
                 "projection of the center onto a sphere is the whole sphere"
             )
         return [self.center + (self.radius / r) * w]
+
+    def min_along(self, a: np.ndarray) -> float:
+        return float(a @ self.center) - self.radius * float(np.linalg.norm(a))
 
     def distance(self, x) -> float:
         x = as_point(x, self.dim)
@@ -174,8 +184,8 @@ class BinaryKnapsackSet(ProjectableSet):
     call prices both halves along 1 - 2x, pairs each first half with its
     cheapest weight-feasible second half (a suffix minimum) and gathers the
     corners within a rounding band of the best pair.  The band scales with
-    m + |1 - 2x|^2 and sum c + threshold, so it holds every tie at any |x|
-    (the divergence ray probe projects points at |x| ~ 1e7).
+    m + |1 - 2x|^2 and sum c + threshold, so it holds every tie at any |x|.
+    ``min_along(a)`` runs the same search with the costs a.
 
     The band only picks candidates.  Feasibility, distances and ties are
     decided as a scan of all 2^m corners decides them, so the result is the
@@ -194,8 +204,8 @@ class BinaryKnapsackSet(ProjectableSet):
         if np.any(self.c < 0):
             raise ValueError("knapsack weights must be nonnegative")
         self.threshold = float(threshold)
-        if self.threshold < 0:
-            raise ValueError("knapsack threshold must be nonnegative")
+        if not 0.0 <= self.threshold < np.inf:
+            raise ValueError("knapsack threshold must be nonnegative and finite")
         m = self.dim
         if m > KNAPSACK_CAP:
             raise CapExceededError(
@@ -225,17 +235,24 @@ class BinaryKnapsackSet(ProjectableSet):
         return self.c.size
 
     def project_all(self, x) -> list[np.ndarray]:
+        x = as_point(x, self.dim)
+        corners = self._cheapest(1.0 - 2.0 * x)
+        return _tie_filter(corners, np.sum((corners - x) ** 2, axis=1))
+
+    def min_along(self, a: np.ndarray) -> float:
+        return float(np.sum(self._cheapest(a) * a, axis=1).min())
+
+    def _cheapest(self, g: np.ndarray) -> np.ndarray:
+        """Feasible corners within rounding of min sum(g * y), in bit order."""
         m = self.dim
-        x = as_point(x, m)
-        g = 1.0 - 2.0 * x
         s_head = self._head @ g[: m - self._tail_dim]
         s_tail = self._tail @ g[m - self._tail_dim:]
         suffix = np.empty(s_tail.size + 1)
         suffix[-1] = np.inf
         np.minimum.accumulate(s_tail[::-1], out=suffix[-2::-1])
         best = s_head + suffix[self._reach]
-        # Bound on the rounding of split costs and of row-sum distances:
-        # every squared distance to a corner is at most m + |1 - 2x|^2.
+        # Bound on the rounding of split costs and of row sums: |sum(g * y)|
+        # and, for g = 1 - 2x, squared distances are at most m + |g|^2.
         tol = 8 * (m + 2) * _EPS * (m + float(g @ g)) + TIE_TOL
         lo = float(best.min())
         hi = lo + tol
@@ -250,14 +267,11 @@ class BinaryKnapsackSet(ProjectableSet):
                     break
                 hi = anchor + tol
             elif hi == np.inf:  # every maybe-feasible corner was checked
-                return []
+                raise EmptySetError("no corner is feasible by row sums")
             else:
                 # Rounding alone keeps the band's corners out: widen it.
                 hi = lo + 4.0 * (hi - lo)
-        order = np.argsort(idx[feasible])
-        corners = corners[feasible][order]
-        d2 = np.sum((corners - x) ** 2, axis=1)
-        return _tie_filter(corners, d2)
+        return corners[feasible][np.argsort(idx[feasible])]
 
     def _band(self, s_head, s_tail, best, hi):
         """Indices and split costs of maybe-feasible corners costing <= hi."""
@@ -314,6 +328,9 @@ class TriadicSet(ProjectableSet):
         d2 = (cand - t) ** 2
         return _tie_filter(cand[:, None], d2)
 
+    def min_along(self, a: np.ndarray) -> float:
+        return float((self.values * a[0]).min())
+
     def distance(self, x) -> float:
         x = as_point(x, 1)
         return float(np.min(np.abs(self.values - x[0])))
@@ -334,15 +351,11 @@ class Slab(ReflectableConstraint):
     upper: float
 
     def __post_init__(self):
-        a = as_point(self.a)
-        norm = float(np.linalg.norm(a))
-        if norm <= 0.0:
-            raise ValueError("slab normal must be nonzero")
-        a = a / norm
-        a.setflags(write=False)
+        a, lower, upper = unit_normal(self.a, self.lower, self.upper,
+                                      kind="slab")
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "lower", float(self.lower) / norm)
-        object.__setattr__(self, "upper", float(self.upper) / norm)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
         if not self.lower < self.upper:
             raise ValueError("slab requires lower < upper")
 
@@ -495,6 +508,12 @@ class ProductSet(ProjectableSet):
             else:
                 per_block.append([comp.project(blk)])
         return [np.concatenate(combo) for combo in itertools.product(*per_block)]
+
+    def min_along(self, a: np.ndarray) -> float:
+        # A constraint component counts as unbounded along a nonzero block.
+        return sum(c.min_along(blk) if isinstance(c, ProjectableSet)
+                   else -np.inf if blk.any() else 0.0
+                   for c, blk in zip(self.components, self._blocks(a)))
 
     def distance(self, x) -> float:
         x = as_point(x, self.dim)

@@ -454,8 +454,9 @@ def _check_inside_trajectory(rng, n, step_fn, report):
 # Behavioral agreement with brute-force feasibility oracles.
 
 def _finite_oracle(Q: FinitePointSet, hs: HalfSpace):
+    """The points of Q in H, and min over Q of <a,p>."""
     feasible = [p for p in Q.points if hs.value(p) <= 1e-12]
-    return feasible
+    return feasible, float((Q.points @ hs.a).min())
 
 
 def _knapsack_oracle(ks: BinaryKnapsackSet, hs: HalfSpace):
@@ -463,12 +464,17 @@ def _knapsack_oracle(ks: BinaryKnapsackSet, hs: HalfSpace):
     shifts = np.arange(m - 1, -1, -1)
     corners = ((np.arange(1 << m)[:, None] >> shifts) & 1).astype(float)
     # Weights summed row by row, as BinaryKnapsackSet defines feasibility.
-    weights = np.sum(corners * ks.c, axis=1)
-    mask = (weights >= ks.threshold) & (corners @ hs.a - hs.b <= 1e-12)
-    return list(corners[mask])
+    in_q = np.sum(corners * ks.c, axis=1) >= ks.threshold
+    along = corners @ hs.a
+    return list(corners[in_q & (along - hs.b <= 1e-12)]), float(along[in_q].min())
 
 
-def _certificate_valid(cert, hs) -> bool:
+def _certificate_valid(outcome, hs) -> bool:
+    """The march steps by d(q,L), and its support witness holds: m > b
+    with <a,q_fixed> = m, checked from Q's m and H alone."""
+    cert, m = outcome.certificate, outcome.support
+    if not (m - hs.b > TOL and abs(float(hs.a @ cert.q_fixed) - m) <= TOL):
+        return False
     inc = hs.boundary().distance(cert.q_fixed)
     if abs(cert.increment - inc) > TOL:
         return False
@@ -482,8 +488,9 @@ def check_theorems_finite(trials=100, dims=(1, 2, 3, 4, 5), seed=0,
 
     Random explicit finite sets plus random binary-threshold instances.
     Feasible instances must finish Solved with an oracle-verified point;
-    infeasible ones must produce a valid divergence certificate.  Runs
-    hitting the iteration cap are counted as vacuous (inconclusive).
+    infeasible ones must produce a valid divergence certificate whose
+    support equals the oracle's own min over Q of <a,p>.  Runs hitting
+    the iteration cap are counted as vacuous (inconclusive).
     """
     rng = np.random.default_rng(seed)
     report = PropertyReport("theorems-oracle-agreement",
@@ -495,7 +502,7 @@ def check_theorems_finite(trials=100, dims=(1, 2, 3, 4, 5), seed=0,
         Q = FinitePointSet(rng.uniform(-COORD_RANGE, COORD_RANGE,
                                        (int(rng.integers(1, 8)), n)))
         x0 = rng.uniform(-COORD_RANGE, COORD_RANGE, n)
-        _judge(report, t, Q, hs, x0, _finite_oracle(Q, hs), cfg)
+        _judge(report, t, Q, hs, x0, *_finite_oracle(Q, hs), cfg)
     for t in range(knapsack_trials):
         m = int(rng.integers(2, 13))
         c = rng.uniform(0.0, 3.0, m)
@@ -505,11 +512,11 @@ def check_theorems_finite(trials=100, dims=(1, 2, 3, 4, 5), seed=0,
         corner = rng.integers(0, 2, m).astype(float)
         hs = HalfSpace(a, float(a @ corner) + float(rng.uniform(-2.0, 2.0)))
         x0 = rng.uniform(-2.0, 3.0, m)
-        _judge(report, trials + t, ks, hs, x0, _knapsack_oracle(ks, hs), cfg)
+        _judge(report, trials + t, ks, hs, x0, *_knapsack_oracle(ks, hs), cfg)
     return report
 
 
-def _judge(report, t, Q, hs, x0, feasible, cfg):
+def _judge(report, t, Q, hs, x0, feasible, support, cfg):
     trace, outcome = run_dr(Q, hs, x0, cfg)
     if isinstance(outcome, MaxIterations):
         report.vacuous += 1
@@ -521,7 +528,8 @@ def _judge(report, t, Q, hs, x0, feasible, cfg):
             ok = _x_settles_after(trace, Q, hs)
     else:
         ok = (isinstance(outcome, Diverging)
-              and _certificate_valid(outcome.certificate, hs))
+              and _certificate_valid(outcome, hs)
+              and abs(outcome.support - support) <= TOL)
     if not ok:
         _fail(report, trial=t, a=hs.a, b=hs.b, x0=x0,
               outcome=type(outcome).__name__,

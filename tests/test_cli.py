@@ -169,6 +169,21 @@ class TestBadInput:
         assert main(["solve", write_problem(tmp_path, data)]) == 1
         self.assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize("name, part, field, value", [
+        ("sphere.json", "constraint", "b", float("nan")),
+        ("sphere.json", "set", "radius", float("nan")),
+        ("sphere.json", "set", "radius", float("inf")),
+        ("knapsack.json", "set", "threshold", float("nan")),
+        ("four-points.json", "constraint", "b", float("-inf")),
+    ])
+    def test_non_finite_parameter(self, name, part, field, value, tmp_path,
+                                  capsys):
+        # "b": NaN used to print "Solved q*=(0, 1)" and exit 0
+        data = json.loads(open(problem(name)).read())
+        data[part][field] = value
+        assert main(["solve", write_problem(tmp_path, data)]) == 1
+        assert self.assert_one_error_line(capsys) == ""
+
     @pytest.mark.parametrize("dims", ["0", "2,0", "a"])
     def test_bad_verify_dims(self, dims, capsys):
         # --dims 0 used to loop forever drawing a nonzero 0-D vector

@@ -166,6 +166,8 @@ class TestRunDr:
         cert = outcome.certificate
         assert cert.increment == pytest.approx(1.0, abs=1e-12)
         assert np.array_equal(cert.q_fixed, [0, 1])
+        # the witness: min over Q of <a,p> is 1 > b = 0, attained by q
+        assert outcome.support == 1.0
         # consecutive offsets grow by exactly the increment
         diffs = np.diff(cert.offsets)
         assert np.allclose(diffs, cert.increment, atol=1e-9)
@@ -173,11 +175,24 @@ class TestRunDr:
     def test_no_certificate_for_transient_march(self):
         # the near point starts a constant-q march, but a far feasible
         # point eventually wins the nearest-point comparison: the run
-        # must end Solved even though the march outlives the window
-        Q = FinitePointSet([(0, 1), (80, -1)])
+        # must end Solved even though the march outlives the window.  The
+        # set's min_along is computed once, when the march first outlasts
+        # the window, and not at all for a one-step solve.
+        Q = _CountingSet([(0, 1), (80, -1)])
+        run_dr(Q, self.HS, [80.0, -1.0])
+        assert Q.min_calls == 0
         trace, outcome = run_dr(Q, self.HS, [0.0, 1.0], SolverConfig(window=10))
         assert isinstance(outcome, Solved)
         assert np.array_equal(outcome.q, [80, -1])
+        assert Q.min_calls == 1
+
+    def test_far_handover_is_not_certified(self):
+        # (1e4, -0.01) is in H but wins the nearest-point comparison only
+        # about 5e7 down the ray: the march is transient on a feasible
+        # instance, although a probe at 1e7 sees q stay nearest
+        Q = FinitePointSet([(0, 1), (1e4, -0.01)])
+        trace, outcome = run_dr(Q, self.HS, [0.0, 1.0], SolverConfig(max_iter=200))
+        assert isinstance(outcome, MaxIterations)
 
     def test_max_iterations(self):
         Q = TriadicSet()
@@ -249,11 +264,15 @@ class TestRunDr:
 class _CountingSet(FinitePointSet):
     def __init__(self, points):
         super().__init__(points)
-        self.calls = 0
+        self.calls = self.min_calls = 0
 
     def project_all(self, x):
         self.calls += 1
         return super().project_all(x)
+
+    def min_along(self, a):
+        self.min_calls += 1
+        return super().min_along(a)
 
 
 def _drivers(Q, constraint, x0):

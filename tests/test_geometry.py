@@ -9,6 +9,9 @@ from drfeas.geometry import HalfSpace, Hyperplane, ReflectableConstraint, as_poi
 
 COORD = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
 
+# numpy reports the overflow of |p|^2 for coordinates beyond about 1e154
+OVERFLOW_WARNING = "ignore:overflow encountered in dot:RuntimeWarning"
+
 
 def vectors(n):
     return st.lists(COORD, min_size=n, max_size=n).map(np.array)
@@ -33,6 +36,24 @@ class TestHalfSpace:
     def test_zero_normal_rejected(self):
         with pytest.raises(ValueError):
             HalfSpace(np.zeros(2), 0.0)
+
+    @pytest.mark.filterwarnings(OVERFLOW_WARNING)
+    @pytest.mark.parametrize("kind", [HalfSpace, Hyperplane])
+    @pytest.mark.parametrize("a, b", [
+        ([1e-160, 0.0], 1.0),   # a.a is subnormal: |a| was inexact
+        ([1e-154, 0.0], 1e300), # b was rescaled to inf
+        ([1e-150, 0.0], 1e300), # a normal a.a, but b / |a| overflows
+        ([1e200, 0.0], 1.0),    # a.a overflows: a was scaled to zero
+        ([0.0, 1.0], np.nan),
+        ([0.0, 1.0], np.inf),
+    ])
+    def test_degenerate_normal_or_offset_rejected(self, kind, a, b):
+        with pytest.raises(ValueError):
+            kind(np.array(a), b)
+
+    def test_short_normal_is_unit_after_normalizing(self):
+        hs = HalfSpace([1e-150, 0.0], 1.0)
+        assert hs.a.tolist() == [1.0, 0.0] and hs.b == pytest.approx(1e150)
 
     def test_project_inside_is_identity(self):
         hs = HalfSpace(np.array([0.0, 1.0]), 0.0)
@@ -121,10 +142,6 @@ def test_as_point_validates():
         as_point([1, 2, 3], 2)
     with pytest.raises(ValueError):
         as_point([np.nan, 0.0], 2)
-
-
-# numpy reports the overflow of |p|^2 for coordinates beyond about 1e154
-OVERFLOW_WARNING = "ignore:overflow encountered in dot:RuntimeWarning"
 
 
 @pytest.mark.filterwarnings(OVERFLOW_WARNING)

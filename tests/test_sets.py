@@ -89,6 +89,12 @@ class TestSphere:
         with pytest.raises(ValueError):
             Sphere([0, 0], 0.0)
 
+    @pytest.mark.parametrize("radius", [np.nan, np.inf])
+    def test_non_finite_radius_rejected(self, radius):
+        # a NaN radius used to "solve" at q = (nan, nan)
+        with pytest.raises(ValueError, match="finite"):
+            Sphere([0, 0], radius)
+
     def test_distance(self):
         S = Sphere([0, 0], 1.0)
         assert S.distance([3.0, 4.0]) == pytest.approx(4.0)
@@ -127,6 +133,11 @@ class TestBinaryKnapsack:
         with pytest.raises(EmptySetError):
             BinaryKnapsackSet(np.array([1.0, 1.0]), 5.0)
 
+    def test_nan_threshold_rejected(self):
+        # was accepted, and run_dr on it raised IndexError in _select
+        with pytest.raises(ValueError, match="finite"):
+            BinaryKnapsackSet(np.array([1.0, 2.0]), np.nan)
+
     def test_cap_enforced(self):
         with pytest.raises(CapExceededError):
             BinaryKnapsackSet(np.ones(KNAPSACK_CAP + 1), 1.0)
@@ -152,12 +163,17 @@ class TestBinaryKnapsack:
                     assert ks.contains(y) == on_itself
 
 
-def _scan(c, threshold, x):
-    """Reference projection: every corner of {0,1}^m, in bit-string order."""
+def _row_sum_corners(c, threshold):
+    """Every corner of {0,1}^m feasible by row sums, in bit-string order."""
     m = c.size
     shifts = np.arange(m - 1, -1, -1)
     corners = ((np.arange(1 << m)[:, None] >> shifts) & 1).astype(float)
-    corners = corners[np.sum(corners * c, axis=1) >= threshold]
+    return corners[np.sum(corners * c, axis=1) >= threshold]
+
+
+def _scan(c, threshold, x):
+    """Reference projection: every corner of {0,1}^m, in bit-string order."""
+    corners = _row_sum_corners(c, threshold)
     d2 = np.sum((corners - x) ** 2, axis=1)
     return list(corners[d2 <= d2.min() + TIE_TOL])
 
@@ -293,6 +309,16 @@ class TestSlab:
         with pytest.raises(ValueError):
             Slab(np.array([1.0]), 1.0, 1.0)
 
+    @pytest.mark.parametrize("a, lower, upper", [
+        ([1.0], np.nan, 1.0),
+        ([1.0], -1.0, np.inf),
+        ([1e-160], -1.0, 1.0),      # a.a is subnormal
+        ([1e-150], -1.0, 1e300),    # upper / |a| overflows
+    ])
+    def test_non_finite_or_degenerate_rejected(self, a, lower, upper):
+        with pytest.raises(ValueError):
+            Slab(np.array(a), lower, upper)
+
 
 class TestPlanarCone:
     def cone(self):
@@ -377,3 +403,62 @@ class TestProductSet:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ProductSet([])
+
+
+class TestMinAlong:
+    """min_along(a), the least <a,p> over the set, against brute force."""
+
+    def test_finite_and_triadic(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            pts = rng.uniform(-5.0, 5.0, (int(rng.integers(1, 8)), 3))
+            a = rng.normal(size=3)
+            low = min(float(p @ a) for p in pts)
+            assert FinitePointSet(pts).min_along(a) == pytest.approx(low, abs=1e-12)
+        T = TriadicSet(depth=20)
+        for a0 in (-2.0, 0.0, 3.0):
+            assert T.min_along(np.array([a0])) == min(v * a0 for v in T.values)
+
+    def test_sphere(self):
+        rng = np.random.default_rng(4)
+        S = Sphere([1.0, -2.0, 0.5], 2.5)
+        for _ in range(10):
+            a = rng.normal(size=3)
+            low = S.min_along(a)
+            u = rng.normal(size=(4000, 3))
+            sampled = S.center + S.radius * u / np.linalg.norm(u, axis=1)[:, None]
+            along = sampled @ a
+            assert along.min() >= low - 1e-12
+            assert along.min() <= low + 0.05 * S.radius * np.linalg.norm(a)
+            attained = S.center - S.radius * a / np.linalg.norm(a)
+            assert float(attained @ a) == pytest.approx(low, abs=1e-12)
+
+    def test_product_with_constraint_component(self):
+        hs = HalfSpace(np.array([0.0, 1.0]), 0.0)
+        Q = FinitePointSet([(5.0,), (-1.0,)])
+        P = ProductSet([hs, Q, Sphere([0.0], 2.0)])
+        # a is zero on the half-space's block: the sum of the other two
+        a = np.array([0.0, 0.0, 3.0, -1.0])
+        assert P.min_along(a) == Q.min_along(a[2:3]) + (-2.0) == -5.0
+        # a nonzero block: the half-space is unbounded along it
+        assert P.min_along(np.array([0.0, 1.0, 3.0, -1.0])) == -np.inf
+
+    # c and t of a rounding edge: corner 11000011110011 is in Q by a
+    # full-matrix product and out by a one-row product
+    EDGE_C = [1.91, 0.81, 0.12, 0.05, 2.44, 2.74, 1.82, 2.19, 1.63, 2.81,
+              2.45, 0.01, 2.57, 0.1]
+    EDGE_T = 13.840000000000002
+
+    def test_knapsack(self):
+        rng = np.random.default_rng(5)
+        edge = np.array([float(b) for b in "11000011110011"])
+        cases = [(np.array(self.EDGE_C), self.EDGE_T, 1.0 - 2.0 * edge)]
+        for m in range(1, 15):
+            for _ in range(4):
+                c = rng.uniform(0.0, 3.0, m)
+                cases.append((c, float(rng.uniform(0.0, c.sum())),
+                              rng.normal(size=m)))
+        for c, threshold, a in cases:
+            ks = BinaryKnapsackSet(c, threshold)
+            low = float((_row_sum_corners(ks.c, ks.threshold) @ a).min())
+            assert abs(ks.min_along(a) - low) <= 1e-12

@@ -5,11 +5,16 @@ exercised at reduced trial counts so failures localize quickly.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from drfeas.engine import Diverging, run_dr
+from drfeas.geometry import HalfSpace
+from drfeas.sets import FinitePointSet
 from drfeas.verifier import (
     SUITES,
+    _certificate_valid,
     check_lemmas,
     check_prop1,
     check_prop2,
@@ -66,6 +71,17 @@ def test_theorem_suite_agrees_with_oracles():
                                    knapsack_trials=40)
     assert report.passed, report.failures[:3]
     assert report.vacuous <= report.trials * 0.01
+
+
+def test_certificate_check_needs_the_support_witness():
+    # the witness is checked from Q's support and H alone: a support that
+    # q does not attain, or one inside H, is rejected
+    hs = HalfSpace([0.0, 1.0], 0.0)
+    _, outcome = run_dr(FinitePointSet([(0.0, 1.0), (3.0, 2.0)]), hs, [0.0, 1.0])
+    assert isinstance(outcome, Diverging) and outcome.support == 1.0
+    assert _certificate_valid(outcome, hs)
+    for support in (1.0 - 1e-6, 0.0):
+        assert not _certificate_valid(replace(outcome, support=support), hs)
 
 
 @pytest.mark.parametrize("suite_id", ["prop1", "prop2", "prop3", "prop4", "lemmas"])
