@@ -4,13 +4,15 @@
 pairs an arbitrary single-valued constraint with a projectable set, and
 ``run_ap`` alternates projections.  All three are one loop, ``_iterate``,
 with a different step strategy.  Every run records a full trace and runs
-cycle detection; the half-space strategy also watches for the structural
-linear-divergence pattern (constant infeasible auxiliary point, iterates
-marching along the inward normal by a fixed increment).
+cycle detection; the half-space strategy also counts the march: steps
+with x in H and the same q outside H.  There <a,2q-x> > b, so each step
+is exactly x - d(q,H)*a and only q needs testing.
 
 A march outlasting the window is declared ``Diverging`` only if its q
 attains m = min over Q of <a,p> (the set's ``min_along``, computed once)
-and m > b: then it never hands over, and Q misses H.  Nothing is probed.
+up to ``eps_cycle`` * max(1, |m|), and m > b: then it never hands over,
+and Q misses H.  Nothing is probed.  The certificate's offsets are read
+from the trace's x column.
 
 The trace is stored as columns: each step appends x, q and its three
 distances to growable float64 arrays, 8 bytes per coordinate and
@@ -205,7 +207,6 @@ class Diverging:
     m > b with <a, certificate.q_fixed> = m needs only Q and H to check."""
 
     certificate: DivergenceCertificate
-    beta_estimate: float
     support: float
 
 
@@ -338,11 +339,13 @@ def detect_cycle(states, eps_cycle: float = 1e-9,
 
 
 class _DivergenceDetector:
-    """Watches for the constant-q, fixed-increment march out of the half-space.
+    """Counts the march: consecutive steps with x in H, q outside H and q
+    equal to the previous step's q within ``eps_cycle``.
 
-    The streak is kept as raw values: its length and first step, the
-    previous step's x and q, and the x of every streak step in one flat
-    float64 array, from which a certificate's offsets are read.
+    x itself is not compared: with q outside H and x in H the step is
+    exactly x - d(q,H)*a.  The streak is its length and first step; a
+    certificate's offsets are read from the x of the streak's later
+    steps, which the driver takes from the trace.
     """
 
     def __init__(self, hs: HalfSpace, cfg: SolverConfig):
@@ -350,46 +353,28 @@ class _DivergenceDetector:
         self.cfg = cfg
         self.length = 0
         self.start = 0
-        self.xs = array("d")
-        self.last_x: Optional[np.ndarray] = None
         self.last_q: Optional[np.ndarray] = None
 
-    def _extends(self, x, q, d_xH: float, d_qH: float) -> bool:
-        if d_xH > self.cfg.eps_h or d_qH <= self.cfg.eps_h:
-            return False
-        if not self.length:
-            return True
-        if not np.abs(q - self.last_q).max() <= self.cfg.eps_cycle:
-            return False
-        inc = d_qH  # q is outside H here, so d(q,H) = d(q,L)
-        step = x - self.last_x
-        return bool(np.abs(step + inc * self.hs.a).max() <= self.cfg.eps_cycle)
-
-    def observe(self, k: int, x: np.ndarray, q: np.ndarray, d_xH: float,
-                d_qH: float) -> bool:
+    def observe(self, k: int, q: np.ndarray, d_xH: float, d_qH: float) -> bool:
         """Take step k; whether the streak now outlasts the window."""
-        if self._extends(x, q, d_xH, d_qH):
-            if not self.length:
-                self.start, self.xs = k, array("d")
-            self.length += 1
-            self.xs.extend(x.tolist())
-        elif d_xH <= self.cfg.eps_h and d_qH > self.cfg.eps_h:
-            self.length, self.start, self.xs = 1, k, array("d", x.tolist())
-        else:
+        if d_xH > self.cfg.eps_h or d_qH <= self.cfg.eps_h:
             self.length = 0
-        self.last_x, self.last_q = x, q
+        elif self.length and np.abs(q - self.last_q).max() <= self.cfg.eps_cycle:
+            self.length += 1
+        else:
+            self.length, self.start = 1, k
+        self.last_q = q
         return self.length > self.cfg.window
 
-    def certificate(self, q: np.ndarray, d_qH: float) -> DivergenceCertificate:
-        """The current streak's certificate, q and d_qH of its last step."""
+    def certificate(self, q: np.ndarray, d_qH: float, xs) -> DivergenceCertificate:
+        """The current streak's certificate: q and d_qH of its last step,
+        and ``xs`` the x of each streak step after the first."""
         a = self.hs.a
-        xs = np.array(self.xs).reshape(self.length, -1)
-        offsets = tuple(float(a @ (q - x_i)) for x_i in xs[1:])
         return DivergenceCertificate(
             q_fixed=q.copy(),
             increment=d_qH,
             start_index=self.start,
-            offsets=offsets,
+            offsets=tuple(float(a @ (q - x_i)) for x_i in xs),
         )
 
 
@@ -400,9 +385,11 @@ def detect_linear_divergence(records, hs: HalfSpace,
     """Scan a recorded trace for the linear-divergence pattern."""
     cfg = SolverConfig(window=window, eps_h=eps_h, eps_cycle=eps_cycle)
     det = _DivergenceDetector(hs, cfg)
+    xs = []
     for rec in records:
-        if det.observe(rec.k, rec.x, rec.q, rec.d_xH, rec.d_qH):
-            return det.certificate(rec.q, rec.d_qH)
+        xs.append(rec.x)
+        if det.observe(rec.k, rec.q, rec.d_xH, rec.d_qH):
+            return det.certificate(rec.q, rec.d_qH, xs[1 - det.length:])
     return None
 
 
@@ -426,8 +413,8 @@ class _Strategy:
 
     A step selects q among the nearest points of ``source(x)``, records
     x, q and their ``distances``, and moves to ``advance(x, q, source(x))``.
-    ``verdict`` may end the run from the step's values and the d_qH
-    column; ``watch`` feeds the cycle detector.
+    ``verdict`` may end the run from the step's values and the trace;
+    ``watch`` feeds the cycle detector.
     """
 
     tag = ""
@@ -447,7 +434,7 @@ class _Strategy:
         dx = c._distance(x)
         return dx, c._distance(q), dx
 
-    def verdict(self, k, x, q, d_xH, d_qH, d_qH_col) -> Optional[RunOutcome]:
+    def verdict(self, k, q, d_xH, d_qH, trace) -> Optional[RunOutcome]:
         return None
 
     def watch(self, cyc: _CycleDetector, x, q, k) -> Optional[tuple[int, int]]:
@@ -464,20 +451,18 @@ class _HalfSpaceSplit(_Strategy):
         self.proj_set, self.div = proj_set, _DivergenceDetector(hs, cfg)
         self.support: Optional[float] = None
 
-    def distances(self, x, q):
-        return _halfspace_distances(x, q, self.constraint.a, self.constraint.b)
-
-    def verdict(self, k, x, q, d_xH, d_qH, d_qH_col):
-        if not self.div.observe(k, x, q, d_xH, d_qH):
+    def verdict(self, k, q, d_xH, d_qH, trace):
+        div = self.div
+        if not div.observe(k, q, d_xH, d_qH):
             return None
         hs = self.constraint
         if self.support is None:
             self.support = self.proj_set.min_along(hs.a)
         m = self.support
-        if float(hs.a.dot(q)) - m > self.cfg.eps_cycle or not m > hs.b:
+        if (float(hs.a.dot(q)) - m > self.cfg.eps_cycle * max(1.0, abs(m))
+                or not m > hs.b):
             return None
-        return Diverging(self.div.certificate(q, d_qH),
-                         _beta_estimate(d_qH_col, self.cfg.window), m)
+        return Diverging(div.certificate(q, d_qH, trace.x[1 - div.length:]), m)
 
     def advance(self, x, q, src):
         return _step(x, q, self.constraint.a, self.constraint.b, self.cfg.eps_h)
@@ -549,7 +534,7 @@ def _iterate(proj_set: ProjectableSet, constraint, x0, cfg: SolverConfig,
         if d_qH <= eps_h:
             outcome = Solved(q=q.copy(), iterations=k)
             break
-        outcome = strategy.verdict(k, x, q, d_xH, d_qH, d_qH_col)
+        outcome = strategy.verdict(k, q, d_xH, d_qH, trace)
         if outcome is not None:
             break
         hit = strategy.watch(cyc, x, q, k)

@@ -160,9 +160,6 @@ class HalfSpace(_Flat):
     def _distance(self, x: np.ndarray) -> float:
         return max(0.0, self._value(x))
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        return self.value(x) <= tol
-
     def _project(self, x: np.ndarray) -> np.ndarray:
         v = self._value(x)
         return x.copy() if v <= 0.0 else x - v * self.a
@@ -186,9 +183,6 @@ class Hyperplane(_Flat):
 
     def _distance(self, x: np.ndarray) -> float:
         return abs(self._value(x))
-
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        return abs(self.value(x)) <= tol
 
     def _project(self, x: np.ndarray) -> np.ndarray:
         return x - self._value(x) * self.a

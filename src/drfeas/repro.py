@@ -60,7 +60,6 @@ class ExperimentResult:
     name: str
     passed: bool
     details: dict = field(default_factory=dict)
-    traces: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)  # soft findings, non-fatal
 
     def summary(self) -> str:
@@ -99,9 +98,7 @@ def fig1_four_points() -> ExperimentResult:
     checks["orientation_guard"] = len(flipped_tr) <= 1 or not _close(
         flipped_tr[1].x, (0.0, 0.2), HAND
     )
-    return ExperimentResult(
-        "fig1-four-points", all(checks.values()), checks, {"dr": trace}
-    )
+    return ExperimentResult("fig1-four-points", all(checks.values()), checks)
 
 
 def ex_ap_failure() -> ExperimentResult:
@@ -122,7 +119,7 @@ def ex_ap_failure() -> ExperimentResult:
         "cycle_q": _close(tail.q, (0.0, 2.0), HAND),
         "cycle_x": _close(tail.x, foot, HAND),
     }
-    dr_trace, dr_out = run_dr(Q, hs, x0)
+    _, dr_out = run_dr(Q, hs, x0)
     checks["dr_solves"] = isinstance(dr_out, Solved) and _close(
         dr_out.q, (1.0, -2.0), TIGHT
     )
@@ -133,12 +130,7 @@ def ex_ap_failure() -> ExperimentResult:
     checks["ap_feasible_start"] = (
         isinstance(ap_immediate, Solved) and ap_immediate.iterations == 0
     )
-    return ExperimentResult(
-        "ap-failure-vs-dr",
-        all(checks.values()),
-        checks,
-        {"ap": ap_trace, "dr": dr_trace},
-    )
+    return ExperimentResult("ap-failure-vs-dr", all(checks.values()), checks)
 
 
 def ex4_triadic() -> ExperimentResult:
@@ -170,7 +162,7 @@ def ex4_triadic() -> ExperimentResult:
         "no_divergence_certificate": cert is None,
     }
     return ExperimentResult(
-        "triadic-never-enters", all(checks.values()), checks, {"dr": trace}
+        "triadic-never-enters", all(checks.values()), checks
     )
 
 
@@ -194,9 +186,7 @@ def fig4_hyperplane_cycle() -> ExperimentResult:
             for i in range(min(4, len(trace) - 5))
         ),
     }
-    return ExperimentResult(
-        "hyperplane-4-cycle", all(checks.values()), checks, {"dr": trace}
-    )
+    return ExperimentResult("hyperplane-4-cycle", all(checks.values()), checks)
 
 
 def fig3_cone_cycle() -> ExperimentResult:
@@ -219,9 +209,7 @@ def fig3_cone_cycle() -> ExperimentResult:
         d0 = max(np.abs(pts[0] - drawn[0]).max(), np.abs(pts[1] - drawn[1]).max())
         d1 = max(np.abs(pts[0] - drawn[1]).max(), np.abs(pts[1] - drawn[0]).max())
         checks["orbit_near_drawn"] = min(d0, d1) <= DRAWN
-    return ExperimentResult(
-        "cone-2-cycle", all(checks.values()), checks, {"dr": trace}
-    )
+    return ExperimentResult("cone-2-cycle", all(checks.values()), checks)
 
 
 def fig5_slab_cycle() -> ExperimentResult:
@@ -234,13 +222,13 @@ def fig5_slab_cycle() -> ExperimentResult:
     """
     slab = Slab(np.array([0.0, 1.0]), -0.59, -0.06)
     Q = FinitePointSet([(0.01, -0.35), (-0.3, -0.78), (-0.43, 0.01)])
-    trace, outcome = run_dr_generic(slab, Q, [-1.0, 1.0])
+    _, outcome = run_dr_generic(slab, Q, [-1.0, 1.0])
     checks = {
         "did_not_terminate": not isinstance(outcome, Solved),
         "cycle_detected": isinstance(outcome, CycleDetected),
     }
     result = ExperimentResult(
-        "slab-nontermination", all(checks.values()), checks, {"dr": trace}
+        "slab-nontermination", all(checks.values()), checks
     )
     if isinstance(outcome, CycleDetected):
         result.details["observed_period"] = outcome.period
@@ -305,12 +293,7 @@ def ex_pierra_cycles() -> ExperimentResult:
         tr_2[1].x, (1 / 4, 3 / 4), TIGHT
     ) and _close(tr_2[2].x, (3 / 4, 1 / 4), TIGHT)
 
-    return ExperimentResult(
-        "pierra-2-cycles",
-        all(checks.values()),
-        checks,
-        {"diag_first": tr_d, "product_first": tr_p, "doubleton": tr_2},
-    )
+    return ExperimentResult("pierra-2-cycles", all(checks.values()), checks)
 
 
 def _sphere_recursion_step(x: np.ndarray, b: float) -> np.ndarray:
@@ -364,7 +347,7 @@ def sphere_halfspace(b: float = -0.5) -> ExperimentResult:
     checks["recursion_matches_operator"] = match
 
     result = ExperimentResult(
-        f"sphere-halfspace-b={b}", all(checks.values()), checks, {"dr": trace}
+        f"sphere-halfspace-b={b}", all(checks.values()), checks
     )
     if isinstance(outcome, Solved) and not _close(outcome.q, limit, 1e-6):
         result.notes.append(

@@ -65,7 +65,8 @@ class PropertyReport:
 
 # ---------------------------------------------------------------------------
 # Deliberately broken operators.  Each suite must report failures when run
-# with its mutant, otherwise the suite is vacuous.
+# with its mutant, otherwise the suite is vacuous.  MUTANTS maps a suite to
+# (mutant name, the keyword arguments that inject it).
 
 def _mutant(keep_q, shift):
     """dr_step with its case test keep_q(<a,2q-x>, b + eps_h) and its shift
@@ -79,15 +80,15 @@ def _mutant(keep_q, shift):
 
 
 MUTANTS = {
-    "prop1": ("flipped-case-condition",
-              _mutant(operator.gt, lambda ax, b, aq: ax + b - 2.0 * aq)),
-    "prop2": ("dropped-offset-term",
-              _mutant(operator.le, lambda ax, b, aq: ax - 2.0 * aq)),
-    "prop3": ("wrong-sign-shift",
-              _mutant(operator.le, lambda ax, b, aq: -(ax + b - 2.0 * aq))),
-    "prop4": ("dropped-slack-term", None),  # check-level mutant, see check_prop4
-    "lemmas": ("half-length-shift",
-               _mutant(operator.le, lambda ax, b, aq: 0.5 * (ax + b - 2.0 * aq))),
+    "prop1": ("flipped-case-condition", {"step_fn": _mutant(
+        operator.gt, lambda ax, b, aq: ax + b - 2.0 * aq)}),
+    "prop2": ("dropped-offset-term", {"step_fn": _mutant(
+        operator.le, lambda ax, b, aq: ax - 2.0 * aq)}),
+    "prop3": ("wrong-sign-shift", {"step_fn": _mutant(
+        operator.le, lambda ax, b, aq: -(ax + b - 2.0 * aq))}),
+    "prop4": ("dropped-slack-term", {"drop_slack_term": True}),
+    "lemmas": ("half-length-shift", {"step_fn": _mutant(
+        operator.le, lambda ax, b, aq: 0.5 * (ax + b - 2.0 * aq))}),
 }
 
 
@@ -483,7 +484,7 @@ def _certificate_valid(outcome, hs) -> bool:
 
 
 def check_theorems_finite(trials=100, dims=(1, 2, 3, 4, 5), seed=0,
-                          knapsack_trials=100, max_iter=10000) -> PropertyReport:
+                          knapsack_trials=100) -> PropertyReport:
     """Solved/Diverging outcomes versus exhaustive feasibility oracles.
 
     Random explicit finite sets plus random binary-threshold instances.
@@ -495,7 +496,7 @@ def check_theorems_finite(trials=100, dims=(1, 2, 3, 4, 5), seed=0,
     rng = np.random.default_rng(seed)
     report = PropertyReport("theorems-oracle-agreement",
                             trials + knapsack_trials, seed=seed)
-    cfg = SolverConfig(max_iter=max_iter)
+    cfg = SolverConfig(max_iter=10000)
     for t in range(trials):
         n = int(rng.choice(dims))
         hs = _halfspace(rng, n)
@@ -568,12 +569,8 @@ SUITES = {
 
 def mutant_killed(suite_id: str, trials=300, seed=0) -> bool:
     """Run a suite against its documented mutant; True if failures appear."""
-    if suite_id == "prop4":
-        report = check_prop4(trials=trials, seed=seed, drop_slack_term=True)
-        return not report.passed
-    name, fn = MUTANTS[suite_id]
-    report = SUITES[suite_id](trials=trials, seed=seed, step_fn=fn)
-    return not report.passed
+    _, inject = MUTANTS[suite_id]
+    return not SUITES[suite_id](trials=trials, seed=seed, **inject).passed
 
 
 def check_dims(dims) -> tuple[int, ...]:

@@ -194,6 +194,45 @@ class TestRunDr:
         trace, outcome = run_dr(Q, self.HS, [0.0, 1.0], SolverConfig(max_iter=200))
         assert isinstance(outcome, MaxIterations)
 
+    def test_march_after_a_handover_starts_at_the_handover(self):
+        # x_1 = (2, 0) still lies on the ray of q_0 = (2, 3) when q hands
+        # over to (0, 1), yet the step from it is already -d(q,H)*a: the
+        # streak starts at k = 1, with the window's 25 offsets
+        Q = FinitePointSet([(0, 1), (2, 3)])
+        trace, outcome = run_dr(Q, self.HS, [2.0, 3.0])
+        assert isinstance(outcome, Diverging)
+        cert = outcome.certificate
+        assert np.array_equal(cert.q_fixed, [0, 1])
+        assert (cert.start_index, len(trace), len(cert.offsets)) == (1, 27, 25)
+
+    def test_divergence_verdict_does_not_depend_on_scale(self):
+        # infeasible oblique instances, scaled with b and x0 by s.  The
+        # rounding of x's step and of <a,q> - m grows with s, far beyond
+        # an absolute 1e-9 at 1e8; the march compares only q (a point of
+        # Q, stored exactly) and the witness is relative to |m|.  At 1e8
+        # only the outcome is pinned: eps_h is still absolute, and a
+        # rounded x just outside H can delay the streak by a step.
+        rng = np.random.default_rng(17)
+        cfg = SolverConfig(max_iter=300)
+        for _ in range(20):
+            d = int(rng.integers(2, 5))
+            pts = rng.uniform(-10, 10, (int(rng.integers(1, 6)), d))
+            a = rng.normal(size=d)
+            a /= np.linalg.norm(a)
+            b = float((pts @ a).min() - rng.uniform(0.5, 5.0))
+            x0 = rng.uniform(-10, 10, d)
+            runs = {s: run_dr(FinitePointSet(s * pts), HalfSpace(a, s * b),
+                              s * x0, cfg) for s in (1.0, 1e4, 1e6, 1e8)}
+            trace, outcome = runs[1.0]
+            assert isinstance(outcome, Diverging)
+            for s in (1e4, 1e6):
+                tr_s, out_s = runs[s]
+                assert isinstance(out_s, Diverging), (s, out_s)
+                assert len(tr_s) == len(trace)
+                assert (out_s.certificate.start_index
+                        == outcome.certificate.start_index)
+            assert isinstance(runs[1e8][1], Diverging)
+
     def test_max_iterations(self):
         Q = TriadicSet()
         cfg = SolverConfig(max_iter=10, eps_h=1e-30, eps_cycle=1e-14)
