@@ -3,10 +3,11 @@
 ``run_dr`` iterates the half-space case-split operator, ``run_dr_generic``
 pairs an arbitrary single-valued constraint with a projectable set, and
 ``run_ap`` alternates projections.  All three are one loop, ``_iterate``,
-with a different step strategy.  Every run records a full trace and runs
-cycle detection; the half-space strategy also counts the march: steps
-with x in H and the same q outside H.  There <a,2q-x> > b, so each step
-is exactly x - d(q,H)*a and only q needs testing.
+with a different step strategy.  Every run records a full trace.  The
+two-set and alternating runs detect cycles; the half-space run cannot
+cycle (it reaches a point of Q in H or diverges) and counts the march:
+steps with x in H and the same q outside H.  There <a,2q-x> > b, so each
+step is exactly x - d(q,H)*a and only q needs testing.
 
 A march outlasting the window is declared ``Diverging`` only if its q
 attains m = min over Q of <a,p> (the set's ``min_along``, computed once)
@@ -72,7 +73,7 @@ class SolverConfig:
 
     max_iter: int = 10000
     eps_h: float = 1e-9          # membership tolerance for the stopping rule
-    eps_cycle: float = 1e-9      # state quantization grid for cycle detection
+    eps_cycle: float = 1e-9      # cycle grid (two-set, AP); march q test (DR)
     window: int = 25             # steps of evidence before a divergence certificate
     reflect_order: str = "set-first"
     tie_rule: str = "first"
@@ -413,8 +414,8 @@ class _Strategy:
 
     A step selects q among the nearest points of ``source(x)``, records
     x, q and their ``distances``, and moves to ``advance(x, q, source(x))``.
-    ``verdict`` may end the run from the step's values and the trace;
-    ``watch`` feeds the cycle detector.
+    ``verdict(k, x, q, d_xH, d_qH, trace)`` may end the run after step k;
+    by default it reports a confirmed cycle of x on the eps_cycle grid.
     """
 
     tag = ""
@@ -422,6 +423,7 @@ class _Strategy:
 
     def __init__(self, constraint, cfg: SolverConfig):
         self.constraint, self.cfg = constraint, cfg
+        self.cycles = _CycleDetector(cfg.eps_cycle, confirm=True)
 
     def source(self, x):
         return x
@@ -434,24 +436,23 @@ class _Strategy:
         dx = c._distance(x)
         return dx, c._distance(q), dx
 
-    def verdict(self, k, q, d_xH, d_qH, trace) -> Optional[RunOutcome]:
-        return None
-
-    def watch(self, cyc: _CycleDetector, x, q, k) -> Optional[tuple[int, int]]:
-        return cyc.add(x, k)
+    def verdict(self, k, x, q, d_xH, d_qH, trace) -> Optional[RunOutcome]:
+        hit = self.cycles.add(x, k)
+        return hit and CycleDetected(*hit)
 
 
 class _HalfSpaceSplit(_Strategy):
-    """The case-split step against a half-space, with divergence detection."""
+    """The case-split step against a half-space, with divergence detection
+    in place of the cycle detector."""
 
     tag = "dr"
 
     def __init__(self, proj_set: ProjectableSet, hs: HalfSpace, cfg: SolverConfig):
-        super().__init__(hs, cfg)
+        self.constraint, self.cfg = hs, cfg   # no _CycleDetector
         self.proj_set, self.div = proj_set, _DivergenceDetector(hs, cfg)
         self.support: Optional[float] = None
 
-    def verdict(self, k, q, d_xH, d_qH, trace):
+    def verdict(self, k, x, q, d_xH, d_qH, trace):
         div = self.div
         if not div.observe(k, q, d_xH, d_qH):
             return None
@@ -493,9 +494,10 @@ class _Alternating(_Strategy):
     tag = "ap"
     norm_capped = False
 
-    def watch(self, cyc, x, q, k):
-        hit = cyc.add(x, 2 * k, tag="x")
-        return hit if hit is not None else cyc.add(q, 2 * k + 1, tag="q")
+    def verdict(self, k, x, q, d_xH, d_qH, trace):
+        hit = (self.cycles.add(x, 2 * k, tag="x")
+               or self.cycles.add(q, 2 * k + 1, tag="q"))
+        return hit and CycleDetected(*hit)
 
     def advance(self, x, q, src):
         return self.constraint._project(q)
@@ -514,7 +516,6 @@ def _iterate(proj_set: ProjectableSet, constraint, x0, cfg: SolverConfig,
     rule, eps_h, max_iter = cfg.tie_rule, cfg.eps_h, cfg.max_iter
     norm_cap = NORM_CAP if strategy.norm_capped else math.inf
     rng = np.random.default_rng(cfg.seed) if rule == "random" else None
-    cyc = _CycleDetector(cfg.eps_cycle, confirm=True)
     outcome: Optional[RunOutcome]
     k = 0
     while True:
@@ -534,12 +535,8 @@ def _iterate(proj_set: ProjectableSet, constraint, x0, cfg: SolverConfig,
         if d_qH <= eps_h:
             outcome = Solved(q=q.copy(), iterations=k)
             break
-        outcome = strategy.verdict(k, q, d_xH, d_qH, trace)
+        outcome = strategy.verdict(k, x, q, d_xH, d_qH, trace)
         if outcome is not None:
-            break
-        hit = strategy.watch(cyc, x, q, k)
-        if hit is not None:
-            outcome = CycleDetected(period=hit[0], first_index=hit[1])
             break
         if k >= max_iter:
             outcome = MaxIterations(d_qH, _beta_estimate(d_qH_col, cfg.window))
@@ -560,8 +557,9 @@ def run_dr(proj_set: ProjectableSet, hs: HalfSpace, x0,
     """Iterate the half-space case-split operator until q_k enters H.
 
     Stops Solved as soon as the selected projection is within eps_h of
-    membership; otherwise runs the divergence and cycle detectors each
-    step, falling back to MaxIterations.
+    membership.  Otherwise it ends Diverging on a march with the support
+    witness, or MaxIterations; never CycleDetected, since against a
+    half-space no orbit repeats.  ``eps_cycle`` is the march's q test.
     """
     return _iterate(proj_set, hs, x0, cfg, _HalfSpaceSplit(proj_set, hs, cfg))
 

@@ -140,12 +140,10 @@ def ex4_triadic() -> ExperimentResult:
     k = 0..15.  The stopping tolerance is turned way down: with the
     defaults the run would stop "approximately solved" near k = 19,
     whereas the point of the family is that membership never occurs.
-    The cycle grid is tightened likewise so the shrinking iterates are
-    not aliased onto the same cell.
     """
     Q = TriadicSet()
     hs = HalfSpace(np.array([1.0]), 0.0)
-    cfg = SolverConfig(max_iter=25, eps_h=1e-30, eps_cycle=1e-14)
+    cfg = SolverConfig(max_iter=25, eps_h=1e-30)
     trace, outcome = run_dr(Q, hs, [1.0], cfg)
     ok_closed_form = all(
         _close(trace[k].x, 3.0 ** (-k), HAND)

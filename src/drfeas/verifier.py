@@ -472,15 +472,18 @@ def _knapsack_oracle(ks: BinaryKnapsackSet, hs: HalfSpace):
 
 def _certificate_valid(outcome, hs) -> bool:
     """The march steps by d(q,L), and its support witness holds: m > b
-    with <a,q_fixed> = m, checked from Q's m and H alone."""
+    with <a,q_fixed> = m, checked from Q's m and H alone.  Tolerances are
+    relative to the scale of m and b, and of the offsets."""
     cert, m = outcome.certificate, outcome.support
-    if not (m - hs.b > TOL and abs(float(hs.a @ cert.q_fixed) - m) <= TOL):
+    tol = TOL * max(1.0, abs(m), abs(hs.b))
+    if not (m - hs.b > tol and abs(float(hs.a @ cert.q_fixed) - m) <= tol):
         return False
     inc = hs.boundary().distance(cert.q_fixed)
-    if abs(cert.increment - inc) > TOL:
+    if abs(cert.increment - inc) > tol:
         return False
     offs = np.asarray(cert.offsets)
-    return bool(np.all(np.abs(np.diff(offs) - inc) <= 1e-6))
+    step_tol = 1e-6 * max(1.0, float(np.abs(offs).max(initial=0.0)))
+    return bool(np.all(np.abs(np.diff(offs) - inc) <= step_tol))
 
 
 def check_theorems_finite(trials=100, dims=(1, 2, 3, 4, 5), seed=0,

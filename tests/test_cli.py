@@ -59,6 +59,12 @@ class TestSolveExitCodes:
         assert main(["solve", write_problem(tmp_path, data)]) == 4
         assert "MaxIterations" in capsys.readouterr().out
 
+    def test_shrinking_triadic_orbit_is_not_a_cycle(self, capsys):
+        # x_k = 3^-k never repeats: the run reaches q = 0 instead of
+        # reporting a period-1 cycle on the default cycle grid
+        assert main(["solve", problem("triadic.json"), "--tol", "1e-30"]) == 0
+        assert "Solved q*=(0) in 60 iterations" in capsys.readouterr().out
+
     def test_degenerate_projection_is_five(self, tmp_path, capsys):
         data = {
             "constraint": {"type": "halfspace", "a": [0.0, 1.0], "b": -2.0},

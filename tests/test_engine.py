@@ -240,6 +240,15 @@ class TestRunDr:
         assert isinstance(outcome, MaxIterations)
         assert len(trace) == 11
 
+    def test_shrinking_orbit_is_not_a_cycle(self):
+        # x_k = 3^-k never repeats, but from k = 20 on it shares one cell
+        # of the default 1e-9 grid: a run against a half-space keeps no
+        # cycle detector, so it runs to the cap instead of a false cycle
+        cfg = SolverConfig(max_iter=40, eps_h=1e-30)
+        trace, outcome = run_dr(TriadicSet(), HalfSpace([1.0], 0.0), [1.0], cfg)
+        assert isinstance(outcome, MaxIterations)
+        assert len(trace) == 41
+
     def test_degenerate_projection(self):
         S = Sphere([0.0, 0.0], 1.0)
         trace, outcome = run_dr(S, self.HS, [0.0, 0.0])
@@ -433,12 +442,15 @@ class TestColumnarTrace:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
             trace, outcome = run_dr(Q, hs, [0.0, 1.0], cfg)
-            held = tracemalloc.get_traced_memory()[0] - base
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert isinstance(outcome, MaxIterations) and len(trace) == 20001
-        assert held / len(trace) <= 478 / 4
+        assert (held - base) / len(trace) <= 478 / 4
+        # the run's peak too: no per-step state beyond the trace's columns
+        assert (peak - base) / len(trace) <= 478 / 4
 
 
 class TestRunAp:

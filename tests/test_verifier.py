@@ -7,9 +7,10 @@ exercised at reduced trial counts so failures localize quickly.
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from drfeas.engine import Diverging, run_dr
+from drfeas.engine import Diverging, SolverConfig, run_dr
 from drfeas.geometry import HalfSpace
 from drfeas.sets import FinitePointSet
 from drfeas.verifier import (
@@ -82,6 +83,37 @@ def test_certificate_check_needs_the_support_witness():
     assert _certificate_valid(outcome, hs)
     for support in (1.0 - 1e-6, 0.0):
         assert not _certificate_valid(replace(outcome, support=support), hs)
+
+
+def test_certificate_check_does_not_depend_on_scale():
+    # the 20 infeasible oblique instances of the engine's scale test: each
+    # Diverging certificate is valid at every scale, and one whose support,
+    # increment or last offset step is off by 1e-6 relative is not
+    rng = np.random.default_rng(17)
+    cfg = SolverConfig(max_iter=300)
+    for _ in range(20):
+        d = int(rng.integers(2, 5))
+        pts = rng.uniform(-10, 10, (int(rng.integers(1, 6)), d))
+        a = rng.normal(size=d)
+        a /= np.linalg.norm(a)
+        b = float((pts @ a).min() - rng.uniform(0.5, 5.0))
+        x0 = rng.uniform(-10, 10, d)
+        for s in (1.0, 1e4, 1e6, 1e8):
+            hs = HalfSpace(a, s * b)
+            _, outcome = run_dr(FinitePointSet(s * pts), hs, s * x0, cfg)
+            assert isinstance(outcome, Diverging), (s, outcome)
+            assert _certificate_valid(outcome, hs), s
+            cert, m = outcome.certificate, outcome.support
+            rel = 1e-6 * max(1.0, abs(m), abs(hs.b))
+            offs = list(cert.offsets)
+            # lowering the last (largest) offset also lowers the steps' scale
+            offs[-1] -= 1e-6 * max(1.0, max(map(abs, offs)))
+            for bad in (replace(outcome, support=m + rel),
+                        replace(outcome, certificate=replace(
+                            cert, increment=cert.increment + rel)),
+                        replace(outcome, certificate=replace(
+                            cert, offsets=tuple(offs)))):
+                assert not _certificate_valid(bad, hs), s
 
 
 @pytest.mark.parametrize("suite_id", ["prop1", "prop2", "prop3", "prop4", "lemmas"])
