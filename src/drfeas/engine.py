@@ -6,14 +6,13 @@ pairs an arbitrary single-valued constraint with a projectable set, and
 with a different step strategy.  Every run records a full trace.  The
 two-set and alternating runs detect cycles; the half-space run cannot
 cycle (it reaches a point of Q in H or diverges) and counts the march:
-steps with x in H and the same q outside H.  There <a,2q-x> > b, so each
-step is exactly x - d(q,H)*a and only q needs testing.
+witness steps, with x in H and q outside H attaining m = min over Q of
+<a,p> (the set's ``min_along``, computed once) up to ``eps_cycle`` *
+max(1, |m|).  There <a,2q-x> > b, so each step is exactly x - d(q,H)*a.
 
-A march outlasting the window is declared ``Diverging`` only if its q
-attains m = min over Q of <a,p> (the set's ``min_along``, computed once)
-up to ``eps_cycle`` * max(1, |m|), and m > b: then it never hands over,
-and Q misses H.  Nothing is probed.  The certificate's offsets are read
-from the trace's x column.
+A march outlasting the window is declared ``Diverging`` if m > b: then
+it never hands over, and Q misses H.  Nothing is probed.  The
+certificate's offsets are read from the trace's x column.
 
 The trace is stored as columns: each step appends x, q and its three
 distances to growable float64 arrays, 8 bytes per coordinate and
@@ -73,7 +72,7 @@ class SolverConfig:
 
     max_iter: int = 10000
     eps_h: float = 1e-9          # membership tolerance for the stopping rule
-    eps_cycle: float = 1e-9      # cycle grid (two-set, AP); march q test (DR)
+    eps_cycle: float = 1e-9      # cycle grid (two-set, AP); witness steps (DR)
     window: int = 25             # steps of evidence before a divergence certificate
     reflect_order: str = "set-first"
     tie_rule: str = "first"
@@ -183,11 +182,12 @@ class Trace:
 
 @dataclass(frozen=True)
 class DivergenceCertificate:
-    """Observed pattern x_{k+1} - x_k = -increment * a with constant q.
+    """Observed pattern x_{k+1} - x_k = -increment * a, q attaining m.
 
-    ``offsets`` holds the cumulative displacement lambda_k along the
-    normal, one entry per certified step starting at ``start_index``
-    (x_{k+1} = q_fixed - lambda_k * a).
+    ``q_fixed`` and ``increment`` are the last march step's q and d(q,H).
+    ``offsets`` holds the cumulative displacement lambda_k = <a, q_fixed -
+    x_{k+1}> along the normal, one entry per certified step starting at
+    ``start_index``.
     """
 
     q_fixed: np.ndarray
@@ -339,58 +339,54 @@ def detect_cycle(states, eps_cycle: float = 1e-9,
     return None
 
 
-class _DivergenceDetector:
-    """Counts the march: consecutive steps with x in H, q outside H and q
-    equal to the previous step's q within ``eps_cycle``.
+def _march(length: int, q: np.ndarray, d_xH: float, d_qH: float,
+           hs: HalfSpace, m: float, cfg: SolverConfig) -> tuple[int, bool]:
+    """The march rule, one step: the march's new length, and whether it
+    is now ``Diverging``.
 
-    x itself is not compared: with q outside H and x in H the step is
-    exactly x - d(q,H)*a.  The streak is its length and first step; a
-    certificate's offsets are read from the x of the streak's later
-    steps, which the driver takes from the trace.
+    A witness step has x in H, q outside H and <a,q> - m within
+    ``eps_cycle`` * max(1, |m|), m being min over Q of <a,p>.  The march
+    counts consecutive witness steps; it is Diverging once it outlasts
+    the window and m > b.
     """
+    if (d_xH > cfg.eps_h or d_qH <= cfg.eps_h
+            or float(hs.a.dot(q)) - m > cfg.eps_cycle * max(1.0, abs(m))):
+        return 0, False
+    return length + 1, length >= cfg.window and m > hs.b
 
-    def __init__(self, hs: HalfSpace, cfg: SolverConfig):
-        self.hs = hs
-        self.cfg = cfg
-        self.length = 0
-        self.start = 0
-        self.last_q: Optional[np.ndarray] = None
 
-    def observe(self, k: int, q: np.ndarray, d_xH: float, d_qH: float) -> bool:
-        """Take step k; whether the streak now outlasts the window."""
-        if d_xH > self.cfg.eps_h or d_qH <= self.cfg.eps_h:
-            self.length = 0
-        elif self.length and np.abs(q - self.last_q).max() <= self.cfg.eps_cycle:
-            self.length += 1
-        else:
-            self.length, self.start = 1, k
-        self.last_q = q
-        return self.length > self.cfg.window
-
-    def certificate(self, q: np.ndarray, d_qH: float, xs) -> DivergenceCertificate:
-        """The current streak's certificate: q and d_qH of its last step,
-        and ``xs`` the x of each streak step after the first."""
-        a = self.hs.a
-        return DivergenceCertificate(
-            q_fixed=q.copy(),
-            increment=d_qH,
-            start_index=self.start,
-            offsets=tuple(float(a @ (q - x_i)) for x_i in xs),
-        )
+def _certificate(hs: HalfSpace, k: int, length: int, q: np.ndarray,
+                 d_qH: float, xs) -> DivergenceCertificate:
+    """The certificate of a march of ``length`` steps ending at step k:
+    its q and d_qH, and offsets from the x of each later march step
+    (``xs`` holds the x of steps 0..k)."""
+    return DivergenceCertificate(
+        q_fixed=q.copy(),
+        increment=d_qH,
+        start_index=k + 1 - length,
+        offsets=tuple(float(hs.a @ (q - x_i)) for x_i in xs[1 - length:]),
+    )
 
 
 def detect_linear_divergence(records, hs: HalfSpace,
                              window: int = 25,
                              eps_h: float = 1e-9,
-                             eps_cycle: float = 1e-9) -> Optional[DivergenceCertificate]:
-    """Scan a recorded trace for the linear-divergence pattern."""
+                             eps_cycle: float = 1e-9, *,
+                             support: float = -math.inf,
+                             ) -> Optional[DivergenceCertificate]:
+    """Scan a recorded trace for the march ``run_dr`` certifies.
+
+    ``support`` is m = min over Q of <a,p> (the set's ``min_along``); the
+    default, an unknown bound, certifies nothing.
+    """
     cfg = SolverConfig(window=window, eps_h=eps_h, eps_cycle=eps_cycle)
-    det = _DivergenceDetector(hs, cfg)
-    xs = []
+    length, xs = 0, []
     for rec in records:
         xs.append(rec.x)
-        if det.observe(rec.k, rec.q, rec.d_xH, rec.d_qH):
-            return det.certificate(rec.q, rec.d_qH, xs[1 - det.length:])
+        length, diverging = _march(length, rec.q, rec.d_xH, rec.d_qH, hs,
+                                   support, cfg)
+        if diverging:
+            return _certificate(hs, rec.k, length, rec.q, rec.d_qH, xs)
     return None
 
 
@@ -442,28 +438,28 @@ class _Strategy:
 
 
 class _HalfSpaceSplit(_Strategy):
-    """The case-split step against a half-space, with divergence detection
-    in place of the cycle detector."""
+    """The case-split step against a half-space, with the march rule in
+    place of the cycle detector."""
 
     tag = "dr"
 
     def __init__(self, proj_set: ProjectableSet, hs: HalfSpace, cfg: SolverConfig):
         self.constraint, self.cfg = hs, cfg   # no _CycleDetector
-        self.proj_set, self.div = proj_set, _DivergenceDetector(hs, cfg)
+        self.proj_set, self.length = proj_set, 0
         self.support: Optional[float] = None
 
     def verdict(self, k, x, q, d_xH, d_qH, trace):
-        div = self.div
-        if not div.observe(k, q, d_xH, d_qH):
-            return None
         hs = self.constraint
-        if self.support is None:
+        if self.support is None:        # m, at the first step with x in H
+            if d_xH > self.cfg.eps_h:
+                return None
             self.support = self.proj_set.min_along(hs.a)
         m = self.support
-        if (float(hs.a.dot(q)) - m > self.cfg.eps_cycle * max(1.0, abs(m))
-                or not m > hs.b):
+        self.length, diverging = _march(self.length, q, d_xH, d_qH, hs, m,
+                                        self.cfg)
+        if not diverging:
             return None
-        return Diverging(div.certificate(q, d_qH, trace.x[1 - div.length:]), m)
+        return Diverging(_certificate(hs, k, self.length, q, d_qH, trace.x), m)
 
     def advance(self, x, q, src):
         return _step(x, q, self.constraint.a, self.constraint.b, self.cfg.eps_h)
@@ -557,9 +553,9 @@ def run_dr(proj_set: ProjectableSet, hs: HalfSpace, x0,
     """Iterate the half-space case-split operator until q_k enters H.
 
     Stops Solved as soon as the selected projection is within eps_h of
-    membership.  Otherwise it ends Diverging on a march with the support
-    witness, or MaxIterations; never CycleDetected, since against a
-    half-space no orbit repeats.  ``eps_cycle`` is the march's q test.
+    membership.  Otherwise it ends Diverging on a march of witness steps,
+    or MaxIterations; never CycleDetected, since against a half-space no
+    orbit repeats.  ``eps_cycle`` is the witness steps' tolerance.
     """
     return _iterate(proj_set, hs, x0, cfg, _HalfSpaceSplit(proj_set, hs, cfg))
 

@@ -152,7 +152,7 @@ def ex4_triadic() -> ExperimentResult:
     )
     cert = detect_linear_divergence(
         trace.records, hs, window=cfg.window, eps_h=cfg.eps_h,
-        eps_cycle=cfg.eps_cycle,
+        eps_cycle=cfg.eps_cycle, support=Q.min_along(hs.a),
     )
     checks = {
         "closed_form_k0_15": ok_closed_form,

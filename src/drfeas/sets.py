@@ -154,7 +154,7 @@ class Sphere(ProjectableSet):
         x = as_point(x, self.dim)
         w = x - self.center
         r = float(np.linalg.norm(w))
-        if r <= 1e-12:
+        if r <= 1e-12 * self.radius:
             raise DegenerateProjectionError(
                 "projection of the center onto a sphere is the whole sphere"
             )

@@ -81,7 +81,7 @@ def test_criterion_2_geometric_closed_form():
     )
     cert = detect_linear_divergence(
         trace.records, hs, window=cfg.window,
-        eps_h=cfg.eps_h, eps_cycle=cfg.eps_cycle,
+        eps_h=cfg.eps_h, eps_cycle=cfg.eps_cycle, support=Q.min_along(hs.a),
     )
     ok = forms and isinstance(outcome, MaxIterations) and cert is None
     report(2, "shrinking geometric family closed form", ok)

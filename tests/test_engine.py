@@ -26,6 +26,7 @@ from drfeas.engine import (
 )
 from drfeas.geometry import DimensionMismatchError, HalfSpace, Hyperplane
 from drfeas.sets import FinitePointSet, Sphere, TriadicSet
+from drfeas.verifier import _certificate_valid
 
 COORD = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
 
@@ -176,8 +177,8 @@ class TestRunDr:
         # the near point starts a constant-q march, but a far feasible
         # point eventually wins the nearest-point comparison: the run
         # must end Solved even though the march outlives the window.  The
-        # set's min_along is computed once, when the march first outlasts
-        # the window, and not at all for a one-step solve.
+        # set's min_along is computed once, at the march's first step, and
+        # not at all for a one-step solve.
         Q = _CountingSet([(0, 1), (80, -1)])
         run_dr(Q, self.HS, [80.0, -1.0])
         assert Q.min_calls == 0
@@ -208,8 +209,8 @@ class TestRunDr:
     def test_divergence_verdict_does_not_depend_on_scale(self):
         # infeasible oblique instances, scaled with b and x0 by s.  The
         # rounding of x's step and of <a,q> - m grows with s, far beyond
-        # an absolute 1e-9 at 1e8; the march compares only q (a point of
-        # Q, stored exactly) and the witness is relative to |m|.  At 1e8
+        # an absolute 1e-9 at 1e8; a witness step tests only <a,q> - m,
+        # relative to |m|, with q a point of Q stored exactly.  At 1e8
         # only the outcome is pinned: eps_h is still absolute, and a
         # rounded x just outside H can delay the streak by a step.
         rng = np.random.default_rng(17)
@@ -232,6 +233,28 @@ class TestRunDr:
                 assert (out_s.certificate.start_index
                         == outcome.certificate.start_index)
             assert isinstance(runs[1e8][1], Diverging)
+
+    def test_sphere_divergence_does_not_depend_on_scale(self):
+        # on a sphere q moves a little each march step: the march counts
+        # steps whose q attains m up to eps_cycle*max(1, |m|), so a scaled
+        # run still ends Diverging, with a valid certificate.  Lengths are
+        # not pinned: eps_h is still absolute.
+        rng = np.random.default_rng(20)
+        cases = [([0.3, 2.0], 1.0, [0.2, 1.0], 0.5, [1.0, 1.5])]
+        for _ in range(20):
+            d = int(rng.integers(2, 5))
+            a = rng.normal(size=d)
+            c, r = rng.uniform(-5, 5, d), rng.uniform(0.5, 3.0)
+            b = float(a @ c - r * np.linalg.norm(a) - rng.uniform(0.5, 5.0))
+            cases.append((c, r, a, b, rng.uniform(-10, 10, d)))
+        cfg = SolverConfig(max_iter=300)
+        for c, r, a, b, x0 in cases:
+            for s in (1.0, 1e4, 1e6, 1e8):
+                hs = HalfSpace(a, s * b)
+                _, outcome = run_dr(Sphere(s * np.asarray(c), s * r), hs,
+                                    s * np.asarray(x0), cfg)
+                assert isinstance(outcome, Diverging), (s, outcome)
+                assert _certificate_valid(outcome, hs), s
 
     def test_max_iterations(self):
         Q = TriadicSet()
@@ -474,26 +497,36 @@ class TestDivergenceScan:
         Q = FinitePointSet([(0, 1)])
         cfg = SolverConfig()
         trace, outcome = run_dr(Q, hs, [0.0, 1.0], cfg)
-        cert = detect_linear_divergence(trace.records, hs, window=cfg.window)
+        cert = detect_linear_divergence(trace.records, hs, window=cfg.window,
+                                        support=outcome.support)
         assert cert is not None
         assert cert.increment == pytest.approx(
             outcome.certificate.increment, abs=1e-12
         )
+        # an unknown support certifies nothing
+        assert detect_linear_divergence(trace.records, hs,
+                                        window=cfg.window) is None
 
     def test_scan_certificate_equals_driver_certificate(self):
         # an oblique march: the offsets are rounded dot products, so the
         # scan over records and the driver's raw-value detector must take
-        # the same values in the same order
-        hs = HalfSpace(np.array([0.3, 0.7, -0.2]), 0.1)
-        Q = FinitePointSet([(0.5, 0.9, 0.1)])
-        trace, outcome = run_dr(Q, hs, [0.2, 0.3, 0.4])
-        assert isinstance(outcome, Diverging)
-        cert = detect_linear_divergence(trace.records, hs)
-        driver = outcome.certificate
-        assert cert.offsets == driver.offsets
-        assert (cert.increment, cert.start_index) == (
-            driver.increment, driver.start_index)
-        assert np.array_equal(cert.q_fixed, driver.q_fixed)
+        # the same values in the same order.  On the sphere q moves a
+        # little each march step, and the scan must count the same
+        # witness steps as the driver.
+        for Q, hs, x0 in [
+            (FinitePointSet([(0.5, 0.9, 0.1)]),
+             HalfSpace(np.array([0.3, 0.7, -0.2]), 0.1), [0.2, 0.3, 0.4]),
+            (Sphere([0.3, 2.0], 1.0), HalfSpace([0.2, 1.0], 0.5), [1.0, 1.5]),
+        ]:
+            trace, outcome = run_dr(Q, hs, x0)
+            assert isinstance(outcome, Diverging)
+            cert = detect_linear_divergence(trace.records, hs,
+                                            support=outcome.support)
+            driver = outcome.certificate
+            assert cert.offsets == driver.offsets
+            assert (cert.increment, cert.start_index) == (
+                driver.increment, driver.start_index)
+            assert np.array_equal(cert.q_fixed, driver.q_fixed)
 
     def test_shrinking_march_yields_no_certificate(self):
         hs = HalfSpace(np.array([1.0]), 0.0)
@@ -501,7 +534,8 @@ class TestDivergenceScan:
         cfg = SolverConfig(max_iter=40, eps_h=1e-30, eps_cycle=1e-14)
         trace, _ = run_dr(Q, hs, [1.0], cfg)
         assert detect_linear_divergence(
-            trace.records, hs, eps_h=cfg.eps_h, eps_cycle=cfg.eps_cycle
+            trace.records, hs, eps_h=cfg.eps_h, eps_cycle=cfg.eps_cycle,
+            support=Q.min_along(hs.a),
         ) is None
 
 

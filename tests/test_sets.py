@@ -85,6 +85,15 @@ class TestSphere:
         with pytest.raises(DegenerateProjectionError):
             S.project_all([0.0, 0.0])
 
+    def test_degeneracy_is_relative_to_the_radius(self):
+        # x is half a radius off the center of a tiny sphere: its nearest
+        # point is unique, although |x - center| is below 1e-12
+        S = Sphere([0, 0], 1e-13)
+        (p,) = S.project_all([5e-14, 0.0])
+        assert np.array_equal(p, [1e-13, 0.0])
+        with pytest.raises(DegenerateProjectionError):
+            S.project_all([0.0, 0.0])
+
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(ValueError):
             Sphere([0, 0], 0.0)
