@@ -24,6 +24,10 @@ first read: ``Trace.records`` builds and caches every record,
 Points are checked once, when a driver starts: x0, and that the set and
 the constraint share a dimension.  In the loop the one point check is the
 set's ``project_all``, which also rejects an iterate that has overflowed.
+``run_dr`` skips it inside a constant-q segment: once a unique q repeats,
+it reuses q while x = q - lam*a has 0 <= lam < the set's ``ray_hold``, a
+test false for NaN and inf.  The step, distances, trace, march rule and
+``NORM_CAP`` still run every step, so the trace is unchanged.
 ``SolverConfig`` checks its own values (``drfeas.problems.SETTINGS`` names
 them for users).  DR runs end as MaxIterations once |x| > ``NORM_CAP``.
 """
@@ -424,6 +428,9 @@ class _Strategy:
     def source(self, x):
         return x
 
+    def nearest(self, proj_set: ProjectableSet, x, src) -> list[np.ndarray]:
+        return proj_set.project_all(src)
+
     def distances(self, x, q) -> tuple[float, float, float]:
         """(d_xH, d_qH, d_xL) of ``IterateRecord``."""
         c = self.constraint
@@ -439,7 +446,7 @@ class _Strategy:
 
 class _HalfSpaceSplit(_Strategy):
     """The case-split step against a half-space, with the march rule in
-    place of the cycle detector."""
+    place of the cycle detector, reusing a unique q along its ray."""
 
     tag = "dr"
 
@@ -447,6 +454,20 @@ class _HalfSpaceSplit(_Strategy):
         self.constraint, self.cfg = hs, cfg   # no _CycleDetector
         self.proj_set, self.length = proj_set, 0
         self.support: Optional[float] = None
+        self.held, self.hold = [], None     # a unique q; its ray_hold
+
+    def nearest(self, proj_set, x, src):
+        held, a = self.held, self.constraint.a
+        # False for NaN and inf: an overflowed x still reaches project_all.
+        if self.hold is not None and 0.0 <= float(a.dot(held[0] - x)) < self.hold:
+            return held
+        ties = proj_set.project_all(src)
+        if len(ties) == 1 and held and ties[0].tobytes() == held[0].tobytes():
+            if self.hold is None:           # x is on the ray of q now
+                self.hold = proj_set.ray_hold(held[0], a)
+        else:
+            self.held, self.hold = ties if len(ties) == 1 else [], None
+        return ties
 
     def verdict(self, k, x, q, d_xH, d_qH, trace):
         hs = self.constraint
@@ -517,7 +538,7 @@ def _iterate(proj_set: ProjectableSet, constraint, x0, cfg: SolverConfig,
     while True:
         src = strategy.source(x)
         try:
-            ties = proj_set.project_all(src)
+            ties = strategy.nearest(proj_set, x, src)
         except DegenerateProjectionError:
             outcome = DegenerateProjection(at_index=k)
             break
@@ -555,7 +576,8 @@ def run_dr(proj_set: ProjectableSet, hs: HalfSpace, x0,
     Stops Solved as soon as the selected projection is within eps_h of
     membership.  Otherwise it ends Diverging on a march of witness steps,
     or MaxIterations; never CycleDetected, since against a half-space no
-    orbit repeats.  ``eps_cycle`` is the witness steps' tolerance.
+    orbit repeats.  ``eps_cycle`` is the witness steps' tolerance.  Inside
+    a constant-q segment q is reused while the set's ``ray_hold`` allows.
     """
     return _iterate(proj_set, hs, x0, cfg, _HalfSpaceSplit(proj_set, hs, cfg))
 

@@ -57,7 +57,10 @@ class CapExceededError(ValueError):
 
 
 class ProjectableSet(abc.ABC):
-    """A closed set with a (possibly multi-valued) nearest-point map."""
+    """A closed set with a (possibly multi-valued) nearest-point map.
+
+    ``run_dr`` reuses a nearest point q along its ray while ``ray_hold``
+    allows; the default bound, 0, makes it project every step."""
 
     @property
     @abc.abstractmethod
@@ -70,6 +73,12 @@ class ProjectableSet(abc.ABC):
     @abc.abstractmethod
     def min_along(self, a: np.ndarray) -> float:
         """The least <a,p> over the set (its support function at -a)."""
+
+    def ray_hold(self, q: np.ndarray, a: np.ndarray) -> float:
+        """lam* such that, for 0 <= lam < lam*, ``project_all`` at q - lam*a
+        returns [q] alone, given that it did at a lam >= 0.  q is a point it
+        returned and a a unit vector; ties and rounding are allowed for."""
+        return 0.0
 
     def distance(self, x) -> float:
         p = self.project_all(x)[0]
@@ -86,6 +95,19 @@ class ProjectableSet(abc.ABC):
 def _bit_rows(idx: np.ndarray, m: int) -> np.ndarray:
     """0/1 rows of the m-bit integers idx, first coordinate most significant."""
     return ((idx[:, None] >> np.arange(m - 1, -1, -1)) & 1).astype(float)
+
+
+def _ray_tol(lam: float, s, d: int):
+    """2 TIE_TOL plus a bound on the rounding of the squared distances
+    compared at q - lam*a, and of lam, for points with |q| + |q - p| <= s."""
+    return 2 * TIE_TOL + (4 * d + 12) * _EPS * (lam + s) ** 2
+
+
+def _ahead(q: np.ndarray, points: np.ndarray, a: np.ndarray):
+    """|q - p|^2 and 2<a, q - p> of the points p with <a, q - p> > 0."""
+    w = q - points
+    g = w @ a
+    return np.sum(w[g > 0] ** 2, axis=1), 2 * g[g > 0]
 
 
 def _tie_filter(candidates: np.ndarray, d2: np.ndarray) -> list[np.ndarray]:
@@ -123,6 +145,15 @@ class FinitePointSet(ProjectableSet):
 
     def min_along(self, a: np.ndarray) -> float:
         return float((self.points @ a).min())
+
+    def ray_hold(self, q: np.ndarray, a: np.ndarray) -> float:
+        """min over p ahead, g = <a, q - p> > 0, of (|q - p|^2 - tol)/(2g):
+        p ties q once lam reaches |q - p|^2 / (2g)."""
+        f, g2 = _ahead(q, self.points, a)
+        if not g2.size:
+            return np.inf
+        tol = _ray_tol((f / g2).min(), np.sqrt(q @ q) + np.sqrt(f), self.dim)
+        return max(0.0, float(((f - tol) / g2).min()))
 
     def distance(self, x) -> float:
         x = as_point(x, self.dim)
@@ -229,6 +260,7 @@ class BinaryKnapsackSet(ProjectableSet):
         # Per first half: where its maybe-feasible second halves start in
         # the sorted order.
         self._reach = np.searchsorted(w_tail, need - slack)
+        self._low: tuple = (None, None)
 
     @property
     def dim(self) -> int:
@@ -240,7 +272,31 @@ class BinaryKnapsackSet(ProjectableSet):
         return _tie_filter(corners, np.sum((corners - x) ** 2, axis=1))
 
     def min_along(self, a: np.ndarray) -> float:
-        return float(np.sum(self._cheapest(a) * a, axis=1).min())
+        return float(np.sum(self._lowest(a) * a, axis=1).min())
+
+    def _lowest(self, a: np.ndarray) -> np.ndarray:
+        """``_cheapest(a)``, kept for the last a asked."""
+        if self._low[0] != a.tobytes():
+            self._low = (a.tobytes(), self._cheapest(a))
+        return self._low[1]
+
+    def ray_hold(self, q: np.ndarray, a: np.ndarray) -> float:
+        """Dinkelbach's search (1967) from above, from the corners attaining
+        ``min_along(a)``, for the least crossing |y - q|^2 / (2<a, q - y>):
+        a corner nearer than q at q - lam*a crosses sooner; if none is, lam
+        is the least.  Corners are 1 apart, so the tolerance is relative."""
+        f, g2 = _ahead(q, self._lowest(a), a)
+        if not g2.size:
+            return np.inf
+        m, s = self.dim, 2.0 * np.sqrt(self.dim)
+        # Past this cap the rounding bound is a quarter of a corner's gap.
+        lam, r = np.inf, min(np.sqrt(0.25 / ((4 * m + 12) * _EPS)) - s,
+                             (f / g2).min())
+        while r < lam:
+            lam = float(r)
+            f, g2 = _ahead(q, np.array(self.project_all(q - lam * a)), a)
+            r = (f / g2).min(initial=np.inf)
+        return max(0.0, lam * (1.0 - _ray_tol(lam, s, m)))
 
     def _cheapest(self, g: np.ndarray) -> np.ndarray:
         """Feasible corners within rounding of min sum(g * y), in bit order."""

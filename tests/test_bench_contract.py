@@ -14,17 +14,21 @@ import drfeas
 from drfeas import engine
 from drfeas.engine import Diverging, SolverConfig
 from drfeas.geometry import HalfSpace
-from drfeas.sets import FinitePointSet
+from drfeas.sets import BinaryKnapsackSet, FinitePointSet
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench")
 
 
-def _spans():
+def _bench_module(name):
     spec = importlib.util.spec_from_file_location(
-        "spans", os.path.join(BENCH, "spans.py"))
+        name, os.path.join(BENCH, f"{name}.py"))
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
+
+
+def _spans():
+    return _bench_module("spans")
 
 
 def test_spans_instrument_and_uninstall():
@@ -52,3 +56,41 @@ def test_divergence_scan_takes_five_positional_arguments():
     trace, _ = engine.run_dr(FinitePointSet([(0, 1)]), hs, [0.0, 1.0], cfg)
     assert engine.detect_linear_divergence(
         trace.records, hs, cfg.window, cfg.eps_h, cfg.eps_cycle) is None
+
+
+def test_segment_reuse_leaves_every_benchmark_run_unchanged(monkeypatch):
+    # every run_dr case of the two solve workloads at seed 3, as built and
+    # with ray_hold forced to 0 on the instance (a projection every step)
+    workloads = _bench_module("workloads")
+    calls = []
+    project_all = BinaryKnapsackSet.project_all
+
+    def counted(self, x):
+        calls.append(x)
+        return project_all(self, x)
+
+    monkeypatch.setattr(BinaryKnapsackSet, "project_all", counted)
+    runs, knapsack_steps, knapsack_calls = 0, 0, 0
+    for name in ("solve-small", "solve-knapsack"):
+        inputs = workloads.generate(name, 3)
+        built = workloads.build(inputs)
+        for case, (hs, Q, x0, cfg) in zip(inputs["cases"], built["cases"]):
+            if case["driver"] != "dr":
+                continue
+            calls.clear()
+            held = engine.run_dr(Q, hs, x0, cfg)
+            if isinstance(Q, BinaryKnapsackSet):
+                knapsack_steps += len(held[0])
+                knapsack_calls += len(calls)
+            Q.ray_hold = lambda q, a: 0.0
+            plain = engine.run_dr(Q, hs, x0, cfg)
+            del Q.ray_hold
+            for col in ("x", "q", "d_xH", "d_qH", "d_xL"):
+                assert np.array_equal(getattr(held[0], col),
+                                      getattr(plain[0], col)), (case["family"], col)
+            assert held[0].fingerprint == plain[0].fingerprint
+            assert repr(held[1]) == repr(plain[1]), case["family"]
+            runs += 1
+    assert runs == 326
+    # the reuse must not silently switch off: 110 calls for 653 steps
+    assert knapsack_calls <= 0.3 * knapsack_steps

@@ -397,6 +397,60 @@ class TestRunBoundary:
         assert trace.fingerprint == "8e611811feccc340"
 
 
+class _RecordingSet(FinitePointSet):
+    """Records every point it is asked to project."""
+
+    def __init__(self, points):
+        super().__init__(points)
+        self.asked = []
+
+    def project_all(self, x):
+        self.asked.append(np.array(x, dtype=float))
+        return super().project_all(x)
+
+
+class TestSegmentReuse:
+    """run_dr reuses q along its ray while the set's ray_hold allows."""
+
+    HS = HalfSpace([0.0, 1.0], 0.0)
+
+    def test_step_zero_and_handovers_are_projected(self):
+        # x0 lies off the ray of every point; q hands over from (2, 3) to
+        # (0, 1) at step 1, then marches: only the first steps of the two
+        # segments and the step that finds q repeated are projected
+        Q = _RecordingSet([(0, 1), (2, 3), (4, 6)])
+        x0 = [2.5, 3.7]
+        trace, outcome = run_dr(Q, self.HS, x0)
+        assert isinstance(outcome, Diverging) and len(trace) == 28
+        assert np.array_equal(Q.asked[0], x0)
+        asked = {x.tobytes() for x in Q.asked}
+        for k in range(1, len(trace)):
+            if not np.array_equal(trace.q[k], trace.q[k - 1]):
+                assert trace.x[k].tobytes() in asked
+        assert len(Q.asked) == 3
+        Q.ray_hold = lambda q, a: 0.0
+        plain = run_dr(Q, self.HS, x0)
+        assert len(Q.asked) == 3 + 28
+        assert np.array_equal(plain[0].x, trace.x)
+        assert np.array_equal(plain[0].q, trace.q)
+        assert repr(plain[1]) == repr(outcome)
+
+    def test_reuse_stops_before_the_crossing(self):
+        # (80, -1) ties (0, 1) exactly at step 1601, lam = 1601 down the
+        # ray, and is nearer from step 1602 on: the run projects there as
+        # it would without reuse, and solves
+        Q = _RecordingSet([(0, 1), (80, -1)])
+        cfg = SolverConfig(max_iter=2000)
+        trace, outcome = run_dr(Q, self.HS, [0.0, 1.0], cfg)
+        assert isinstance(outcome, Solved) and np.array_equal(outcome.q, [80, -1])
+        assert len(trace) == 1603 and len(Q.asked) < 10
+        assert len(Q.project_all(trace.x[1601])) == 2
+        Q.ray_hold = lambda q, a: 0.0
+        plain, _ = run_dr(Q, self.HS, [0.0, 1.0], cfg)
+        assert np.array_equal(plain.x, trace.x)
+        assert np.array_equal(plain.q, trace.q)
+
+
 class TestColumnarTrace:
     """The trace stores columns; records and the fingerprint are built on read."""
 

@@ -471,3 +471,126 @@ class TestMinAlong:
             ks = BinaryKnapsackSet(c, threshold)
             low = float((_row_sum_corners(ks.c, ks.threshold) @ a).min())
             assert abs(ks.min_along(a) - low) <= 1e-12
+
+
+def _crossing(points, q, a):
+    """Brute force: the least lam at which a point ahead of q (<a, q - p>
+    > 0) enters ``project_all``'s tie band at q - lam*a; inf if none is
+    ahead."""
+    w = q - np.asarray(points, dtype=float)
+    g = w @ a
+    ahead = g > 0
+    if not ahead.any():
+        return np.inf
+    return float(((np.sum(w[ahead] ** 2, axis=1) - TIE_TOL) / (2 * g[ahead])).min())
+
+
+def _held_from_first_unique(Q, q, a, lams):
+    """Once ``project_all`` at q - lam*a returns [q] alone, it does so at
+    every larger lam of ``lams``."""
+    unique = False
+    for lam in sorted(lams):
+        ties = Q.project_all(q - lam * a)
+        unique = unique or (len(ties) == 1 and np.array_equal(ties[0], q))
+        if unique:
+            assert len(ties) == 1 and np.array_equal(ties[0], q), lam
+
+
+class TestRayHold:
+    """ray_hold(q, a) against brute-force crossings of the ray q - lam*a."""
+
+    FRACTIONS = (0.0, 1e-3, 0.1, 0.5, 0.9, 0.99, 1 - 1e-6, 1 - 1e-12)
+
+    def _check(self, Q, points, q, a, attains, rel=1e-6):
+        lam = Q.ray_hold(q, a)
+        cross = _crossing(points, q, a)
+        assert (lam == np.inf) == attains == (cross == np.inf)
+        assert 0.0 <= lam <= max(0.0, cross)
+        if np.isfinite(cross) and cross > 0:
+            assert lam >= cross * (1 - rel)
+            _held_from_first_unique(Q, q, a, [t * lam for t in self.FRACTIONS])
+        elif lam == np.inf:
+            _held_from_first_unique(Q, q, a, [0.0, 1e-3, 1.0, 1e3, 1e6])
+
+    def test_finite_against_brute_force(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            d = int(rng.integers(1, 6))
+            Q = FinitePointSet(rng.uniform(-10, 10, (int(rng.integers(1, 9)), d)))
+            a = rng.normal(size=d)
+            a /= np.linalg.norm(a)
+            along = Q.points @ a
+            for i, q in enumerate(Q.points):
+                self._check(Q, Q.points, q, a, along[i] == Q.min_along(a))
+
+    def test_finite_exact_and_near_ties(self):
+        rng = np.random.default_rng(13)
+        near = FinitePointSet([(0, 0), (3e-7, 0), (0, 5e-7)])
+        cases = [(near, a) for a in ([1.0, 0.0], [-1.0, 0.0], [0.0, -1.0],
+                                     [-0.6, -0.8], [0.6, -0.8])]
+        r = 1 / np.sqrt(2.0)
+        for _ in range(40):
+            pts = rng.integers(-3, 4, (int(rng.integers(2, 7)), 2))
+            a = [(0.0, 1.0), (-1.0, 0.0), (r, r), (-r, r)][int(rng.integers(4))]
+            cases.append((FinitePointSet(pts), a))
+        for Q, a in cases:
+            a = np.asarray(a)
+            along = Q.points @ a
+            for i, q in enumerate(Q.points):
+                lam = Q.ray_hold(q, a)
+                assert (lam == np.inf) == (along[i] == Q.min_along(a))
+                assert 0.0 <= lam <= max(0.0, _crossing(Q.points, q, a))
+                _held_from_first_unique(Q, q, a, [t * min(lam, 1e3)
+                                                  for t in self.FRACTIONS])
+
+    def test_knapsack_against_all_corners(self):
+        rng = np.random.default_rng(14)
+        for m in range(1, 11):
+            for _ in range(3):
+                c = rng.uniform(0.0, 3.0, m)
+                ks = BinaryKnapsackSet(c, float(rng.uniform(0.0, c.sum())))
+                corners = _row_sum_corners(ks.c, ks.threshold)
+                a = rng.normal(size=m)
+                a /= np.linalg.norm(a)
+                low = ks.min_along(a)
+                pick = rng.permutation(len(corners))[:12]
+                for q in corners[pick]:
+                    self._check(ks, corners, q, a, float(np.sum(q * a)) <= low)
+
+    def test_other_sets_never_hold(self):
+        a = np.array([1.0])
+        for Q in (Sphere([0.0], 1.0), TriadicSet(5),
+                  ProductSet([FinitePointSet([(0.0,)])])):
+            assert Q.ray_hold(np.array([1.0]), a) == 0.0
+
+    def test_scaled_instances_run_the_same_with_and_without_the_hold(self):
+        # powers of two keep the arithmetic exact, so only the tie
+        # tolerance differs between scales; at every scale reusing q must
+        # give the trace that projecting every step gives
+        from drfeas.engine import SolverConfig, run_dr
+
+        rng = np.random.default_rng(15)
+        r = 1 / np.sqrt(2.0)
+        cases = []
+        for i in range(8):
+            pts = rng.integers(-3, 4, (int(rng.integers(2, 6)), 2)).astype(float)
+            a = np.array([(0.0, 1.0), (r, r), (0.6, 0.8), (-r, r)][i % 4])
+            b = float((pts @ a).min()) - float(rng.integers(-1, 3))
+            cases.append((pts, a, b, rng.integers(-4, 5, 2).astype(float)))
+        cfg = SolverConfig(max_iter=150)
+        for pts, a, b, x0 in cases:
+            for k in range(-30, 31):
+                s = 2.0 ** k
+                Q = FinitePointSet(s * pts)
+                hs = HalfSpace(a, s * b)
+                held = run_dr(Q, hs, s * x0, cfg)
+                Q.ray_hold = lambda q, a: 0.0
+                plain = run_dr(Q, hs, s * x0, cfg)
+                assert _same_run(held, plain), (pts.tolist(), a, b, k)
+
+
+def _same_run(one, two):
+    (t1, o1), (t2, o2) = one, two
+    return (all(np.array_equal(getattr(t1, c), getattr(t2, c))
+                for c in ("x", "q", "d_xH", "d_qH", "d_xL"))
+            and t1.fingerprint == t2.fingerprint and repr(o1) == repr(o2))
