@@ -5,18 +5,26 @@ construction, evaluates the operator, and asserts the corresponding
 structural identity or inequality.  Checks accept a ``step_fn`` so that a
 deliberately broken operator (see MUTANTS) can be injected to demonstrate
 the checks have power.
+
+The one-step suites (prop1-prop4) draw the dimension of every trial
+first, then all instances of one dimension as arrays, and judge them as
+arrays; the operator itself is still called once per instance, as
+``step_fn(x, q, hs)`` on that instance's HalfSpace.  The lemma and theorem
+suites draw one instance at a time.  ``run_all_suites`` records each
+suite's wall time on its report.
 """
 
 from __future__ import annotations
 
 import operator
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import HalfSpace, as_point
 from .engine import dr_step, run_dr, SolverConfig, Solved, Diverging, MaxIterations
-from .sets import BinaryKnapsackSet, FinitePointSet
+from .sets import TIE_TOL, BinaryKnapsackSet, FinitePointSet
 
 __all__ = [
     "MUTANTS",
@@ -46,13 +54,14 @@ class PropertyReport:
     failures: list = field(default_factory=list)
     seed: int = 0
     vacuous: int = 0
+    seconds: float | None = None  # wall time, when run by run_all_suites
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
     def to_json_dict(self) -> dict:
-        return {
+        out = {
             "property_id": self.property_id,
             "trials": self.trials,
             "seed": self.seed,
@@ -61,6 +70,10 @@ class PropertyReport:
             "failures": self.failures[:20],
             "failure_count": len(self.failures),
         }
+        if self.seconds is not None:
+            out["seconds"] = self.seconds
+            out["trials_per_s"] = self.trials / self.seconds
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -93,47 +106,118 @@ MUTANTS = {
 
 
 # ---------------------------------------------------------------------------
-# Samplers.  Coordinates stay in a benign range so the identities hold to
-# near machine precision at the 1e-9 tolerance.
+# Batch samplers.  A prop suite draws its trial dimensions once per call,
+# then every instance of one dimension as arrays (rows).  Coordinates stay
+# in a benign range so the identities hold to near machine precision at
+# the 1e-9 tolerance.
 
-def _unit(rng, n):
+def _groups(rng, trials, dims):
+    """(n, trial indices) for each distinct dimension drawn."""
+    drawn = np.asarray(dims)[rng.integers(len(dims), size=trials)]
+    for n in sorted(set(dims)):
+        idx = np.flatnonzero(drawn == n)
+        if idx.size:
+            yield int(n), idx
+
+
+def _units(rng, k, n):
+    """k random unit rows; a draw of norm <= 1e-6 is redrawn."""
+    v = rng.normal(size=(k, n))
     while True:
-        v = rng.normal(size=n)
-        norm = np.linalg.norm(v)
-        if norm > 1e-6:
-            return v / norm
+        norm = _norms(v)
+        bad = norm <= 1e-6
+        if not bad.any():
+            return v / norm[:, None]
+        v[bad] = rng.normal(size=(int(bad.sum()), n))
 
 
-def _halfspace(rng, n) -> HalfSpace:
-    return HalfSpace(_unit(rng, n), float(rng.uniform(-5.0, 5.0)))
+def _halfspaces(rng, k, n):
+    """k half-spaces, and their unit normals and offsets as arrays."""
+    hss = [HalfSpace(a, b) for a, b in zip(_units(rng, k, n),
+                                          rng.uniform(-5.0, 5.0, k))]
+    return hss, np.array([hs.a for hs in hss]), np.array([hs.b for hs in hss])
 
 
-def _tangent(rng, hs: HalfSpace):
-    """A unit vector orthogonal to the normal (dim >= 2)."""
-    v = _unit(rng, hs.dim)
-    v = v - float(v @ hs.a) * hs.a
-    norm = np.linalg.norm(v)
-    if norm < 1e-6:
-        return _tangent(rng, hs)
-    return v / norm
+def _values(a, b, x):
+    """<a_i, x_i> - b_i for each row."""
+    return (a * x).sum(axis=1) - b
 
 
-def _point_in_H(rng, hs: HalfSpace, on_boundary_prob=0.1):
-    x = rng.uniform(-COORD_RANGE, COORD_RANGE, hs.dim)
-    v = hs.value(x)
-    if rng.random() < on_boundary_prob:
-        return x - v * hs.a
-    if v > 0:
-        x = x - (v + rng.uniform(0.0, 3.0)) * hs.a
-    return x
+def _tangents(rng, a):
+    """A random unit vector orthogonal to each row of a (dim >= 2); a draw
+    whose orthogonal part has norm < 1e-6 is redrawn."""
+    v = _units(rng, *a.shape)
+    v -= (v * a).sum(axis=1)[:, None] * a
+    norm = _norms(v)
+    bad = norm < 1e-6
+    v[~bad] /= norm[~bad, None]
+    if bad.any():
+        v[bad] = _tangents(rng, a[bad])
+    return v
 
 
-def _fillers(rng, x, d0, n, count=3):
-    """Points strictly farther than d0 from x, so a designated q stays nearest."""
-    out = []
-    for _ in range(count):
-        out.append(x + (d0 + rng.uniform(0.5, 4.0)) * _unit(rng, n))
-    return out
+def _tangent_offsets(rng, a):
+    """tau * t, tau ~ U(0, 3) and t a unit tangent, per row; 0 on a line."""
+    if a.shape[1] < 2:
+        return np.zeros_like(a)
+    return rng.uniform(0.0, 3.0, len(a))[:, None] * _tangents(rng, a)
+
+
+def _points_in_H(rng, a, b, on_boundary_prob):
+    """A point of H per half-space, on L with probability on_boundary_prob."""
+    x = rng.uniform(-COORD_RANGE, COORD_RANGE, a.shape)
+    v = _values(a, b, x)
+    outside = np.where(v > 0.0, v + rng.uniform(0.0, 3.0, len(a)), 0.0)
+    on = rng.random(len(a)) < on_boundary_prob
+    return x - np.where(on, v, outside)[:, None] * a
+
+
+def _fillers(rng, x, d0, count=3):
+    """count points per row of x, strictly farther than d0 from it, so a
+    designated q stays nearest."""
+    k, n = x.shape
+    r = d0[:, None, None] + rng.uniform(0.5, 4.0, (k, count, 1))
+    return x[:, None] + r * _units(rng, k * count, n).reshape(k, count, n)
+
+
+def _inside(rng, a, b):
+    """x in H and a designated nearest q outside H, per half-space, and
+    their distances dxl and dq to the boundary L."""
+    k = len(a)
+    x = _points_in_H(rng, a, b, 0.15)
+    dxl = np.abs(_values(a, b, x))
+    # keep the step length moderate so crafted nearby points stay nearest
+    # after the step
+    shift = np.where(dxl > 3.0, dxl - rng.uniform(0.0, 3.0, k), 0.0)
+    x = x + shift[:, None] * a
+    dxl = np.abs(_values(a, b, x))
+    dq = rng.uniform(0.2, 4.0, k)
+    q = x + (dxl + dq)[:, None] * a + _tangent_offsets(rng, a)
+    return x, q, dxl, dq
+
+
+def _nearest(pts, x):
+    """Nearest rows of pts (..., P, n) to x (..., n), as a mask, and the
+    least squared distance; by FinitePointSet.project_all's rule: squared
+    distances, d2 <= min + TIE_TOL, exact duplicate rows counted once."""
+    d2 = ((pts - x[..., None, :]) ** 2).sum(axis=-1)
+    d2min = d2.min(axis=-1)
+    mask = d2 <= d2min[..., None] + TIE_TOL
+    if np.count_nonzero(mask) > d2min.size:  # a row with a tie
+        keys = np.ascontiguousarray(pts).view(np.uint64)
+        same = (keys[..., :, None, :] == keys[..., None, :, :]).all(axis=-1)
+        mask &= ~np.tril(same, -1).any(axis=-1)
+    return mask, d2min
+
+
+def _steps(step_fn, x, q, hss):
+    """step_fn(x_i, q_i, hs_i) for each row, stacked like x."""
+    z = [step_fn(*args) for args in zip(x, q, hss)]
+    return np.array(z).reshape(x.shape)
+
+
+def _norms(v):
+    return np.linalg.norm(v, axis=-1)
 
 
 def _fail(report, **data):
@@ -148,6 +232,12 @@ def _plain(v):
     return v
 
 
+def _by_trial(report):
+    """Failures in trial order (a suite checks one dimension at a time)."""
+    report.failures.sort(key=lambda f: f["trial"])
+    return report
+
+
 # ---------------------------------------------------------------------------
 # Half-space invariance: x in H implies every one-step image lies in H.
 
@@ -155,80 +245,73 @@ def check_prop1(trials=10000, dims=(1, 2, 3, 4, 5), seed=0,
                 step_fn=dr_step) -> PropertyReport:
     rng = np.random.default_rng(seed)
     report = PropertyReport("prop1-halfspace-invariance", trials, seed=seed)
-    for t in range(trials):
-        n = int(rng.choice(dims))
-        hs = _halfspace(rng, n)
-        x = _point_in_H(rng, hs)
-        pts = rng.uniform(-COORD_RANGE, COORD_RANGE, (4, n))
-        if rng.random() < 0.2 and n >= 1:
-            pts[1] = pts[0]  # duplicate collapses, keeps sampler varied
-        Q = FinitePointSet(pts)
-        for q in Q.project_all(x):
-            z = step_fn(x, q, hs)
-            if hs.distance(z) > TOL:
-                _fail(report, trial=t, dim=n, a=hs.a, b=hs.b, x=x, q=q,
-                      dist=hs.distance(z))
-    return report
+    for n, idx in _groups(rng, trials, dims):
+        k = idx.size
+        hss, a, b = _halfspaces(rng, k, n)
+        x = _points_in_H(rng, a, b, 0.1)
+        pts = rng.uniform(-COORD_RANGE, COORD_RANGE, (k, 4, n))
+        dup = rng.random(k) < 0.2
+        pts[dup, 1] = pts[dup, 0]  # duplicate collapses, keeps sampler varied
+        rows, cols = np.nonzero(_nearest(pts, x)[0])
+        q = pts[rows, cols]
+        z = _steps(step_fn, x[rows], q, [hss[i] for i in rows])
+        dist = np.maximum(_values(a[rows], b[rows], z), 0.0)
+        for r in np.flatnonzero(dist > TOL):
+            i = rows[r]
+            _fail(report, trial=idx[i], dim=n, a=a[i], b=b[i], x=x[i], q=q[r],
+                  dist=dist[r])
+    return _by_trial(report)
 
 
 # ---------------------------------------------------------------------------
-# Case tree for x outside H with q its nearest point.
+# Case tree for x outside H with q its nearest point.  dq = d(q,L) signed
+# positive outside H; per case its range, as a multiple of dx = d(x,L)
+# except for case i, whose q lies inside H.
 
-def _instance_outside(rng, n, case):
-    """x outside H plus a designated nearest q realizing the given case."""
-    hs = _halfspace(rng, n)
-    xl = _point_in_H(rng, hs, on_boundary_prob=0.0)
-    xl = xl - hs.value(xl) * hs.a  # foot on the boundary
-    dx = rng.uniform(0.5, 5.0)
-    x = xl + dx * hs.a
-    if case == "i":
-        dq = -rng.uniform(0.0, 3.0)
-    elif case == "iia":
-        dq = dx * rng.uniform(0.05, 0.45)
-    elif case == "iibI":
-        dq = dx * rng.uniform(1.05, 2.0)
-    else:  # iibII
-        dq = dx * rng.uniform(0.55, 0.95)
-    tau = rng.uniform(0.0, 3.0) if n >= 2 else 0.0
-    t_hat = _tangent(rng, hs) if n >= 2 else np.zeros(n)
-    q = x + (dq - dx) * hs.a + tau * t_hat
-    Q = FinitePointSet([q] + _fillers(rng, x, float(np.linalg.norm(x - q)), n))
-    return hs, x, q, Q, dx, dq
+_CASES = ("i", "iia", "iibI", "iibII")
+_DQ_RANGES = np.array([(0.0, 3.0), (0.05, 0.45), (1.05, 2.0), (0.55, 0.95)])
 
 
 def check_prop2(trials=10000, dims=(1, 2, 3, 4, 5), seed=0,
                 step_fn=dr_step) -> PropertyReport:
     rng = np.random.default_rng(seed)
     report = PropertyReport("prop2-outside-H-case-tree", trials, seed=seed)
-    cases = ("i", "iia", "iibI", "iibII")
-    for t in range(trials):
-        n = int(rng.choice(dims))
-        case = cases[t % 4]
-        hs, x, q, Q, dx, dq = _instance_outside(rng, n, case)
-        z = step_fn(x, q, hs)
-        ok = True
-        if case == "i" or case == "iia":
-            ok = np.linalg.norm(z - q) <= TOL
-            if ok and case == "iia":
-                # q is its own nearest point, so the follow-up applies.
-                z2 = step_fn(q, q, hs)
-                pl = hs.boundary().project(q)
-                ok = np.linalg.norm(z2 - pl) <= TOL
-        else:
-            a, b = hs.a, hs.b
-            expect = q + (float(a @ x) + b - 2.0 * float(a @ q)) * a
-            ok = np.linalg.norm(z - expect) <= TOL
-            if ok and case == "iibI":
-                ok = hs.distance(z) <= TOL
-            elif ok:
-                ok = abs(hs.distance(z) - (dx - dq)) <= TOL
-                if ok and any(np.linalg.norm(p - q) <= 1e-12
-                              for p in Q.project_all(z)):
-                    ok = hs.distance(step_fn(z, q, hs)) <= TOL
-        if not ok:
-            _fail(report, trial=t, case=case, dim=n, a=hs.a, b=hs.b,
-                  x=x, q=q, z=z, dx=dx, dq=dq)
-    return report
+    for n, idx in _groups(rng, trials, dims):
+        k = idx.size
+        case = idx % 4
+        hss, a, b = _halfspaces(rng, k, n)
+        xl = _points_in_H(rng, a, b, on_boundary_prob=1.0)  # feet on L
+        dx = rng.uniform(0.5, 5.0, k)
+        x = xl + dx[:, None] * a
+        lo, hi = _DQ_RANGES[case].T
+        r = rng.uniform(lo, hi)
+        dq = np.where(case == 0, -r, dx * r)
+        q = x + (dq - dx)[:, None] * a + _tangent_offsets(rng, a)
+        pts = np.concatenate(
+            [q[:, None], _fillers(rng, x, _norms(x - q))], axis=1)
+        z = _steps(step_fn, x, q, hss)
+        aq = (a * q).sum(axis=1)
+        expect = q + ((a * x).sum(axis=1) + b - 2.0 * aq)[:, None] * a
+        dz = np.maximum(_values(a, b, z), 0.0)
+        ok = np.where(case >= 2, _norms(z - expect), _norms(z - q)) <= TOL
+        ok &= np.where(case == 2, dz <= TOL, True)
+        ok &= np.where(case == 3, np.abs(dz - (dx - dq)) <= TOL, True)
+        # iia: q is its own nearest point, so the follow-up applies.
+        sel = np.flatnonzero(ok & (case == 1))
+        z2 = _steps(step_fn, q[sel], q[sel], [hss[i] for i in sel])
+        pl = q[sel] - (aq[sel] - b[sel])[:, None] * a[sel]
+        ok[sel] = _norms(z2 - pl) <= TOL
+        # iibII: from z, while q is still a nearest point, the next step
+        # enters H.
+        same_q = (_nearest(pts, z)[0]
+                  & (_norms(pts - q[:, None]) <= 1e-12)).any(axis=1)
+        sel = np.flatnonzero(ok & (case == 3) & same_q)
+        z3 = _steps(step_fn, z[sel], q[sel], [hss[i] for i in sel])
+        ok[sel] = _values(a[sel], b[sel], z3) <= TOL
+        for i in np.flatnonzero(~ok):
+            _fail(report, trial=idx[i], case=_CASES[case[i]], dim=n, a=a[i],
+                  b=b[i], x=x[i], q=q[i], z=z[i], dx=dx[i], dq=dq[i])
+    return _by_trial(report)
 
 
 # ---------------------------------------------------------------------------
@@ -238,35 +321,18 @@ def check_prop3(trials=10000, dims=(1, 2, 3, 4, 5), seed=0,
                 step_fn=dr_step) -> PropertyReport:
     rng = np.random.default_rng(seed)
     report = PropertyReport("prop3-inside-H-displacement", trials, seed=seed)
-    for t in range(trials):
-        n = int(rng.choice(dims))
-        hs, x, q, _, dxl, dql = _instance_inside(rng, n)
-        L = hs.boundary()
-        z = step_fn(x, q, hs)
-        expect = q - (L.distance(x) + 2.0 * L.distance(q)) * hs.a
-        ok = (np.linalg.norm(z - expect) <= TOL
-              and abs(L.distance(z) - (L.distance(q) + L.distance(x))) <= TOL)
-        if not ok:
-            _fail(report, trial=t, dim=n, a=hs.a, b=hs.b, x=x, q=q, z=z)
-    return report
-
-
-def _instance_inside(rng, n):
-    """x in H and a designated nearest q outside H."""
-    hs = _halfspace(rng, n)
-    x = _point_in_H(rng, hs, on_boundary_prob=0.15)
-    dxl = hs.boundary().distance(x)
-    if dxl > 3.0:
-        # keep the step length moderate so crafted nearby points stay
-        # nearest after the step
-        shift = dxl - rng.uniform(0.0, 3.0)
-        x = x + shift * hs.a
-        dxl = hs.boundary().distance(x)
-    dq = rng.uniform(0.2, 4.0)
-    tau = rng.uniform(0.0, 3.0) if n >= 2 else 0.0
-    t_hat = _tangent(rng, hs) if n >= 2 else np.zeros(n)
-    q = x + (dxl + dq) * hs.a + tau * t_hat
-    return hs, x, q, tau, dxl, dq
+    for n, idx in _groups(rng, trials, dims):
+        hss, a, b = _halfspaces(rng, idx.size, n)
+        x, q, _, _ = _inside(rng, a, b)
+        z = _steps(step_fn, x, q, hss)
+        dlx, dlq, dlz = (np.abs(_values(a, b, v)) for v in (x, q, z))
+        expect = q - (dlx + 2.0 * dlq)[:, None] * a
+        ok = ((_norms(z - expect) <= TOL)
+              & (np.abs(dlz - (dlq + dlx)) <= TOL))
+        for i in np.flatnonzero(~ok):
+            _fail(report, trial=idx[i], dim=n, a=a[i], b=b[i], x=x[i], q=q[i],
+                  z=z[i])
+    return _by_trial(report)
 
 
 # ---------------------------------------------------------------------------
@@ -284,56 +350,72 @@ def check_prop4(trials=10000, dims=(2, 3, 4, 5), seed=0, step_fn=dr_step,
     """
     rng = np.random.default_rng(seed)
     report = PropertyReport("prop4-auxiliary-strict-decrease", trials, seed=seed)
-    for t in range(trials):
-        n = int(rng.choice(dims))
+    for n, idx in _groups(rng, trials, dims):
         if n < 2:
             # on a line a distinct new nearest point at the required
             # distances cannot exist, so the claim has no content
-            report.vacuous += 1
+            report.vacuous += idx.size
             continue
-        hs, x, q, tau, dxl, dq = _instance_inside(rng, n)
-        d0 = float(np.linalg.norm(x - q))
-        points = [q]
-        if rng.random() >= 0.3:
-            # Place p = q + delta*t_hat - mu*a so that p is outside H,
-            # farther from x than q, but strictly nearer to the next
-            # iterate z (feasible because ||z-q|| exceeds ||x-q||'s
-            # normal gap by 2 d(q,L)).
-            dzq = dxl + 2.0 * dq
-            mu = dq * rng.uniform(0.2, 0.8)
-            A = mu * (2.0 * (dxl + dq) - mu)
-            B = mu * (2.0 * dzq - mu)
-            delta = float(np.sqrt(0.5 * (A + B)))
-            t_hat = (q - x - (dxl + dq) * hs.a)
-            tn = np.linalg.norm(t_hat)
-            t_hat = t_hat / tn if tn > 1e-9 else _tangent(rng, hs)
-            points.append(q + delta * t_hat - mu * hs.a)
-        Q = FinitePointSet(points + _fillers(rng, x, d0 + 6.0, n))
-        ties = Q.project_all(x)
-        if not any(np.linalg.norm(p - q) <= 1e-12 for p in ties):
-            continue  # crafted geometry degenerate; skip rather than fail
-        z = step_fn(x, q, hs)
-        new_ps = [p for p in Q.project_all(z)
-                  if hs.distance(p) > TOL and np.linalg.norm(p - q) > 1e-12]
-        if not new_ps:
-            report.vacuous += 1
-            continue
-        dzQ = 0.0 if drop_slack_term else Q.distance(z)
-        zq = float(np.linalg.norm(z - q))
-        for p in new_ps:
-            lhs = hs.distance(p) + zq
-            rhs = hs.distance(q) + dzQ
-            if lhs > rhs + TOL or not hs.distance(p) < hs.distance(q):
-                _fail(report, trial=t, dim=n, a=hs.a, b=hs.b, x=x, q=q,
-                      p=p, z=z, lhs=lhs, rhs=rhs)
-    return report
+        k = idx.size
+        hss, a, b = _halfspaces(rng, k, n)
+        x, q, dxl, dq = _inside(rng, a, b)
+        # Place p = q + delta*t_hat - mu*a so that p is outside H, farther
+        # from x than q, but strictly nearer to the next iterate z
+        # (feasible because ||z-q|| exceeds ||x-q||'s normal gap by
+        # 2 d(q,L)).  An uncrafted trial's p repeats q and counts once.
+        crafted = rng.random(k) >= 0.3
+        mu = dq * rng.uniform(0.2, 0.8, k)
+        A = mu * (2.0 * (dxl + dq) - mu)
+        B = mu * (2.0 * (dxl + 2.0 * dq) - mu)
+        delta = np.sqrt(0.5 * (A + B))
+        t_hat = q - x - (dxl + dq)[:, None] * a
+        tn = _norms(t_hat)
+        flat = tn <= 1e-9
+        t_hat[~flat] /= tn[~flat, None]
+        t_hat[flat] = _tangents(rng, a[flat])
+        p = q + delta[:, None] * t_hat - mu[:, None] * a
+        p[~crafted] = q[~crafted]
+        pts = np.concatenate(
+            [q[:, None], p[:, None], _fillers(rng, x, _norms(x - q) + 6.0)],
+            axis=1)
+        same_q = _norms(pts - q[:, None]) <= 1e-12
+        # crafted geometry degenerate: skip rather than fail
+        live = np.flatnonzero((_nearest(pts, x)[0] & same_q).any(axis=1))
+        z = _steps(step_fn, x[live], q[live], [hss[i] for i in live])
+        pts, same_q = pts[live], same_q[live]
+        near, d2 = _nearest(pts, z)
+        dh = np.maximum((pts * a[live, None]).sum(axis=2) - b[live, None], 0.0)
+        new = near & (dh > TOL) & ~same_q
+        report.vacuous += int((~new.any(axis=1)).sum())
+        rhs = dh[:, 0] + (0.0 if drop_slack_term else np.sqrt(d2))
+        lhs = dh + _norms(z - q[live])[:, None]
+        bad = new & ((lhs > rhs[:, None] + TOL) | ~(dh < dh[:, :1]))
+        for r, j in zip(*np.nonzero(bad)):
+            i = live[r]
+            _fail(report, trial=idx[i], dim=n, a=a[i], b=b[i], x=x[i], q=q[i],
+                  p=pts[r, j], z=z[r], lhs=lhs[r, j], rhs=rhs[r])
+    return _by_trial(report)
 
 
 # ---------------------------------------------------------------------------
 # Trace-level lemmas, checked on raw iteration loops (no stopping rule).
+# The lemma and theorem suites draw one instance at a time.
+
+def _unit(rng, n):
+    while True:
+        v = rng.normal(size=n)
+        norm = np.linalg.norm(v)
+        if norm > 1e-6:
+            return v / norm
+
+
+def _halfspace(rng, n) -> HalfSpace:
+    return HalfSpace(_unit(rng, n), float(rng.uniform(-5.0, 5.0)))
+
 
 def _scaled_triadic_instance(rng, n):
-    """A rotated, scaled, shifted copy of the geometric 1-D family.
+    """A rotated, scaled, shifted copy of the geometric 1-D family, as its
+    points (c first), half-space and start.
 
     Its iteration never enters the half-space, giving non-vacuous
     material for the outside-H monotonicity claims.
@@ -344,11 +426,9 @@ def _scaled_triadic_instance(rng, n):
     c = rng.uniform(-5.0, 5.0, n)
     e1 = np.zeros(n)
     e1[0] = 1.0
-    pts = [c] + [s * (2.0 / 3.0**k) * (R @ e1) + c for k in range(25)]
     a = R @ e1
-    hs = HalfSpace(a, float(a @ c))
-    x0 = s * (R @ e1) + c
-    return FinitePointSet(pts), hs, x0
+    pts = np.vstack([c, (s * (2.0 / 3.0 ** np.arange(25)))[:, None] * a + c])
+    return pts, HalfSpace(a, float(a @ c)), s * a + c
 
 
 def check_lemmas(trials=10000, dims=(1, 2, 3, 4, 5), seed=0,
@@ -364,7 +444,7 @@ def check_lemmas(trials=10000, dims=(1, 2, 3, 4, 5), seed=0,
     rng = np.random.default_rng(seed)
     report = PropertyReport("lemmas-trajectory-monotonicity", trials, seed=seed)
     for t in range(trials):
-        n = int(rng.choice(dims))
+        n = int(dims[int(rng.integers(len(dims)))])
         if t % 2 == 0:
             ok, data = _check_outside_trajectory(rng, n, step_fn)
         else:
@@ -374,28 +454,34 @@ def check_lemmas(trials=10000, dims=(1, 2, 3, 4, 5), seed=0,
     return report
 
 
+def _first_nearest(pts, x):
+    """``FinitePointSet(pts).project_all(x)[0]``, bit for bit."""
+    return pts[_nearest(pts, x)[0].argmax()]
+
+
 def _check_outside_trajectory(rng, n, step_fn):
-    Q, hs, x = _scaled_triadic_instance(rng, n)
+    pts, hs, x = _scaled_triadic_instance(rng, n)
     L = hs.boundary()
-    prev_dxl = None
+    prev_dxl, dxh = None, hs._distance(x)
     # stop well above the tie-tolerance scale, where the limit point would
     # legitimately enter the tie set and the trajectory would enter H
     for _ in range(10):
-        q = Q.project_all(x)[0]
-        dxh, dqh = hs.distance(x), hs.distance(q)
+        q = _first_nearest(pts, x)
+        dqh = hs._distance(q)
         if not (dxh > TOL and dqh > TOL):
             return False, {"reason": "entered-H", "x": x, "q": q}
         if not (dqh < dxh < 2.0 * dqh + TOL):
             return False, {"reason": "sandwich", "x": x, "q": q}
-        dxl = L.distance(x)
+        dxl = L._distance(x)
         if prev_dxl is not None and not dxl < prev_dxl:
             return False, {"reason": "not-decreasing", "x": x}
         prev_dxl = dxl
         nxt = step_fn(x, q, hs)
-        if abs(hs.distance(nxt) - (dxh - dqh)) > TOL:
+        dnh = hs._distance(nxt)
+        if abs(dnh - (dxh - dqh)) > TOL:
             return False, {"reason": "decrease-identity", "x": x, "q": q,
                            "next": nxt}
-        x = nxt
+        x, dxh = nxt, dnh
     return True, {}
 
 
@@ -408,20 +494,20 @@ def _check_inside_trajectory(rng, n, step_fn, report):
     L = hs.boundary()
     inside = []
     for _ in range(2):
-        p = L.project(rng.uniform(-COORD_RANGE, COORD_RANGE, n))
+        p = L._project(rng.uniform(-COORD_RANGE, COORD_RANGE, n))
         if rng.random() >= 0.15:
             p = p - rng.uniform(0.05, 8.0) * hs.a
         inside.append(p)
     # The remaining points are uniform and may fall inside H too; one that
     # lands less deep than the inside regime goes onto L instead.
-    outside = [L.project(p) if -0.05 < hs.value(p) < 0.0 else p
+    outside = [L._project(p) if -0.05 < hs._value(p) < 0.0 else p
                for p in rng.uniform(-COORD_RANGE, COORD_RANGE, (3, n))]
-    Q = FinitePointSet(inside + outside)
+    pts = FinitePointSet(inside + outside).points
     x = rng.uniform(-COORD_RANGE, COORD_RANGE, n)
     entered = False
     for _ in range(60):
-        q = Q.project_all(x)[0]
-        if hs.distance(x) <= TOL and hs.distance(q) <= TOL:
+        q = _first_nearest(pts, x)
+        if hs._distance(x) <= TOL and hs._distance(q) <= TOL:
             entered = True
             break
         x = step_fn(x, q, hs)
@@ -432,10 +518,10 @@ def _check_inside_trajectory(rng, n, step_fn, report):
     # is generous; the claims are checked at every step along the way.
     prev_dql, prev_q = None, None
     for _ in range(2000):
-        q = Q.project_all(x)[0]
-        if hs.distance(q) > TOL:
+        q = _first_nearest(pts, x)
+        if hs._distance(q) > TOL:
             return False, {"reason": "q-left-H", "x": x, "q": q}
-        dql = L.distance(q)
+        dql = L._distance(q)
         if prev_dql is not None:
             if dql < prev_dql - TOL:
                 return False, {"reason": "dqL-decreased", "x": x, "q": q}
@@ -501,7 +587,7 @@ def check_theorems_finite(trials=100, dims=(1, 2, 3, 4, 5), seed=0,
                             trials + knapsack_trials, seed=seed)
     cfg = SolverConfig(max_iter=10000)
     for t in range(trials):
-        n = int(rng.choice(dims))
+        n = int(dims[int(rng.integers(len(dims)))])
         hs = _halfspace(rng, n)
         Q = FinitePointSet(rng.uniform(-COORD_RANGE, COORD_RANGE,
                                        (int(rng.integers(1, 8)), n)))
@@ -596,13 +682,20 @@ def run_all_suites(trials=10000, dims=(1, 2, 3, 4, 5), seed=0,
                    oracle_trials=100) -> list[PropertyReport]:
     dims = check_dims(dims)
     trials, oracle_trials = check_trials(trials), check_trials(oracle_trials)
-    reports = [
-        check_prop1(trials, dims, seed),
-        check_prop2(trials, dims, seed),
-        check_prop3(trials, dims, seed),
-        check_prop4(trials, tuple(d for d in dims if d >= 2) or (2,), seed),
-        check_lemmas(trials, dims, seed),
-        check_theorems_finite(oracle_trials, dims, seed,
-                              knapsack_trials=oracle_trials),
+    return [
+        _timed(check_prop1, trials, dims, seed),
+        _timed(check_prop2, trials, dims, seed),
+        _timed(check_prop3, trials, dims, seed),
+        _timed(check_prop4, trials, tuple(d for d in dims if d >= 2) or (2,),
+               seed),
+        _timed(check_lemmas, trials, dims, seed),
+        _timed(check_theorems_finite, oracle_trials, dims, seed,
+               knapsack_trials=oracle_trials),
     ]
-    return reports
+
+
+def _timed(suite, *args, **kwargs) -> PropertyReport:
+    t0 = time.perf_counter()
+    report = suite(*args, **kwargs)
+    report.seconds = time.perf_counter() - t0
+    return report

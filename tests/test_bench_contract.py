@@ -9,14 +9,16 @@ import importlib.util
 import os
 
 import numpy as np
+import pytest
 
 import drfeas
-from drfeas import engine
+from drfeas import engine, verifier
 from drfeas.engine import Diverging, SolverConfig
 from drfeas.geometry import HalfSpace
 from drfeas.sets import BinaryKnapsackSet, FinitePointSet
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench")
+DIMS = (1, 2, 3, 4, 5)
 
 
 def _bench_module(name):
@@ -94,3 +96,53 @@ def test_segment_reuse_leaves_every_benchmark_run_unchanged(monkeypatch):
     assert runs == 326
     # the reuse must not silently switch off: 110 calls for 653 steps
     assert knapsack_calls <= 0.3 * knapsack_steps
+
+
+def _bench_run(monkeypatch):
+    # bench/run.py imports its siblings by name and sets thread variables
+    # in os.environ; both are undone after the test
+    monkeypatch.syspath_prepend(BENCH)
+    monkeypatch.setattr(os, "environ", dict(os.environ))
+    return _bench_module("run")
+
+
+def test_rerun_lemma_trial_returns_the_drawn_instance(monkeypatch):
+    # trial 7 of seed 30 is an inside trial; its steps are those of the
+    # first eight trials after those of the first seven
+    run = _bench_run(monkeypatch)
+    steps = []
+
+    def step(x, q, hs):
+        steps.append((np.array(x), np.array(q), hs))
+        return verifier.dr_step(x, q, hs)
+
+    verifier.check_lemmas(7, DIMS, 30, step_fn=step)
+    first = len(steps)
+    verifier.check_lemmas(8, DIMS, 30, step_fn=step)
+    drawn = steps[2 * first:]
+    assert drawn
+    call = {"seed": 30, "dims": list(DIMS)}
+    points, a, b, x0 = run._rerun_lemma_trial(call, 7)
+    hs = drawn[0][2]
+    assert np.array_equal(a, hs.a) and b == hs.b
+    assert np.array_equal(x0, drawn[0][0])
+    Q, x = FinitePointSet(points), x0
+    for sx, sq, _ in drawn:
+        assert np.array_equal(x, sx)
+        assert np.array_equal(Q.project_all(x)[0], sq)
+        x = engine.dr_step(x, sq, hs)
+
+
+@pytest.mark.parametrize("seed", [3, 20261017])
+def test_verify_workload_operations_pass(monkeypatch, tmp_path, seed):
+    # every run_all_suites call of the verify workload passes with the
+    # trial counts bench/run.py expects (a count it does not expect is a
+    # failure there), and every mutant is killed
+    run = _bench_run(monkeypatch)
+    workload = run.Workload("verify", seed, str(tmp_path))
+    workload.build()
+    done = workload.run_pass()
+    assert done.failures == [] and done.inconclusive == 0
+    calls = workload.inputs["verify"]
+    assert done.attempted == (len(calls) * len(verifier.SUITES)
+                              + len(verifier.MUTANTS))

@@ -275,3 +275,17 @@ class TestVerify:
             while idx < len(text) and text[idx].isspace():
                 idx += 1
         assert seen == 6
+
+    def test_each_report_carries_its_suite_time(self, capsys):
+        assert main(["verify", "--trials", "20", "--oracle-trials", "2",
+                     "--dims", "2", "--seed", "2"]) == 0
+        text = capsys.readouterr().out
+        decoder, idx, reports = json.JSONDecoder(), 0, []
+        while text[idx:].strip():
+            idx += len(text[idx:]) - len(text[idx:].lstrip())
+            obj, idx = decoder.raw_decode(text, idx)
+            reports.append(obj)
+        assert len(reports) == 6
+        for obj in reports:
+            assert obj["seconds"] > 0
+            assert obj["trials_per_s"] == obj["trials"] / obj["seconds"]
