@@ -240,8 +240,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (argparse.ArgumentError, ProblemFormatError,
-            FileNotFoundError) as exc:
+    except (argparse.ArgumentError, ProblemFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

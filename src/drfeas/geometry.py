@@ -39,18 +39,18 @@ class DimensionMismatchError(ValueError):
 
 
 def as_point(coords, dim: int | None = None) -> np.ndarray:
-    """Validate and return coords as a 1-D float array.
+    """Validate and return coords as a contiguous 1-D float array.
 
     Rejects empty input, non-finite coordinates, and (when ``dim`` is
     given) dimension mismatch.  One reduction, |p|², decides finiteness
     unless it is not finite itself (a non-finite coordinate, or finite
     ones whose squares overflow); only then are the coordinates tested.
+    Contiguity makes the bits of every later reduction independent of the
+    input's memory layout.
     """
-    p = np.asarray(coords, dtype=float)
+    p = np.ascontiguousarray(coords, dtype=float)  # a scalar becomes 1-D
     if p.ndim != 1:
-        if p.ndim != 0:
-            raise ValueError(f"point must be 1-D, got shape {p.shape}")
-        p = p.reshape(1)
+        raise ValueError(f"point must be 1-D, got shape {p.shape}")
     if p.size == 0:
         raise ValueError("point must have dimension >= 1")
     if not math.isfinite(p.dot(p)) and not np.isfinite(p).all():

@@ -9,20 +9,30 @@ the checks have power.
 The one-step suites (prop1-prop4) draw the dimension of every trial
 first, then all instances of one dimension as arrays, and judge them as
 arrays; the operator itself is still called once per instance, as
-``step_fn(x, q, hs)`` on that instance's HalfSpace.  The lemma and theorem
-suites draw one instance at a time.  ``run_all_suites`` records each
-suite's wall time on its report.
+``step_fn(x, q, hs)`` on that instance's HalfSpace.  The lemma suite works in
+blocks of trials and in three passes.  It draws every trial of a block in
+trial order, with the generator calls it has always made.  It steps the
+never-entering (even) trajectories in lockstep, one batch per dimension,
+calling ``step_fn`` once per live trajectory and step.  Then it steps the
+entering (odd) trajectories one at a time in trial order, each building its
+FinitePointSet through this module's global name just before its first
+step.  So adding an odd trial T (``check_lemmas(T + 1)`` against
+``check_lemmas(T)``) only appends T's steps, and the last set built is T's,
+with T's start as the first step after it; a rerun of one trial relies on
+this.  The theorem suite draws one instance at a time.
+``run_all_suites`` records each suite's wall time on its report.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import HalfSpace, as_point
+from .geometry import HalfSpace, as_point, unit_normal
 from .engine import dr_step, run_dr, SolverConfig, Solved, Diverging, MaxIterations
 from .sets import TIE_TOL, BinaryKnapsackSet, FinitePointSet
 
@@ -399,7 +409,11 @@ def check_prop4(trials=10000, dims=(2, 3, 4, 5), seed=0, step_fn=dr_step,
 
 # ---------------------------------------------------------------------------
 # Trace-level lemmas, checked on raw iteration loops (no stopping rule).
-# The lemma and theorem suites draw one instance at a time.
+# The lemma suite draws a block of trials before it steps any of them; the
+# theorem suite draws one instance at a time.
+
+_BLOCK = 512  # lemma trials drawn at once; bounds the suite's memory
+
 
 def _unit(rng, n):
     while True:
@@ -413,128 +427,163 @@ def _halfspace(rng, n) -> HalfSpace:
     return HalfSpace(_unit(rng, n), float(rng.uniform(-5.0, 5.0)))
 
 
-def _scaled_triadic_instance(rng, n):
-    """A rotated, scaled, shifted copy of the geometric 1-D family, as its
-    points (c first), half-space and start.
-
-    Its iteration never enters the half-space, giving non-vacuous
-    material for the outside-H monotonicity claims.
-    """
-    g = rng.normal(size=(n, n))
-    R, _ = np.linalg.qr(g)
-    s = rng.uniform(1.0, 3.0)
-    c = rng.uniform(-5.0, 5.0, n)
-    e1 = np.zeros(n)
-    e1[0] = 1.0
-    a = R @ e1
-    pts = np.vstack([c, (s * (2.0 / 3.0 ** np.arange(25)))[:, None] * a + c])
-    return pts, HalfSpace(a, float(a @ c)), s * a + c
-
-
 def check_lemmas(trials=10000, dims=(1, 2, 3, 4, 5), seed=0,
                  step_fn=dr_step) -> PropertyReport:
     """Monotonicity along whole trajectories.
 
-    Never-entering trajectories: d(x_k,L) strictly decreases, the
-    sandwich d(q,H) < d(x,H) < 2 d(q,H) holds, and the one-step decrease
-    equals d(q,H).  Once both x_k and q_k are inside H: all later q_j
-    stay inside, d(q_j,L) is nondecreasing with equality only at a
-    repeat, and x_k is eventually constant.
+    Never-entering trajectories (even trials): d(x_k,L) strictly
+    decreases, the sandwich d(q,H) < d(x,H) < 2 d(q,H) holds, and the
+    one-step decrease equals d(q,H).  Once both x_k and q_k are inside H
+    (odd trials): all later q_j stay inside, d(q_j,L) is nondecreasing
+    with equality only at a repeat, and x_k is eventually constant.
     """
     rng = np.random.default_rng(seed)
     report = PropertyReport("lemmas-trajectory-monotonicity", trials, seed=seed)
-    for t in range(trials):
-        n = int(dims[int(rng.integers(len(dims)))])
-        if t % 2 == 0:
-            ok, data = _check_outside_trajectory(rng, n, step_fn)
-        else:
-            ok, data = _check_inside_trajectory(rng, n, step_fn, report)
-        if not ok:
-            _fail(report, trial=t, dim=n, **data)
-    return report
+    for start in range(0, trials, _BLOCK):
+        outside, inside = {}, []
+        for t in range(start, min(start + _BLOCK, trials)):
+            n = int(dims[int(rng.integers(len(dims)))])
+            if t % 2 == 0:
+                # a rotation, a scale and a shift of the geometric family
+                outside.setdefault(n, []).append(
+                    (t, rng.normal(size=(n, n)), rng.uniform(1.0, 3.0),
+                     rng.uniform(-5.0, 5.0, n)))
+            else:
+                inside.append((t, n, *_inside_draws(rng, n)))
+        for n, draws in sorted(outside.items()):
+            _outside_trajectories(report, n, *zip(*draws), step_fn)
+        for t, n, *draws in inside:
+            data = _inside_trajectory(report, *draws, step_fn)
+            if data:
+                _fail(report, trial=t, dim=n, **data)
+    return _by_trial(report)
 
 
 def _first_nearest(pts, x):
-    """``FinitePointSet(pts).project_all(x)[0]``, bit for bit."""
-    return pts[_nearest(pts, x)[0].argmax()]
+    """``FinitePointSet(pts).project_all(x)[0]``, bit for bit: dropping a
+    repeated row never drops its first copy."""
+    d2 = ((pts - x) ** 2).sum(axis=-1)
+    return pts[(d2 <= d2.min() + TIE_TOL).argmax()]
 
 
-def _check_outside_trajectory(rng, n, step_fn):
-    pts, hs, x = _scaled_triadic_instance(rng, n)
-    L = hs.boundary()
-    prev_dxl, dxh = None, hs._distance(x)
+def _dots(a, x):
+    """<a_i, x_i> for each row, bit for bit ``a_i.dot(x_i)`` (the same BLAS
+    dot on the same n; zero padding could change its blocking)."""
+    return (a[:, None, :] @ x[:, :, None])[:, 0, 0]
+
+
+def _outside_trajectories(report, n, trials, g, s, c, step_fn):
+    """Ten lockstep steps of never-entering trajectories in dimension n.
+
+    Trial i is the 1-D family Q = {0} and {2/3^j : j < 25}, x0 = 1 and
+    H = {x <= 0}, scaled by s[i], turned onto a = the first column of the
+    Q factor of g[i] and shifted by c[i].  A trial leaves the batch at its
+    first failure.  Dimensions are batched apart: zero padding to a common
+    one changes the summation order of the row sums from 8 columns on.
+    """
+    k, live = len(trials), np.ones(len(trials), bool)
+    a = np.ascontiguousarray(np.linalg.qr(np.array(g))[0][:, :, 0])
+    c = np.array(c)
+    hss = [HalfSpace(ai, float(ai @ ci)) for ai, ci in zip(a, c)]
+    ha, hb = np.array([hs.a for hs in hss]), np.array([hs.b for hs in hss])
+    norm = np.sqrt(_dots(ha, ha))  # unit_normal(hs.a, hs.b): L's (a, b)
+    la, lb = ha / norm[:, None], hb / norm
+    s = np.array(s)[:, None]
+    x = s * a + c
+    pts = np.concatenate([c[:, None], (s * (2.0 / 3.0 ** np.arange(25)))
+                          [:, :, None] * a[:, None] + c[:, None]], axis=1)
+
+    def fail(i, reason, **data):
+        live[i] = False
+        _fail(report, trial=trials[i], dim=n, reason=reason, **data)
+
+    # Python's max(0.0, v), which reads NaN as 0, is np.fmax(v, 0.0)
+    dxh, prev_dxl = np.fmax(_dots(ha, x) - hb, 0.0), np.inf
     # stop well above the tie-tolerance scale, where the limit point would
     # legitimately enter the tie set and the trajectory would enter H
     for _ in range(10):
-        q = _first_nearest(pts, x)
-        dqh = hs._distance(q)
-        if not (dxh > TOL and dqh > TOL):
-            return False, {"reason": "entered-H", "x": x, "q": q}
-        if not (dqh < dxh < 2.0 * dqh + TOL):
-            return False, {"reason": "sandwich", "x": x, "q": q}
-        dxl = L._distance(x)
-        if prev_dxl is not None and not dxl < prev_dxl:
-            return False, {"reason": "not-decreasing", "x": x}
-        prev_dxl = dxl
-        nxt = step_fn(x, q, hs)
-        dnh = hs._distance(nxt)
-        if abs(dnh - (dxh - dqh)) > TOL:
-            return False, {"reason": "decrease-identity", "x": x, "q": q,
-                           "next": nxt}
-        x, dxh = nxt, dnh
-    return True, {}
+        q = pts[np.arange(k), _nearest(pts, x)[0].argmax(axis=1)]
+        dqh = np.fmax(_dots(ha, q) - hb, 0.0)
+        dxl = np.abs(_dots(la, x) - lb)
+        for i in np.flatnonzero(live & ~((dxh > TOL) & (dqh > TOL))):
+            fail(i, "entered-H", x=x[i], q=q[i])
+        for i in np.flatnonzero(live & ~((dqh < dxh) & (dxh < 2.0 * dqh + TOL))):
+            fail(i, "sandwich", x=x[i], q=q[i])
+        for i in np.flatnonzero(live & ~(dxl < prev_dxl)):
+            fail(i, "not-decreasing", x=x[i])
+        if not live.any():
+            return
+        nxt = x.copy()
+        for i in np.flatnonzero(live):
+            nxt[i] = step_fn(x[i], q[i], hss[i])
+        dnh = np.fmax(_dots(ha, nxt) - hb, 0.0)
+        for i in np.flatnonzero(live & (np.abs(dnh - (dxh - dqh)) > TOL)):
+            fail(i, "decrease-identity", x=x[i], q=q[i], next=nxt[i])
+        x, dxh, prev_dxl = nxt, dnh, dxl
 
 
-def _check_inside_trajectory(rng, n, step_fn, report):
-    hs = _halfspace(rng, n)
+def _inside_draws(rng, n):
+    """An entering trial's draws: H's normal and offset, two points for L
+    with the depth each is pushed into H by (None, with probability 0.15:
+    it stays on L), three uniform points and the start."""
+    a, b = _unit(rng, n), float(rng.uniform(-5.0, 5.0))
+    on_L = [(rng.uniform(-COORD_RANGE, COORD_RANGE, n),
+             rng.uniform(0.05, 8.0) if rng.random() >= 0.15 else None)
+            for _ in range(2)]
+    return (a, b, on_L, rng.uniform(-COORD_RANGE, COORD_RANGE, (3, n)),
+            rng.uniform(-COORD_RANGE, COORD_RANGE, n))
+
+
+def _inside_trajectory(report, a, b, on_L, far, x, step_fn):
+    """The in-H claims along one trajectory, once it has entered H (within
+    60 steps; a trial that does not is vacuous).  Failure data, or None."""
+    hs = HalfSpace(a, b)
+    a, b = hs.a, hs.b
+    la, lb = unit_normal(a, b)  # hs.boundary()'s, with no Hyperplane built
+
+    def onto_L(p):
+        return p - (float(la.dot(p)) - lb) * la
+
     # Inside points sit either exactly on the boundary or clearly off it.
     # Settling takes on the order of gap / d(q,L) steps, so a point at a
     # tiny positive depth would need an unbounded budget; the two sampled
     # regimes cover both resolutions of the eventually-constant claim.
-    L = hs.boundary()
-    inside = []
-    for _ in range(2):
-        p = L._project(rng.uniform(-COORD_RANGE, COORD_RANGE, n))
-        if rng.random() >= 0.15:
-            p = p - rng.uniform(0.05, 8.0) * hs.a
-        inside.append(p)
+    inside = [onto_L(p) if depth is None else onto_L(p) - depth * a
+              for p, depth in on_L]
     # The remaining points are uniform and may fall inside H too; one that
     # lands less deep than the inside regime goes onto L instead.
-    outside = [L._project(p) if -0.05 < hs._value(p) < 0.0 else p
-               for p in rng.uniform(-COORD_RANGE, COORD_RANGE, (3, n))]
-    pts = FinitePointSet(inside + outside).points
-    x = rng.uniform(-COORD_RANGE, COORD_RANGE, n)
-    entered = False
+    far = [onto_L(p) if -0.05 < float(a.dot(p)) - b < 0.0 else p for p in far]
+    pts = FinitePointSet(inside + far).points
+    # not v > TOL is max(0.0, v) <= TOL, NaN included
     for _ in range(60):
         q = _first_nearest(pts, x)
-        if hs._distance(x) <= TOL and hs._distance(q) <= TOL:
-            entered = True
+        if not (float(a.dot(x)) - b > TOL or float(a.dot(q)) - b > TOL):
             break
         x = step_fn(x, q, hs)
-    if not entered:
+    else:
         report.vacuous += 1
-        return True, {}
+        return None
     # Settling can take on the order of gap / d(q,L) steps, so the budget
     # is generous; the claims are checked at every step along the way.
     prev_dql, prev_q = None, None
     for _ in range(2000):
         q = _first_nearest(pts, x)
-        if hs._distance(q) > TOL:
-            return False, {"reason": "q-left-H", "x": x, "q": q}
-        dql = L._distance(q)
+        if float(a.dot(q)) - b > TOL:
+            return {"reason": "q-left-H", "x": x, "q": q}
+        dql = abs(float(la.dot(q)) - lb)
         if prev_dql is not None:
             if dql < prev_dql - TOL:
-                return False, {"reason": "dqL-decreased", "x": x, "q": q}
-            same_d = abs(dql - prev_dql) <= 1e-12
-            same_q = np.linalg.norm(q - prev_q) <= 1e-12
-            if same_d != same_q:
-                return False, {"reason": "equality-iff-repeat", "x": x, "q": q}
+                return {"reason": "dqL-decreased", "x": x, "q": q}
+            d = q - prev_q
+            if (abs(dql - prev_dql) <= 1e-12) != (math.sqrt(d.dot(d)) <= 1e-12):
+                return {"reason": "equality-iff-repeat", "x": x, "q": q}
         prev_dql, prev_q = dql, q
         nxt = step_fn(x, q, hs)
-        if np.linalg.norm(nxt - x) <= 1e-12:
-            return True, {}
+        d = nxt - x
+        if math.sqrt(d.dot(d)) <= 1e-12:
+            return None
         x = nxt
-    return False, {"reason": "x-not-eventually-constant", "x": x}
+    return {"reason": "x-not-eventually-constant", "x": x}
 
 
 # ---------------------------------------------------------------------------

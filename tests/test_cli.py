@@ -190,6 +190,16 @@ class TestBadInput:
         assert main(["solve", write_problem(tmp_path, data)]) == 1
         assert self.assert_one_error_line(capsys) == ""
 
+    def test_problem_path_is_a_directory(self, capsys):
+        # used to print an IsADirectoryError traceback
+        assert main(["solve", PROBLEM_DIR]) == 1
+        assert self.assert_one_error_line(capsys) == ""
+
+    def test_output_path_is_a_directory(self, tmp_path, capsys):
+        assert main(["solve", problem("triadic.json"),
+                     "--output", str(tmp_path)]) == 1
+        assert self.assert_one_error_line(capsys) == ""
+
     @pytest.mark.parametrize("dims", ["0", "2,0", "a"])
     def test_bad_verify_dims(self, dims, capsys):
         # --dims 0 used to loop forever drawing a nonzero 0-D vector

@@ -397,6 +397,22 @@ class TestRunBoundary:
         assert trace.fingerprint == "8e611811feccc340"
 
 
+    def test_trace_does_not_depend_on_the_start_point_layout(self):
+        # a start given as a matrix column used to step through other last
+        # bits than its contiguous copy: 29 of these 300 runs differed
+        rng = np.random.default_rng(0)
+        cfg = SolverConfig(max_iter=200)
+        for _ in range(300):
+            Q = FinitePointSet(rng.uniform(-10, 10, (int(rng.integers(1, 6)), 5)))
+            hs = HalfSpace(rng.normal(size=5), float(rng.uniform(-5, 5)))
+            column = rng.uniform(-10, 10, (5, 5))[:, 0]
+            strided, outcome = run_dr(Q, hs, column, cfg)
+            plain, plain_outcome = run_dr(Q, hs, column.copy(), cfg)
+            assert np.array_equal(strided.x, plain.x)
+            assert np.array_equal(strided.q, plain.q)
+            assert repr(outcome) == repr(plain_outcome)
+            assert strided.fingerprint == plain.fingerprint
+
 class _RecordingSet(FinitePointSet):
     """Records every point it is asked to project."""
 

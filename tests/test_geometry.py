@@ -167,6 +167,16 @@ def test_as_point_shapes():
         as_point([])
 
 
+
+def test_halfspace_normal_does_not_depend_on_memory_layout():
+    # a strided column and its contiguous copy used to normalise to
+    # different last bits: 143 of these 1000 orthonormal columns
+    rng = np.random.default_rng(0)
+    for _ in range(1000):
+        col = np.linalg.qr(rng.normal(size=(5, 5)))[0][:, 0]
+        assert HalfSpace(col, 0.0).key() == HalfSpace(col.copy(), 0.0).key()
+    assert as_point(col).flags.c_contiguous
+
 class TestReflectableConstraint:
     def test_projector_is_required(self):
         class NoProjector(ReflectableConstraint):

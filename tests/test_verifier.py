@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from drfeas import verifier
 from drfeas.engine import Diverging, SolverConfig, dr_step, run_dr
 from drfeas.geometry import HalfSpace
 from drfeas.sets import FinitePointSet
@@ -285,3 +286,116 @@ def test_run_all_suites_records_suite_time():
         assert payload["trials_per_s"] == report.trials / report.seconds
     # a direct suite call carries no timing, so equal seeds give equal reports
     assert "seconds" not in check_prop1(trials=5, seed=1).to_json_dict()
+
+
+# The lemma suite's contract, pinned before it drew its trials in blocks
+# and stepped them in batches: the same reports, the same step_fn calls for
+# each trial, and each entering trial's set built just before its steps.
+LEMMA_REPORT_PINS = {  # (dims, seed): digest of the reports at 0-3 and 57 trials
+    ((1,), 0): "0ad4d90a0add1c91",
+    ((1,), 7): "01c4916e61b61fd0",
+    ((5,), 0): "e0b89e520443b4b0",
+    ((5,), 7): "01c4916e61b61fd0",
+    ((2, 4), 0): "0ad4d90a0add1c91",
+    ((2, 4), 7): "01c4916e61b61fd0",
+    ((1, 2, 3, 4, 5), 0): "11cf293c4ec33879",
+    ((1, 2, 3, 4, 5), 7): "01c4916e61b61fd0",
+}
+LEMMA_MUTANT_PINS = {  # seed: digest of the mutant's report at 300 trials
+    0: "5c03d8087d6b2570",  # (seed 3: test_lemma_mutant_report_is_pinned)
+    1: "b300942aad6eeb4d",
+    2: "4ead5186ce66ee65",
+    4: "f62b9727aa448ec4",
+}
+LEMMA_STEP_PINS = {  # seed: (step_fn calls at 300 trials, digest per trial)
+    0: (2276, "0f95e3eff95c5db3"),
+    1: (2128, "1ea44e81446603ee"),
+    2: (2076, "339bed17281a2d3d"),
+}
+
+
+@pytest.mark.parametrize("dims, seed", sorted(LEMMA_REPORT_PINS))
+def test_lemma_reports_are_pinned_across_trial_counts(dims, seed):
+    reports = [check_lemmas(t, dims, seed).to_json_dict()
+               for t in (0, 1, 2, 3, 57)]
+    text = json.dumps(reports, sort_keys=True)
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert digest == LEMMA_REPORT_PINS[dims, seed]
+
+
+@pytest.mark.parametrize("seed", sorted(LEMMA_MUTANT_PINS))
+def test_lemma_mutant_reports_are_pinned_across_seeds(seed):
+    _, inject = MUTANTS["lemmas"]
+    report = check_lemmas(trials=300, seed=seed, **inject)
+    assert _digest(report) == LEMMA_MUTANT_PINS[seed]
+
+
+def _steps_per_trial(seed):
+    """check_lemmas(300)'s step_fn calls, and for each trial (known by its
+    half-space, as its offset and dimension) its call count and the digest
+    of the x, q and result bytes of its calls in order."""
+    calls = {}
+
+    def step(x, q, hs):
+        z = dr_step(x, q, hs)
+        calls.setdefault(id(hs), (hs, []))[1].append(
+            np.concatenate([x, q, z]).tobytes())
+        return z
+
+    check_lemmas(trials=300, seed=seed, step_fn=step)
+    rows = sorted((hs.b.hex(), hs.dim, len(seen),
+                   hashlib.sha256(b"".join(seen)).hexdigest())
+                  for hs, seen in calls.values())
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+    return sum(row[2] for row in rows), len(rows), digest
+
+
+@pytest.mark.parametrize("seed", sorted(LEMMA_STEP_PINS))
+def test_lemma_suite_steps_each_trial_as_pinned(seed):
+    total, trials, digest = _steps_per_trial(seed)
+    assert trials == 300  # one half-space per trial
+    assert (total, digest) == LEMMA_STEP_PINS[seed]
+
+
+def _record_lemmas(monkeypatch, trials, seed):
+    """check_lemmas' FinitePointSet builds, each with the number of steps
+    taken before it, and its step_fn calls as (x, q, half-space)."""
+    built, steps = [], []
+
+    class Recorded(FinitePointSet):
+        def __init__(self, points):
+            super().__init__(points)
+            built.append((self, len(steps)))
+
+    def step(x, q, hs):
+        steps.append((np.array(x), np.array(q), hs))
+        return dr_step(x, q, hs)
+
+    monkeypatch.setattr(verifier, "FinitePointSet", Recorded)
+    check_lemmas(trials, DIMS, seed, step_fn=step)
+    return built, steps
+
+
+@pytest.mark.parametrize("seed", range(30, 35))
+def test_entering_trial_builds_its_set_just_before_its_steps(monkeypatch,
+                                                              seed):
+    # what a rerun of check_lemmas(T + 1) relies on to recover odd trial T:
+    # T's set is the last one built, and T's steps follow it directly
+    built, steps = _record_lemmas(monkeypatch, 20, seed)
+    assert len(built) == 10
+    for trial, (Q, first) in zip(range(1, 20, 2), built):
+        hs = steps[first][2]
+        assert all(h is not hs for *_, h in steps[:first])
+        own = [s for s in steps[first:] if s[2] is hs]
+        x = own[0][0]
+        for sx, sq, _ in own:
+            assert np.array_equal(x, sx)
+            assert np.array_equal(Q.project_all(x)[0], sq)
+            x = dr_step(x, sq, hs)
+        last, rerun = _record_lemmas(monkeypatch, trial + 1, seed)
+        Q_last, first_last = last[-1]
+        assert np.array_equal(Q_last.points, Q.points)
+        assert len(rerun) - first_last == len(own)
+        for (rx, rq, rh), (sx, sq, _) in zip(rerun[first_last:], own):
+            assert np.array_equal(rx, sx) and np.array_equal(rq, sq)
+            assert np.array_equal(rh.a, hs.a) and rh.b == hs.b
