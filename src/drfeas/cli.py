@@ -9,6 +9,7 @@ stderr).  The setting flags come from ``drfeas.problems.SETTINGS``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -236,9 +237,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process; parsing leaves no state on it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except (argparse.ArgumentError, ProblemFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,8 +26,10 @@ the constraint share a dimension.  In the loop the one point check is the
 set's ``project_all``, which also rejects an iterate that has overflowed.
 ``run_dr`` skips it inside a constant-q segment: once a unique q repeats,
 it reuses q while x = q - lam*a has 0 <= lam < the set's ``ray_hold``, a
-test false for NaN and inf.  The step, distances, trace, march rule and
-``NORM_CAP`` still run every step, so the trace is unchanged.
+test false for NaN and inf (finite, triadic and knapsack sets hold).  The
+step, distances, trace, march rule and ``NORM_CAP`` still run every step,
+so the trace is unchanged; they read <a,q>, computed once per q object (a
+held q is one object), and <a,x>, once per step.
 ``SolverConfig`` checks its own values (``drfeas.problems.SETTINGS`` names
 them for users).  DR runs end as MaxIterations once |x| > ``NORM_CAP``.
 """
@@ -246,11 +248,16 @@ def dr_step(x, q, hs: HalfSpace, eps_h: float = 1e-9) -> np.ndarray:
 
 
 def _step(x: np.ndarray, q: np.ndarray, a: np.ndarray, b: float,
-          eps_h: float) -> np.ndarray:
-    """``dr_step`` on checked float64 arrays and the unit normal's (a, b)."""
+          eps_h: float, ax: Optional[float] = None,
+          aq: Optional[float] = None) -> np.ndarray:
+    """``dr_step`` on checked float64 arrays and the unit normal's (a, b),
+    given <a,x> and <a,q> if known; 2<a,q> - <a,x> would round the case
+    test differently from <a, 2q - x>."""
     if float(a.dot(2.0 * q - x)) <= b + eps_h:
         return q.copy()
-    return q + (float(a.dot(x)) + b - 2.0 * float(a.dot(q))) * a
+    if ax is None:
+        ax, aq = float(a.dot(x)), float(a.dot(q))
+    return q + (ax + b - 2.0 * aq) * a
 
 
 def dr_step_generic(x, constraint, proj_set: ProjectableSet,
@@ -343,18 +350,18 @@ def detect_cycle(states, eps_cycle: float = 1e-9,
     return None
 
 
-def _march(length: int, q: np.ndarray, d_xH: float, d_qH: float,
+def _march(length: int, aq: float, d_xH: float, d_qH: float,
            hs: HalfSpace, m: float, cfg: SolverConfig) -> tuple[int, bool]:
     """The march rule, one step: the march's new length, and whether it
     is now ``Diverging``.
 
-    A witness step has x in H, q outside H and <a,q> - m within
+    A witness step has x in H, q outside H and <a,q> (``aq``) - m within
     ``eps_cycle`` * max(1, |m|), m being min over Q of <a,p>.  The march
     counts consecutive witness steps; it is Diverging once it outlasts
     the window and m > b.
     """
     if (d_xH > cfg.eps_h or d_qH <= cfg.eps_h
-            or float(hs.a.dot(q)) - m > cfg.eps_cycle * max(1.0, abs(m))):
+            or aq - m > cfg.eps_cycle * max(1.0, abs(m))):
         return 0, False
     return length + 1, length >= cfg.window and m > hs.b
 
@@ -387,8 +394,8 @@ def detect_linear_divergence(records, hs: HalfSpace,
     length, xs = 0, []
     for rec in records:
         xs.append(rec.x)
-        length, diverging = _march(length, rec.q, rec.d_xH, rec.d_qH, hs,
-                                   support, cfg)
+        length, diverging = _march(length, float(hs.a.dot(rec.q)), rec.d_xH,
+                                   rec.d_qH, hs, support, cfg)
         if diverging:
             return _certificate(hs, rec.k, length, rec.q, rec.d_qH, xs)
     return None
@@ -396,12 +403,6 @@ def detect_linear_divergence(records, hs: HalfSpace,
 
 def _fingerprint(*parts) -> str:
     return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
-
-
-def _halfspace_distances(x: np.ndarray, q: np.ndarray, a: np.ndarray,
-                         b: float) -> tuple[float, float, float]:
-    vx, vq = float(a.dot(x)) - b, float(a.dot(q)) - b  # HalfSpace._value
-    return max(0.0, vx), max(0.0, vq), abs(vx)
 
 
 def _beta_estimate(d_qH, window: int) -> float:
@@ -435,7 +436,8 @@ class _Strategy:
         """(d_xH, d_qH, d_xL) of ``IterateRecord``."""
         c = self.constraint
         if isinstance(c, HalfSpace):
-            return _halfspace_distances(x, q, c.a, c.b)
+            vx, vq = c._value(x), c._value(q)
+            return max(0.0, vx), max(0.0, vq), abs(vx)
         dx = c._distance(x)
         return dx, c._distance(q), dx
 
@@ -455,6 +457,7 @@ class _HalfSpaceSplit(_Strategy):
         self.proj_set, self.length = proj_set, 0
         self.support: Optional[float] = None
         self.held, self.hold = [], None     # a unique q; its ray_hold
+        self.q = self.ax = self.aq = None   # the last q; <a,x>, <a,q>
 
     def nearest(self, proj_set, x, src):
         held, a = self.held, self.constraint.a
@@ -469,6 +472,14 @@ class _HalfSpaceSplit(_Strategy):
             self.held, self.hold = ties if len(ties) == 1 else [], None
         return ties
 
+    def distances(self, x, q):
+        a, b = self.constraint.a, self.constraint.b
+        if q is not self.q:         # a held q is the same object
+            self.q, self.aq = q, float(a.dot(q))
+        self.ax = float(a.dot(x))
+        vx = self.ax - b
+        return max(0.0, vx), max(0.0, self.aq - b), abs(vx)
+
     def verdict(self, k, x, q, d_xH, d_qH, trace):
         hs = self.constraint
         if self.support is None:        # m, at the first step with x in H
@@ -476,14 +487,15 @@ class _HalfSpaceSplit(_Strategy):
                 return None
             self.support = self.proj_set.min_along(hs.a)
         m = self.support
-        self.length, diverging = _march(self.length, q, d_xH, d_qH, hs, m,
-                                        self.cfg)
+        self.length, diverging = _march(self.length, self.aq, d_xH, d_qH,
+                                        hs, m, self.cfg)
         if not diverging:
             return None
         return Diverging(_certificate(hs, k, self.length, q, d_qH, trace.x), m)
 
     def advance(self, x, q, src):
-        return _step(x, q, self.constraint.a, self.constraint.b, self.cfg.eps_h)
+        return _step(x, q, self.constraint.a, self.constraint.b, self.cfg.eps_h,
+                     self.ax, self.aq)
 
 
 class _TwoSetStep(_Strategy):

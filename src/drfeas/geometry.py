@@ -111,7 +111,8 @@ class ReflectableConstraint(abc.ABC):
         return self._distance(as_point(x, self.dim))
 
     def _distance(self, x: np.ndarray) -> float:
-        return float(np.linalg.norm(x - self._project(x)))
+        d = x - self._project(x)
+        return math.sqrt(d.dot(d))  # np.linalg.norm(d), bit for bit
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         return self.distance(x) <= tol

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import abc
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +78,8 @@ class ProjectableSet(abc.ABC):
     def ray_hold(self, q: np.ndarray, a: np.ndarray) -> float:
         """lam* such that, for 0 <= lam < lam*, ``project_all`` at q - lam*a
         returns [q] alone, given that it did at a lam >= 0.  q is a point it
-        returned and a a unit vector; ties and rounding are allowed for."""
+        returned and a a unit vector; ties and rounding are allowed for.
+        Finite, triadic and knapsack sets override the default, 0."""
         return 0.0
 
     def distance(self, x) -> float:
@@ -108,6 +110,16 @@ def _ahead(q: np.ndarray, points: np.ndarray, a: np.ndarray):
     w = q - points
     g = w @ a
     return np.sum(w[g > 0] ** 2, axis=1), 2 * g[g > 0]
+
+
+def _finite_hold(points: np.ndarray, q: np.ndarray, a: np.ndarray) -> float:
+    """``ray_hold`` of the finite set of rows ``points``: min over p ahead,
+    g = <a, q - p> > 0, of (|q - p|^2 - tol)/(2g), p's crossing less tol."""
+    f, g2 = _ahead(q, points, a)
+    if not g2.size:
+        return np.inf
+    tol = _ray_tol((f / g2).min(), np.sqrt(q @ q) + np.sqrt(f), points.shape[1])
+    return max(0.0, float(((f - tol) / g2).min()))
 
 
 def _tie_filter(candidates: np.ndarray, d2: np.ndarray) -> list[np.ndarray]:
@@ -147,13 +159,7 @@ class FinitePointSet(ProjectableSet):
         return float((self.points @ a).min())
 
     def ray_hold(self, q: np.ndarray, a: np.ndarray) -> float:
-        """min over p ahead, g = <a, q - p> > 0, of (|q - p|^2 - tol)/(2g):
-        p ties q once lam reaches |q - p|^2 / (2g)."""
-        f, g2 = _ahead(q, self.points, a)
-        if not g2.size:
-            return np.inf
-        tol = _ray_tol((f / g2).min(), np.sqrt(q @ q) + np.sqrt(f), self.dim)
-        return max(0.0, float(((f - tol) / g2).min()))
+        return _finite_hold(self.points, q, a)
 
     def distance(self, x) -> float:
         x = as_point(x, self.dim)
@@ -184,7 +190,7 @@ class Sphere(ProjectableSet):
     def project_all(self, x) -> list[np.ndarray]:
         x = as_point(x, self.dim)
         w = x - self.center
-        r = float(np.linalg.norm(w))
+        r = math.sqrt(w.dot(w))     # np.linalg.norm(w), bit for bit
         if r <= 1e-12 * self.radius:
             raise DegenerateProjectionError(
                 "projection of the center onto a sphere is the whole sphere"
@@ -387,6 +393,10 @@ class TriadicSet(ProjectableSet):
     def min_along(self, a: np.ndarray) -> float:
         return float((self.values * a[0]).min())
 
+    def ray_hold(self, q: np.ndarray, a: np.ndarray) -> float:
+        """The finite set's: the nearest value, as rounded, is a neighbour."""
+        return _finite_hold(self.values[:, None], q, a)
+
     def distance(self, x) -> float:
         x = as_point(x, 1)
         return float(np.min(np.abs(self.values - x[0])))
@@ -481,7 +491,9 @@ class PlanarCone(ReflectableConstraint):
         w = x - self.apex
         foot_u = self.apex + max(0.0, float(w @ self.u)) * self.u
         foot_v = self.apex + max(0.0, float(w @ self.v)) * self.v
-        if np.linalg.norm(x - foot_u) <= np.linalg.norm(x - foot_v):
+        du, dv = x - foot_u, x - foot_v
+        # roots, as np.linalg.norm: unequal squares may share a root
+        if math.sqrt(du.dot(du)) <= math.sqrt(dv.dot(dv)):
             return foot_u
         return foot_v
 

@@ -516,7 +516,10 @@ def _outside_trajectories(report, n, trials, g, s, c, step_fn):
         nxt = x.copy()
         for i in np.flatnonzero(live):
             nxt[i] = step_fn(x[i], q[i], hss[i])
-        dnh = np.fmax(_dots(ha, nxt) - hb, 0.0)
+        vnh = _dots(ha, nxt) - hb
+        for i in np.flatnonzero(live & ~np.isfinite(vnh)):
+            fail(i, "non-finite-step", x=x[i], q=q[i], next=nxt[i])
+        dnh = np.fmax(vnh, 0.0)
         for i in np.flatnonzero(live & (np.abs(dnh - (dxh - dqh)) > TOL)):
             fail(i, "decrease-identity", x=x[i], q=q[i], next=nxt[i])
         x, dxh, prev_dxl = nxt, dnh, dxl
@@ -554,12 +557,17 @@ def _inside_trajectory(report, a, b, on_L, far, x, step_fn):
     # lands less deep than the inside regime goes onto L instead.
     far = [onto_L(p) if -0.05 < float(a.dot(p)) - b < 0.0 else p for p in far]
     pts = FinitePointSet(inside + far).points
-    # not v > TOL is max(0.0, v) <= TOL, NaN included
+    # not v > TOL is max(0.0, v) <= TOL; a NaN step is caught first
+    vx = float(a.dot(x)) - b
     for _ in range(60):
         q = _first_nearest(pts, x)
-        if not (float(a.dot(x)) - b > TOL or float(a.dot(q)) - b > TOL):
+        if not (vx > TOL or float(a.dot(q)) - b > TOL):
             break
-        x = step_fn(x, q, hs)
+        nxt = step_fn(x, q, hs)
+        vx = float(a.dot(nxt)) - b
+        if not math.isfinite(vx):
+            return {"reason": "non-finite-step", "x": x, "q": q, "next": nxt}
+        x = nxt
     else:
         report.vacuous += 1
         return None
@@ -580,7 +588,10 @@ def _inside_trajectory(report, a, b, on_L, far, x, step_fn):
         prev_dql, prev_q = dql, q
         nxt = step_fn(x, q, hs)
         d = nxt - x
-        if math.sqrt(d.dot(d)) <= 1e-12:
+        dd = d.dot(d)
+        if not math.isfinite(dd):
+            return {"reason": "non-finite-step", "x": x, "q": q, "next": nxt}
+        if math.sqrt(dd) <= 1e-12:
             return None
         x = nxt
     return {"reason": "x-not-eventually-constant", "x": x}

@@ -241,6 +241,19 @@ class TestGoldenOutput:
         main(["solve", problem(name), "--output", str(out)])
         assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CSV[name]
 
+    def test_parser_carries_nothing_from_one_call_to_the_next(self, tmp_path,
+                                                               capsys):
+        # main keeps one parser per process
+        name, out = "triadic.json", tmp_path / "trace.csv"
+        assert main(["solve", problem(name), "--max-iter", "1", "--tie-rule",
+                     "rotate", "--format", "json", "--output", str(out)]) == 4
+        assert main(["solve", problem(name), "--output", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CSV[name]
+        capsys.readouterr()
+        assert main(["solve", problem(name), "--max-iter", "x"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_repro_all_output_is_byte_identical(self, capsys):
         assert main(["repro", "all"]) == 0
         out = capsys.readouterr().out.encode()

@@ -473,16 +473,16 @@ class TestMinAlong:
             assert abs(ks.min_along(a) - low) <= 1e-12
 
 
-def _crossing(points, q, a):
+def _crossing(points, q, a, tie=TIE_TOL):
     """Brute force: the least lam at which a point ahead of q (<a, q - p>
-    > 0) enters ``project_all``'s tie band at q - lam*a; inf if none is
-    ahead."""
+    > 0) enters a tie band of ``tie`` (``project_all``'s by default) at
+    q - lam*a; inf if none is ahead."""
     w = q - np.asarray(points, dtype=float)
     g = w @ a
     ahead = g > 0
     if not ahead.any():
         return np.inf
-    return float(((np.sum(w[ahead] ** 2, axis=1) - TIE_TOL) / (2 * g[ahead])).min())
+    return float(((np.sum(w[ahead] ** 2, axis=1) - tie) / (2 * g[ahead])).min())
 
 
 def _held_from_first_unique(Q, q, a, lams):
@@ -501,13 +501,14 @@ class TestRayHold:
 
     FRACTIONS = (0.0, 1e-3, 0.1, 0.5, 0.9, 0.99, 1 - 1e-6, 1 - 1e-12)
 
-    def _check(self, Q, points, q, a, attains, rel=1e-6):
+    def _check(self, Q, points, q, a, attains, rel=1e-6, tie=TIE_TOL):
+        # ``tie``: the tie band the hold must reach within rel
         lam = Q.ray_hold(q, a)
         cross = _crossing(points, q, a)
         assert (lam == np.inf) == attains == (cross == np.inf)
         assert 0.0 <= lam <= max(0.0, cross)
         if np.isfinite(cross) and cross > 0:
-            assert lam >= cross * (1 - rel)
+            assert lam >= _crossing(points, q, a, tie) * (1 - rel)
             _held_from_first_unique(Q, q, a, [t * lam for t in self.FRACTIONS])
         elif lam == np.inf:
             _held_from_first_unique(Q, q, a, [0.0, 1e-3, 1.0, 1e3, 1e6])
@@ -557,10 +558,35 @@ class TestRayHold:
                 for q in corners[pick]:
                     self._check(ks, corners, q, a, float(np.sum(q * a)) <= low)
 
+    def test_triadic_against_brute_force(self):
+        # values 2/3^k lie within sqrt(TIE_TOL) of their neighbours, where
+        # the hold's band of 2 TIE_TOL, not TIE_TOL, decides its length
+        for depth in (1, 5, 20, 60):
+            Q = TriadicSet(depth)
+            for a in (np.array([1.0]), np.array([-1.0])):
+                for v in Q.values:
+                    q = np.array([v])
+                    self._check(Q, Q.values[:, None], q, a,
+                                float(q @ a) == Q.min_along(a), tie=2 * TIE_TOL)
+
+    def test_triadic_march_reuses_q(self):
+        from drfeas.engine import run_dr
+
+        calls = []
+        Q, hs = TriadicSet(40), HalfSpace([1.0], -0.5)
+        Q.project_all = lambda x: calls.append(x) or TriadicSet.project_all(Q, x)
+        held = run_dr(Q, hs, [1.0])
+        assert type(held[1]).__name__ == "Diverging"
+        assert len(calls) < len(held[0])
+        Q.ray_hold = lambda q, a: 0.0
+        calls.clear()
+        plain = run_dr(Q, hs, [1.0])
+        assert len(calls) == len(plain[0])
+        assert _same_run(held, plain)
+
     def test_other_sets_never_hold(self):
         a = np.array([1.0])
-        for Q in (Sphere([0.0], 1.0), TriadicSet(5),
-                  ProductSet([FinitePointSet([(0.0,)])])):
+        for Q in (Sphere([0.0], 1.0), ProductSet([FinitePointSet([(0.0,)])])):
             assert Q.ray_hold(np.array([1.0]), a) == 0.0
 
     def test_scaled_instances_run_the_same_with_and_without_the_hold(self):

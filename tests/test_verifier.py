@@ -189,6 +189,17 @@ def test_lemma_and_theorem_reports_are_pinned(seed):
     assert (_digest(lemmas), _digest(theorems)) == REPORT_PINS[seed]
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_lemma_suite_reports_a_non_finite_step_as_such(seed):
+    # a NaN iterate has no distance to H: max(0.0, nan) must not put it inside
+    def step(x, q, hs):
+        return np.full_like(x, np.nan) if x[0] > 3 else dr_step(x, q, hs)
+
+    report = check_lemmas(trials=300, seed=seed, step_fn=step)
+    assert report.failures
+    assert {f["reason"] for f in report.failures} == {"non-finite-step"}
+
+
 def test_lemma_mutant_report_is_pinned():
     _, inject = MUTANTS["lemmas"]
     report = check_lemmas(trials=300, seed=3, **inject)
