@@ -5,15 +5,11 @@ from .engine import (
     DegenerateProjection,
     DivergenceCertificate,
     Diverging,
-    IterateRecord,
     MaxIterations,
     Solved,
     SolverConfig,
     Trace,
-    detect_cycle,
-    detect_linear_divergence,
     dr_step,
-    dr_step_generic,
     run_ap,
     run_dr,
     run_dr_generic,
@@ -51,7 +47,6 @@ __all__ = [
     "FinitePointSet",
     "HalfSpace",
     "Hyperplane",
-    "IterateRecord",
     "MaxIterations",
     "PlanarCone",
     "ProblemFile",
@@ -65,10 +60,7 @@ __all__ = [
     "Sphere",
     "Trace",
     "TriadicSet",
-    "detect_cycle",
-    "detect_linear_divergence",
     "dr_step",
-    "dr_step_generic",
     "load_problem",
     "run_ap",
     "run_dr",

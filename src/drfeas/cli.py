@@ -58,8 +58,7 @@ def _summary(outcome) -> str:
                 f"first seen at index {outcome.first_index}")
     if isinstance(outcome, MaxIterations):
         note = " (norm cap reached)" if outcome.norm_capped else ""
-        return (f"MaxIterations: final d(q,H)={outcome.final_dist:.6g}, "
-                f"beta estimate {outcome.beta_estimate:.6g}{note}")
+        return f"MaxIterations: final d(q,H)={outcome.final_dist:.6g}{note}"
     return f"DegenerateProjection at index {outcome.at_index}"
 
 
@@ -139,9 +138,9 @@ def cmd_compare(args) -> int:
     rows = [
         ("method", "outcome", "steps", "final d(x,H)", "final d(q,H)"),
         ("DR", _summary(dr_out), str(len(dr_trace)),
-         f"{dr_trace[-1].d_xH:.3g}", f"{dr_trace[-1].d_qH:.3g}"),
+         f"{dr_trace.d_xH[-1]:.3g}", f"{dr_trace.d_qH[-1]:.3g}"),
         ("AP", _summary(ap_out), str(len(ap_trace)),
-         f"{ap_trace[-1].d_xH:.3g}", f"{ap_trace[-1].d_qH:.3g}"),
+         f"{ap_trace.d_xH[-1]:.3g}", f"{ap_trace.d_qH[-1]:.3g}"),
     ]
     widths = [max(len(row[i]) for row in rows) for i in range(5)]
     for row in rows:

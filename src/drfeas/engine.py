@@ -17,9 +17,9 @@ certificate's offsets are read from the trace's x column.
 The trace is stored as columns: each step appends x, q and its three
 distances to growable float64 arrays, 8 bytes per coordinate and
 distance (56 B per step in 2-D, plus the arrays' spare capacity).
-``IterateRecord`` objects and the run's fingerprint are built only when
-first read: ``Trace.records`` builds and caches every record,
-``trace[i]`` builds record i alone.
+The program reads a run from these columns.  ``Trace.records``, the
+tuple of ``IterateRecord`` objects, and the run's fingerprint are built
+when first read and cached.
 
 Points are checked once, when a driver starts: x0, and that the set and
 the constraint share a dimension.  In the loop the one point check is the
@@ -127,10 +127,9 @@ class Trace:
 
     ``x`` and ``q`` are (n, dim) arrays, ``d_xH``, ``d_qH`` and ``d_xL``
     length-n arrays; all five are read-only views of the columns.
-    ``records``, ``trace[i]`` and iteration give ``IterateRecord`` objects
-    with their own copies of x and q.  ``fingerprint`` hashes the run's
-    inputs (driver tag, set and constraint keys, x0, settings) when first
-    read.
+    ``records`` gives ``IterateRecord`` objects with their own copies of x
+    and q, built once and cached.  ``fingerprint`` hashes the run's inputs
+    (driver tag, set and constraint keys, x0, settings) when first read.
     """
 
     __slots__ = ("dim", "_cols", "_fingerprint_parts", "_fingerprint",
@@ -174,17 +173,6 @@ class Trace:
     def __len__(self) -> int:
         return len(self._cols[2])
 
-    def __iter__(self):
-        return iter(self.records)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(len(self))[i]))
-        k = range(len(self))[i]
-        _, _, dxH, dqH, dxL = self._cols
-        return IterateRecord(k, self.x[k].copy(), self.q[k].copy(),
-                             dxH[k], dqH[k], dxL[k])
-
 
 @dataclass(frozen=True)
 class DivergenceCertificate:
@@ -226,7 +214,6 @@ class CycleDetected:
 @dataclass(frozen=True)
 class MaxIterations:
     final_dist: float
-    beta_estimate: float
     norm_capped: bool = False
 
 
@@ -405,11 +392,6 @@ def _fingerprint(*parts) -> str:
     return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
 
 
-def _beta_estimate(d_qH, window: int) -> float:
-    """The least d(q,H) over the last ``window`` steps of a d_qH column."""
-    return min(d_qH[-window:])
-
-
 class _Strategy:
     """One driver's step; ``_iterate`` holds what the drivers share.
 
@@ -568,13 +550,11 @@ def _iterate(proj_set: ProjectableSet, constraint, x0, cfg: SolverConfig,
         if outcome is not None:
             break
         if k >= max_iter:
-            outcome = MaxIterations(d_qH, _beta_estimate(d_qH_col, cfg.window))
+            outcome = MaxIterations(d_qH)
             break
         # math.sqrt(x.dot(x)) is np.linalg.norm(x) for a 1-D float array.
         if math.sqrt(float(x.dot(x))) > norm_cap:
-            outcome = MaxIterations(
-                d_qH, _beta_estimate(d_qH_col, cfg.window), norm_capped=True
-            )
+            outcome = MaxIterations(d_qH, norm_capped=True)
             break
         x = strategy.advance(x, q, src)
         k += 1

@@ -691,7 +691,7 @@ def _x_settles_after(trace, Q, hs) -> bool:
 
     Settling takes on the order of gap / d(q,L) steps, hence the loose cap.
     """
-    x = trace[-1].x
+    x = trace.x[-1]
     for _ in range(5000):
         q = Q.project_all(x)[0]
         if hs.distance(q) > TOL:

@@ -51,7 +51,7 @@ def test_criterion_1_four_point_run():
     hs = HalfSpace(np.array([-2.0, 3.0]), 0.0)
     trace, outcome = run_dr(Q, hs, [0.0, 3.0])
     ok = (
-        close(trace[1].x, (0.0, 0.2), 1e-9)
+        close(trace.x[1], (0.0, 0.2), 1e-9)
         and isinstance(outcome, Solved)
         and close(outcome.q, (-2.0, -2.0), 1e-9)
         and outcome.iterations <= 8
@@ -75,8 +75,8 @@ def test_criterion_2_geometric_closed_form():
     cfg = SolverConfig(max_iter=25, eps_h=1e-30, eps_cycle=1e-14)
     trace, outcome = run_dr(Q, hs, [1.0], cfg)
     forms = all(
-        close(trace[k].x, 3.0 ** (-k), 1e-9)
-        and close(trace[k].q, 2.0 * 3.0 ** (-(k + 1)), 1e-9)
+        close(trace.x[k], 3.0 ** (-k), 1e-9)
+        and close(trace.q[k], 2.0 * 3.0 ** (-(k + 1)), 1e-9)
         for k in range(16)
     )
     cert = detect_linear_divergence(
@@ -97,9 +97,9 @@ def test_criterion_3_exact_four_cycle():
     ok = (
         isinstance(outcome, CycleDetected)
         and outcome.period == 4
-        and all(close(trace[1 + i].x, orbit[i], 1e-12) for i in range(4))
+        and all(close(trace.x[1 + i], orbit[i], 1e-12) for i in range(4))
         and all(
-            close(trace[5 + i].x, orbit[i], 1e-12)
+            close(trace.x[5 + i], orbit[i], 1e-12)
             for i in range(min(4, len(trace) - 5))
         )
     )
@@ -122,12 +122,11 @@ def test_criterion_5_alternating_projections_failure():
     hs = HalfSpace(np.array([-2.0, 3.0]), 0.0)
     x0 = [-2.0, 2.0]
     ap_trace, ap_out = run_ap(Q, hs, x0)
-    tail = ap_trace[-1]
     ap_ok = (
         isinstance(ap_out, CycleDetected)
         and ap_out.period == 2
-        and close(tail.q, (0.0, 2.0), 1e-9)
-        and close(tail.x, (12.0 / 13.0, 8.0 / 13.0), 1e-9)
+        and close(ap_trace.q[-1], (0.0, 2.0), 1e-9)
+        and close(ap_trace.x[-1], (12.0 / 13.0, 8.0 / 13.0), 1e-9)
     )
     _, dr_out = run_dr(Q, hs, x0)
     dr_ok = isinstance(dr_out, Solved) and close(dr_out.q, (1.0, -2.0), 1e-9)

@@ -13,7 +13,7 @@ import pytest
 
 import drfeas
 from drfeas import engine, verifier
-from drfeas.engine import Diverging, SolverConfig
+from drfeas.engine import Diverging, MaxIterations, SolverConfig
 from drfeas.geometry import HalfSpace
 from drfeas.sets import BinaryKnapsackSet, FinitePointSet
 
@@ -72,7 +72,7 @@ def test_segment_reuse_leaves_every_benchmark_run_unchanged(monkeypatch):
         return project_all(self, x)
 
     monkeypatch.setattr(BinaryKnapsackSet, "project_all", counted)
-    runs, knapsack_steps, knapsack_calls = 0, 0, 0
+    runs, capped, knapsack_steps, knapsack_calls = 0, 0, 0, 0
     for name in ("solve-small", "solve-knapsack"):
         inputs = workloads.generate(name, 3)
         built = workloads.build(inputs)
@@ -92,8 +92,14 @@ def test_segment_reuse_leaves_every_benchmark_run_unchanged(monkeypatch):
                                       getattr(plain[0], col)), (case["family"], col)
             assert held[0].fingerprint == plain[0].fingerprint
             assert repr(held[1]) == repr(plain[1]), case["family"]
+            if isinstance(held[1], MaxIterations):
+                # run_dr stops at the first march the scan would certify
+                assert engine.detect_linear_divergence(
+                    held[0].records, hs, cfg.window, cfg.eps_h, cfg.eps_cycle,
+                    support=Q.min_along(hs.a)) is None, case["family"]
+                capped += 1
             runs += 1
-    assert runs == 326
+    assert runs == 326 and capped == 8
     # the reuse must not silently switch off: 110 calls for 653 steps
     assert knapsack_calls <= 0.3 * knapsack_steps
 

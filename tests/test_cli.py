@@ -26,6 +26,23 @@ GOLDEN_CSV = {
     "two-points.json": "9bd9421fff4d212a601523a89006d71226999062ff9d85a30e555399166e6029",
 }
 GOLDEN_REPRO_ALL = "89a72fa1e8a538f240304632b9181dedbd1d5d58f51394d1e3193ba3b252ba13"
+# sha256 of the stdout of `solve` and `compare` on each bundled problem.
+GOLDEN_STDOUT = {
+    ("compare", "corner-cycle.json"): "38db767a6b4a4bd8be637d6b3c0900a93cd7db3afbe695958cde74102402878a",
+    ("compare", "four-points.json"): "0bca3f81121564283347db96097875d293ab6d962e55b8cb9ab50c0d0f136605",
+    ("compare", "infeasible.json"): "3bb2085cf5b269abd1fe62df575b6e206aee2f96ad7c482a6fcf6fa6b3e0c860",
+    ("compare", "knapsack.json"): "769b149de961f10feabefc8b181c676554b984ded1e9bce62ebd036e03faa8c9",
+    ("compare", "sphere.json"): "be47be3502b9f8f1757480dc86c53d49c8fbbe0c3035743fe689e21dde66e00a",
+    ("compare", "triadic.json"): "b8f80af80bf8daa31dd7c1b0b885f596601f94d2feb8528fa902a61d227f5b35",
+    ("compare", "two-points.json"): "73f23f2c9a08c3a6fd9ecf2c8b9b2043835803b3e0fa159516070e61199af38e",
+    ("solve", "corner-cycle.json"): "f8c7d8851a2b965df3558d860458b9a0fae46fe608b44729bb2df8b28cab4d9b",
+    ("solve", "four-points.json"): "2843efc93c16d2043ec6b7de42c6fe47a2bb0b4bd092e1da4c5af1ff7dd83d24",
+    ("solve", "infeasible.json"): "35a0280c53cdd56ae6294041bf8074599f2810494cd323414d831dc46bcdd9da",
+    ("solve", "knapsack.json"): "ac2a46b87ce8cb570cd34c6f02d68abb659eac7790ba766ed5f5bd29244bdb47",
+    ("solve", "sphere.json"): "5a4f0ebbb1cd3a4aeb7491991dc3473f4cd58c2766e20ec5a321a089cc781957",
+    ("solve", "triadic.json"): "263ff4893adbb5e66526b560fc975cee2a1018d8938d2b516893c45671f3f18f",
+    ("solve", "two-points.json"): "460dc1c00d406c06c3215607a96e31fe74bd06895b4cc7135d58fb4fc3b6ef4d",
+}
 
 
 def problem(name: str) -> str:
@@ -57,7 +74,8 @@ class TestSolveExitCodes:
         data = json.loads(open(problem("triadic.json")).read())
         data["config"] = {"max_iter": 10, "tol": 1e-30, "cycle_tol": 1e-14}
         assert main(["solve", write_problem(tmp_path, data)]) == 4
-        assert "MaxIterations" in capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            "MaxIterations: final d(q,H)=1.12901e-05\n")
 
     def test_shrinking_triadic_orbit_is_not_a_cycle(self, capsys):
         # x_k = 3^-k never repeats: the run reaches q = 0 instead of
@@ -234,12 +252,20 @@ class TestGoldenOutput:
     def test_every_bundled_problem_is_pinned(self):
         bundled = sorted(f for f in os.listdir(PROBLEM_DIR) if f.endswith(".json"))
         assert bundled == sorted(GOLDEN_CSV)
+        assert sorted(GOLDEN_STDOUT) == [(command, name) for command in
+                                         ("compare", "solve") for name in bundled]
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_CSV))
     def test_bundled_trace_is_byte_identical(self, name, tmp_path, capsys):
         out = tmp_path / "trace.csv"
         main(["solve", problem(name), "--output", str(out)])
         assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CSV[name]
+
+    @pytest.mark.parametrize("command, name", sorted(GOLDEN_STDOUT))
+    def test_bundled_stdout_is_byte_identical(self, command, name, capsys):
+        main([command, problem(name)])
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == GOLDEN_STDOUT[command, name]
 
     def test_parser_carries_nothing_from_one_call_to_the_next(self, tmp_path,
                                                                capsys):
