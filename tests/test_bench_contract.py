@@ -5,6 +5,7 @@ and ``bench/layers.py`` calls the divergence scan positionally; a change
 to either interface would break ``bench/run.py --trace 1``.
 """
 
+import hashlib
 import importlib.util
 import os
 
@@ -102,6 +103,28 @@ def test_segment_reuse_leaves_every_benchmark_run_unchanged(monkeypatch):
     assert runs == 326 and capped == 8
     # the reuse must not silently switch off: 110 calls for 653 steps
     assert knapsack_calls <= 0.3 * knapsack_steps
+
+
+# sha256 of the trace columns and outcome reprs of the eight run_dr cases
+# of the solve-knapsack workload at seed 3
+KNAPSACK_RUNS_SHA256 = (
+    "39d6c3b8c9e578e8866cb5b2b0fbe4ec7ef7e231f732ddb773948653f99ebfae")
+
+
+def test_knapsack_workload_runs_are_pinned():
+    workloads = _bench_module("workloads")
+    inputs = workloads.generate("solve-knapsack", 3)
+    built = workloads.build(inputs)
+    digest, runs = hashlib.sha256(), 0
+    for case, (hs, Q, x0, cfg) in zip(inputs["cases"], built["cases"]):
+        assert case["driver"] == "dr"
+        trace, outcome = engine.run_dr(Q, hs, x0, cfg)
+        for col in ("x", "q", "d_xH", "d_qH", "d_xL"):
+            digest.update(getattr(trace, col).tobytes())
+        digest.update(repr(outcome).encode())
+        runs += 1
+    assert runs == 8
+    assert digest.hexdigest() == KNAPSACK_RUNS_SHA256
 
 
 def _bench_run(monkeypatch):

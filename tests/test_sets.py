@@ -467,6 +467,15 @@ class TestMinAlong:
                 c = rng.uniform(0.0, 3.0, m)
                 cases.append((c, float(rng.uniform(0.0, c.sum())),
                               rng.normal(size=m)))
+            for _ in range(6):
+                # a with zeros and both signs, the threshold a corner's
+                # weight exactly, so that corner is feasible with no slack
+                c = rng.uniform(0.0, 3.0, m)
+                c[rng.random(m) < 0.2] = 0.0
+                corner = (rng.random((1, m)) < 0.5).astype(float)
+                a = rng.normal(size=m)
+                a[rng.random(m) < 0.3] = 0.0
+                cases.append((c, float(np.sum(corner * c, axis=1)[0]), a))
         for c, threshold, a in cases:
             ks = BinaryKnapsackSet(c, threshold)
             low = float((_row_sum_corners(ks.c, ks.threshold) @ a).min())
