@@ -28,8 +28,14 @@ set's ``project_all``, which also rejects an iterate that has overflowed.
 it reuses q while x = q - lam*a has 0 <= lam < the set's ``ray_hold``, a
 test false for NaN and inf (finite, triadic and knapsack sets hold).  The
 step, distances, trace, march rule and ``NORM_CAP`` still run every step,
-so the trace is unchanged; they read <a,q>, computed once per q object (a
-held q is one object), and <a,x>, once per step.
+so the trace is unchanged.  They read scalars: <a,x>, once per step, and
+<a,q>, |q| and q's list, once per q object (a held q is one object).  r
+bounds |x|: the exact norm at x0, (|q| + |s|)(1 + c) after x' = q + s*a.
+The hold (lam = <a,q> - <a,x>), the case (2<a,q> - <a,x> against b +
+eps_h) and the cap (r) are decided from these when they clear the
+rounding margin c*(|q| + r), c*(2|q| + r) for the case, c = 8(n+2)*2**-53
+(plus 1e-300 for underflow).  Inside it, and for NaN or inf, <a,q - x>,
+<a,2q - x> or |x| decides as before, so every decision is unchanged.
 ``SolverConfig`` checks its own values (``drfeas.problems.SETTINGS`` names
 them for users).  DR runs end as MaxIterations once |x| > ``NORM_CAP``.
 """
@@ -70,6 +76,9 @@ __all__ = [
 TIE_RULES = ("first", "rotate", "random")
 REFLECT_ORDERS = ("set-first", "constraint-first")
 NORM_CAP = 1e12     # fallback bailout when no certificate forms
+# Per (n + 2): with |a| = 1, bounds the rounding of <a,u> - <a,v> against
+# <a,u - v> in n dimensions, relative to |u| + |v|.
+_ROUNDING = 8 * 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -235,16 +244,11 @@ def dr_step(x, q, hs: HalfSpace, eps_h: float = 1e-9) -> np.ndarray:
 
 
 def _step(x: np.ndarray, q: np.ndarray, a: np.ndarray, b: float,
-          eps_h: float, ax: Optional[float] = None,
-          aq: Optional[float] = None) -> np.ndarray:
-    """``dr_step`` on checked float64 arrays and the unit normal's (a, b),
-    given <a,x> and <a,q> if known; 2<a,q> - <a,x> would round the case
-    test differently from <a, 2q - x>."""
+          eps_h: float) -> np.ndarray:
+    """``dr_step`` on checked float64 arrays and the unit normal's (a, b)."""
     if float(a.dot(2.0 * q - x)) <= b + eps_h:
         return q.copy()
-    if ax is None:
-        ax, aq = float(a.dot(x)), float(a.dot(q))
-    return q + (ax + b - 2.0 * aq) * a
+    return q + (float(a.dot(x)) + b - 2.0 * float(a.dot(q))) * a
 
 
 def dr_step_generic(x, constraint, proj_set: ProjectableSet,
@@ -402,7 +406,6 @@ class _Strategy:
     """
 
     tag = ""
-    norm_capped = True      # stop when |x| exceeds NORM_CAP
 
     def __init__(self, constraint, cfg: SolverConfig):
         self.constraint, self.cfg = constraint, cfg
@@ -423,9 +426,17 @@ class _Strategy:
         dx = c._distance(x)
         return dx, c._distance(q), dx
 
+    def q_list(self, q) -> list:
+        return q.tolist()
+
     def verdict(self, k, x, q, d_xH, d_qH, trace) -> Optional[RunOutcome]:
         hit = self.cycles.add(x, k)
         return hit and CycleDetected(*hit)
+
+    def capped(self, x) -> bool:
+        """Whether |x| exceeds ``NORM_CAP``, which ends the run."""
+        # math.sqrt(x.dot(x)) is np.linalg.norm(x) for a 1-D float array.
+        return math.sqrt(float(x.dot(x))) > NORM_CAP
 
 
 class _HalfSpaceSplit(_Strategy):
@@ -439,28 +450,36 @@ class _HalfSpaceSplit(_Strategy):
         self.proj_set, self.length = proj_set, 0
         self.support: Optional[float] = None
         self.held, self.hold = [], None     # a unique q; its ray_hold
-        self.q = self.ax = self.aq = None   # the last q; <a,x>, <a,q>
+        self.q = self.r = None      # the last q; a bound on |x| once known
+        self.c, self.top = _ROUNDING * (hs.dim + 2), hs.b + cfg.eps_h
 
     def nearest(self, proj_set, x, src):
         held, a = self.held, self.constraint.a
-        # False for NaN and inf: an overflowed x still reaches project_all.
-        if self.hold is not None and 0.0 <= float(a.dot(held[0] - x)) < self.hold:
-            return held
+        self.ax = float(a.dot(x))
+        if self.hold is not None:       # then held[0] is self.q
+            lam, t = self.aq - self.ax, self.c * (self.nq + self.r) + 1e-300
+            # Both false for NaN and inf: an overflowed x reaches project_all.
+            if (t <= lam and lam + t < self.hold
+                    or 0.0 <= float(a.dot(held[0] - x)) < self.hold):
+                return held
         ties = proj_set.project_all(src)
         if len(ties) == 1 and held and ties[0].tobytes() == held[0].tobytes():
             if self.hold is None:           # x is on the ray of q now
                 self.hold = proj_set.ray_hold(held[0], a)
-        else:
-            self.held, self.hold = ties if len(ties) == 1 else [], None
+            return held
+        self.held, self.hold = ties if len(ties) == 1 else [], None
         return ties
 
     def distances(self, x, q):
         a, b = self.constraint.a, self.constraint.b
         if q is not self.q:         # a held q is the same object
-            self.q, self.aq = q, float(a.dot(q))
-        self.ax = float(a.dot(x))
+            self.q, self.aq, self.row = q, float(a.dot(q)), q.tolist()
+            self.nq = math.hypot(*self.row)
         vx = self.ax - b
         return max(0.0, vx), max(0.0, self.aq - b), abs(vx)
+
+    def q_list(self, q):
+        return self.row
 
     def verdict(self, k, x, q, d_xH, d_qH, trace):
         hs = self.constraint
@@ -475,9 +494,24 @@ class _HalfSpaceSplit(_Strategy):
             return None
         return Diverging(_certificate(hs, k, self.length, q, d_qH, trace.x), m)
 
+    def capped(self, x):
+        # r clears the cap by the margin, or the exact norm decides
+        r = self.r
+        if r is not None and r + self.c * (self.nq + r) + 1e-300 <= NORM_CAP:
+            return False
+        self.r = math.sqrt(float(x.dot(x)))
+        return self.r > NORM_CAP
+
     def advance(self, x, q, src):
-        return _step(x, q, self.constraint.a, self.constraint.b, self.cfg.eps_h,
-                     self.ax, self.aq)
+        a, b, aq, ax = self.constraint.a, self.constraint.b, self.aq, self.ax
+        s, v = ax + b - 2.0 * aq, 2.0 * aq - ax
+        t = self.c * (2.0 * self.nq + self.r) + 1e-300
+        self.r = (self.nq + abs(s)) * (1.0 + self.c)    # |x'| <= |q| + |s|
+        if v + t <= self.top:
+            return q.copy()
+        if v - t > self.top:
+            return q + s * a
+        return _step(x, q, a, b, self.cfg.eps_h)
 
 
 class _TwoSetStep(_Strategy):
@@ -503,12 +537,14 @@ class _Alternating(_Strategy):
     """x_{k+1} = P_A(q_k), watched over the half-steps x_0, q_0, x_1, ..."""
 
     tag = "ap"
-    norm_capped = False
 
     def verdict(self, k, x, q, d_xH, d_qH, trace):
         hit = (self.cycles.add(x, 2 * k, tag="x")
                or self.cycles.add(q, 2 * k + 1, tag="q"))
         return hit and CycleDetected(*hit)
+
+    def capped(self, x):
+        return False
 
     def advance(self, x, q, src):
         return self.constraint._project(q)
@@ -525,7 +561,6 @@ def _iterate(proj_set: ProjectableSet, constraint, x0, cfg: SolverConfig,
                            x.tobytes(), cfg.key()))
     xs, qs, d_xH_col, d_qH_col, d_xL_col = trace._cols
     rule, eps_h, max_iter = cfg.tie_rule, cfg.eps_h, cfg.max_iter
-    norm_cap = NORM_CAP if strategy.norm_capped else math.inf
     rng = np.random.default_rng(cfg.seed) if rule == "random" else None
     outcome: Optional[RunOutcome]
     k = 0
@@ -539,7 +574,7 @@ def _iterate(proj_set: ProjectableSet, constraint, x0, cfg: SolverConfig,
         q = _select(ties, k, rule, rng)
         d_xH, d_qH, d_xL = strategy.distances(x, q)
         xs.extend(x.tolist())
-        qs.extend(q.tolist())
+        qs.extend(strategy.q_list(q))
         d_xH_col.append(d_xH)
         d_qH_col.append(d_qH)
         d_xL_col.append(d_xL)
@@ -552,8 +587,7 @@ def _iterate(proj_set: ProjectableSet, constraint, x0, cfg: SolverConfig,
         if k >= max_iter:
             outcome = MaxIterations(d_qH)
             break
-        # math.sqrt(x.dot(x)) is np.linalg.norm(x) for a 1-D float array.
-        if math.sqrt(float(x.dot(x))) > norm_cap:
+        if strategy.capped(x):
             outcome = MaxIterations(d_qH, norm_capped=True)
             break
         x = strategy.advance(x, q, src)

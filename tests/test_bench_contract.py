@@ -105,6 +105,23 @@ def test_segment_reuse_leaves_every_benchmark_run_unchanged(monkeypatch):
     assert knapsack_calls <= 0.3 * knapsack_steps
 
 
+def test_run_dr_rarely_falls_back_to_the_exact_case_test(monkeypatch):
+    # run_dr calls engine._step only when 2<a,q> - <a,x> lies within the
+    # rounding margin of b + eps_h; on the seed-3 run_dr cases it never does
+    workloads = _bench_module("workloads")
+    calls, step = [], engine._step
+    monkeypatch.setattr(engine, "_step",
+                        lambda *args: calls.append(args) or step(*args))
+    steps = 0
+    for name in ("solve-small", "solve-knapsack"):
+        inputs = workloads.generate(name, 3)
+        built = workloads.build(inputs)
+        for case, (hs, Q, x0, cfg) in zip(inputs["cases"], built["cases"]):
+            if case["driver"] == "dr":
+                steps += len(engine.run_dr(Q, hs, x0, cfg)[0])
+    assert steps > 4000 and len(calls) <= 0.01 * steps
+
+
 # sha256 of the trace columns and outcome reprs of the eight run_dr cases
 # of the solve-knapsack workload at seed 3
 KNAPSACK_RUNS_SHA256 = (

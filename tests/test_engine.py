@@ -25,7 +25,7 @@ from drfeas.engine import (
     run_dr_generic,
 )
 from drfeas.geometry import DimensionMismatchError, HalfSpace, Hyperplane
-from drfeas.sets import FinitePointSet, Sphere, TriadicSet
+from drfeas.sets import BinaryKnapsackSet, FinitePointSet, Sphere, TriadicSet
 from drfeas.verifier import _certificate_valid
 
 COORD = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
@@ -464,6 +464,89 @@ class TestSegmentReuse:
         plain, _ = run_dr(Q, self.HS, [0.0, 1.0], cfg)
         assert np.array_equal(plain.x, trace.x)
         assert np.array_equal(plain.q, trace.q)
+        # an oblique march whose lam at step 5 rounds lower as <a,q> - <a,x>
+        # than as <a, q - x>; with the hold at the latter the scalars cannot
+        # tell, the exact test does, and step 5 is projected
+        Q, hs = _RecordingSet([(1.81, 0.49)]), HalfSpace([2.04, -2.56], 0.0)
+        cfg = SolverConfig(max_iter=30, window=10**6)
+        trace, _ = run_dr(Q, hs, [-2.44, -0.4], cfg)
+        q, x5 = trace.q[0], trace.x[5]
+        lam = float(hs.a.dot(q - x5))
+        assert float(hs.a.dot(q)) - float(hs.a.dot(x5)) < lam
+        Q.asked.clear()
+        Q.ray_hold = lambda q, a: lam
+        held, _ = run_dr(Q, hs, [-2.44, -0.4], cfg)
+        assert np.array_equal(held.x, trace.x)
+        assert Q.asked[2].tobytes() == x5.tobytes()
+        assert len(Q.asked) == 2 + len(trace) - 5
+
+
+def _instance(rng, kind: str, scale: float):
+    """A random run_dr input of the kind, its set, b and x0 scaled by scale
+    (triadic and knapsack sets keep their points: their b and x0 scale)."""
+    if kind == "finite":
+        d = int(rng.integers(1, 6))
+        Q = FinitePointSet(rng.uniform(-4, 4, (int(rng.integers(1, 6)), d)) * scale)
+    elif kind == "sphere":
+        d = int(rng.integers(1, 4))
+        Q = Sphere(rng.uniform(-3, 3, d) * scale, rng.uniform(0.5, 2) * scale)
+    elif kind == "triadic":
+        d, Q = 1, TriadicSet(int(rng.integers(3, 30)))
+    else:
+        d = int(rng.integers(1, 11))
+        c = rng.uniform(0, 3, d)
+        Q = BinaryKnapsackSet(c, rng.uniform(0, 1) * c.sum())
+    hs = HalfSpace(rng.normal(size=d), float(rng.uniform(-3, 3)) * scale)
+    return Q, hs, rng.uniform(-4, 4, d) * scale
+
+
+def _outcome(Q, hs, x0, cfg):
+    trace, outcome = run_dr(Q, hs, x0, cfg)
+    return ([getattr(trace, col).tobytes()
+             for col in ("x", "q", "d_xH", "d_qH", "d_xL")],
+            trace.fingerprint, repr(outcome))
+
+
+class TestScalarDecisions:
+    """run_dr decides its hold, case and norm-cap tests from <a,x>, <a,q>,
+    |q| and a bound on |x| outside a rounding margin, exactly inside it."""
+
+    def test_default_runs_equal_the_exact_tests(self, monkeypatch):
+        # with an infinite margin every decision takes the exact test
+        rng = np.random.default_rng(19)
+        cfg = SolverConfig(max_iter=60)
+        cases = [(kind, int(rng.integers(2**31)))
+                 for kind in ("finite", "triadic", "knapsack", "sphere")
+                 for _ in range(75)]
+        for kind, seed in cases:
+            for k in (-30, -10, 0, 10, 30):
+                inputs = _instance(np.random.default_rng(seed), kind, 2.0**k)
+                default = _outcome(*inputs, cfg)
+                with monkeypatch.context() as m:
+                    m.setattr(engine, "_ROUNDING", np.inf)
+                    assert _outcome(*inputs, cfg) == default, (kind, seed, k)
+
+    def test_case_test_inside_the_margin(self):
+        # <a, 2q - x0> and 2<a,q> - <a,x0> round to neighbouring floats;
+        # with b + eps_h at the lower one the exact test keeps q
+        hs, q, x0 = (HalfSpace([0.388, 0.922], 0.0), np.array([1.288, 2.897]),
+                     np.array([1.517, 3.045]))
+        exact = float(hs.a.dot(2.0 * q - x0))
+        scalars = 2.0 * float(hs.a.dot(q)) - float(hs.a.dot(x0))
+        assert exact < scalars
+        cfg = SolverConfig(eps_h=exact, max_iter=1)
+        trace, _ = run_dr(FinitePointSet([q]), hs, x0, cfg)
+        assert trace.x[1].tobytes() == q.tobytes()
+
+    def test_norm_cap_inside_the_margin(self):
+        # x1 = q + s*a has |x1| one ulp past NORM_CAP though |q| + |s| is
+        # NORM_CAP itself: the exact norm ends the run at step 1
+        hs, q = HalfSpace([-1.26, -0.81], -5.0), np.array([1.49, 0.96])
+        x0 = np.array([841178475375.2366, 540757591312.6521])
+        trace, outcome = run_dr(FinitePointSet([q]), hs, x0)
+        assert len(trace) == 2 and outcome.norm_capped
+        s = float(hs.a.dot(x0)) + hs.b - 2.0 * float(hs.a.dot(q))
+        assert np.linalg.norm(q) + abs(s) <= NORM_CAP < np.linalg.norm(trace.x[1])
 
 
 class TestColumnarTrace:
