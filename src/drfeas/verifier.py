@@ -19,7 +19,10 @@ FinitePointSet through this module's global name just before its first
 step.  So adding an odd trial T (``check_lemmas(T + 1)`` against
 ``check_lemmas(T)``) only appends T's steps, and the last set built is T's,
 with T's start as the first step after it; a rerun of one trial relies on
-this.  The theorem suite draws one instance at a time.
+this.  The theorem suite draws one instance at a time, and judges whether
+a solved run's x settles at the step where its q repeats, with no step
+budget.  The lemma suite keeps its 2000-step budget: its stepping is the
+operator under test (``step_fn`` and the mutants).
 ``run_all_suites`` records each suite's wall time on its report.
 """
 
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import HalfSpace, as_point, unit_normal
+from .geometry import HalfSpace, as_point
 from .engine import dr_step, run_dr, SolverConfig, Solved, Diverging, MaxIterations
 from .sets import TIE_TOL, BinaryKnapsackSet, FinitePointSet
 
@@ -486,8 +489,6 @@ def _outside_trajectories(report, n, trials, g, s, c, step_fn):
     c = np.array(c)
     hss = [HalfSpace(ai, float(ai @ ci)) for ai, ci in zip(a, c)]
     ha, hb = np.array([hs.a for hs in hss]), np.array([hs.b for hs in hss])
-    norm = np.sqrt(_dots(ha, ha))  # unit_normal(hs.a, hs.b): L's (a, b)
-    la, lb = ha / norm[:, None], hb / norm
     s = np.array(s)[:, None]
     x = s * a + c
     pts = np.concatenate([c[:, None], (s * (2.0 / 3.0 ** np.arange(25)))
@@ -504,7 +505,7 @@ def _outside_trajectories(report, n, trials, g, s, c, step_fn):
     for _ in range(10):
         q = pts[np.arange(k), _nearest(pts, x)[0].argmax(axis=1)]
         dqh = np.fmax(_dots(ha, q) - hb, 0.0)
-        dxl = np.abs(_dots(la, x) - lb)
+        dxl = np.abs(_dots(ha, x) - hb)
         for i in np.flatnonzero(live & ~((dxh > TOL) & (dqh > TOL))):
             fail(i, "entered-H", x=x[i], q=q[i])
         for i in np.flatnonzero(live & ~((dqh < dxh) & (dxh < 2.0 * dqh + TOL))):
@@ -542,10 +543,9 @@ def _inside_trajectory(report, a, b, on_L, far, x, step_fn):
     60 steps; a trial that does not is vacuous).  Failure data, or None."""
     hs = HalfSpace(a, b)
     a, b = hs.a, hs.b
-    la, lb = unit_normal(a, b)  # hs.boundary()'s, with no Hyperplane built
 
     def onto_L(p):
-        return p - (float(la.dot(p)) - lb) * la
+        return p - (float(a.dot(p)) - b) * a
 
     # Inside points sit either exactly on the boundary or clearly off it.
     # Settling takes on the order of gap / d(q,L) steps, so a point at a
@@ -578,7 +578,7 @@ def _inside_trajectory(report, a, b, on_L, far, x, step_fn):
         q = _first_nearest(pts, x)
         if float(a.dot(q)) - b > TOL:
             return {"reason": "q-left-H", "x": x, "q": q}
-        dql = abs(float(la.dot(q)) - lb)
+        dql = abs(float(a.dot(q)) - b)
         if prev_dql is not None:
             if dql < prev_dql - TOL:
                 return {"reason": "dqL-decreased", "x": x, "q": q}
@@ -624,7 +624,7 @@ def _certificate_valid(outcome, hs) -> bool:
     tol = TOL * max(1.0, abs(m), abs(hs.b))
     if not (m - hs.b > tol and abs(float(hs.a @ cert.q_fixed) - m) <= tol):
         return False
-    inc = hs.boundary().distance(cert.q_fixed)
+    inc = abs(hs.value(cert.q_fixed))
     if abs(cert.increment - inc) > tol:
         return False
     offs = np.asarray(cert.offsets)
@@ -637,7 +637,8 @@ def check_theorems_finite(trials=100, dims=(1, 2, 3, 4, 5), seed=0,
     """Solved/Diverging outcomes versus exhaustive feasibility oracles.
 
     Random explicit finite sets plus random binary-threshold instances.
-    Feasible instances must finish Solved with an oracle-verified point;
+    Feasible instances must finish Solved with an oracle-verified point,
+    and x must then settle (judged where q repeats, with no step budget);
     infeasible ones must produce a valid divergence certificate whose
     support equals the oracle's own min over Q of <a,p>.  Runs hitting
     the iteration cap are counted as vacuous (inconclusive).
@@ -687,20 +688,19 @@ def _judge(report, t, Q, hs, x0, feasible, support, cfg):
 
 
 def _x_settles_after(trace, Q, hs) -> bool:
-    """Continue a solved run; the main iterate must become constant.
-
-    Settling takes on the order of gap / d(q,L) steps, hence the loose cap.
-    """
-    x = trace.x[-1]
-    for _ in range(5000):
+    """Continue a solved run until its q repeats; no q may leave H or come
+    back after a handover, so a finite Q ends the loop.  The repeated q is
+    nearest to x on its ray q - λa; with <a,q> <= b each further step moves
+    x toward q by d(q,L) or fixes it, so q stays nearest and x settles."""
+    x, taken = trace.x[-1], []
+    while True:
         q = Q.project_all(x)[0]
         if hs.distance(q) > TOL:
             return False
-        nxt = dr_step(x, q, hs)
-        if np.linalg.norm(nxt - x) <= 1e-12:
-            return True
-        x = nxt
-    return False
+        if any(np.array_equal(q, p) for p in taken):
+            return np.array_equal(q, taken[-1]) and hs.value(q) <= 0.0
+        taken.append(q)
+        x = dr_step(x, q, hs)
 
 
 # ---------------------------------------------------------------------------

@@ -325,6 +325,11 @@ class TestVerify:
                 idx += 1
         assert seen == 6
 
+    @pytest.mark.parametrize("seed", ["5", "6"])
+    def test_solved_runs_that_settle_slowly_pass(self, seed, capsys):
+        # one knapsack trial of each seed settles only after 6000-33000 steps
+        assert main(["verify", "--seed", seed, "--trials", "20"]) == 0
+
     def test_each_report_carries_its_suite_time(self, capsys):
         assert main(["verify", "--trials", "20", "--oracle-trials", "2",
                      "--dims", "2", "--seed", "2"]) == 0

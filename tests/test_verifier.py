@@ -7,12 +7,13 @@ exercised at reduced trial counts so failures localize quickly.
 import hashlib
 import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from drfeas import verifier
-from drfeas.engine import Diverging, SolverConfig, dr_step, run_dr
+from drfeas.engine import Diverging, SolverConfig, Solved, dr_step, run_dr
 from drfeas.geometry import HalfSpace
 from drfeas.sets import FinitePointSet
 from drfeas.verifier import (
@@ -20,6 +21,7 @@ from drfeas.verifier import (
     SUITES,
     _certificate_valid,
     _nearest,
+    _x_settles_after,
     check_lemmas,
     check_prop1,
     check_prop2,
@@ -76,6 +78,48 @@ def test_theorem_suite_agrees_with_oracles():
                                    knapsack_trials=40)
     assert report.passed, report.failures[:3]
     assert report.vacuous <= report.trials * 0.01
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_theorem_suite_passes_at_the_cli_oracle_count(seed):
+    # drfeas verify's default --oracle-trials 100, on each suite seed
+    report = check_theorems_finite(100, seed=seed, knapsack_trials=100)
+    assert report.passed, report.failures[:3]
+
+
+def _theorem_instance(monkeypatch, seed, trial):
+    """check_theorems_finite(100, seed)'s trial: its (Q, hs, x0) draws."""
+    drawn = {}
+    monkeypatch.setattr(verifier, "_judge", lambda report, t, Q, hs, x0, *_:
+                        drawn.setdefault(t, (Q, hs, x0)))
+    check_theorems_finite(100, seed=seed, knapsack_trials=100)
+    return drawn[trial]
+
+
+def test_solved_run_settles_past_any_step_budget(monkeypatch):
+    # a knapsack trial whose x settles only after ~33000 steps: the solved
+    # run is judged by its segment, not by stepping it out
+    Q, hs, x0 = _theorem_instance(monkeypatch, 5, 145)
+    trace, outcome = run_dr(Q, hs, x0, SolverConfig(max_iter=10000))
+    assert isinstance(outcome, Solved)
+    assert _x_settles_after(trace, Q, hs)
+
+
+def _ends_at(x):
+    return SimpleNamespace(x=np.array([x], dtype=float))
+
+
+def test_settle_check_rejects_a_q_outside_h():
+    # the continuation's nearest point lies 5 outside H = {x <= 0}
+    Q, hs = FinitePointSet([(-1.0,), (5.0,)]), HalfSpace([1.0], 0.0)
+    assert not _x_settles_after(_ends_at([4.0]), Q, hs)
+
+
+def test_settle_check_rejects_a_repeat_just_outside_h():
+    # q = 1e-13 is within TOL of H = {x <= 0} and repeats, but from x on its
+    # ray the step moves x away by 1e-13 each time: x never settles
+    Q, hs = FinitePointSet([(1e-13,), (-50.0,)]), HalfSpace([1.0], 0.0)
+    assert not _x_settles_after(_ends_at([-5.0]), Q, hs)
 
 
 def test_certificate_check_needs_the_support_witness():
@@ -320,7 +364,7 @@ LEMMA_MUTANT_PINS = {  # seed: digest of the mutant's report at 300 trials
 }
 LEMMA_STEP_PINS = {  # seed: (step_fn calls at 300 trials, digest per trial)
     0: (2276, "0f95e3eff95c5db3"),
-    1: (2128, "1ea44e81446603ee"),
+    1: (2128, "0462084ce9aeb7fa"),  # re-taken when d(q,L) read H's own (a, b)
     2: (2076, "339bed17281a2d3d"),
 }
 
