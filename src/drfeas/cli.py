@@ -27,7 +27,7 @@ from .engine import (
     run_ap,
     run_dr_generic,
 )
-from .problems import SETTINGS, ProblemFormatError, load_problem, solver_config
+from .problems import SETTINGS, ProblemFormatError, build_problem, solver_config
 
 __all__ = ["main"]
 
@@ -105,7 +105,7 @@ def _add_setting_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _load(args):
-    constraint, proj_set, x0, cfg = load_problem(args.problem).build()
+    constraint, proj_set, x0, cfg = build_problem(args.problem)
     flags = {name: getattr(args, name) for name in SETTINGS
              if getattr(args, name) is not None}
     return constraint, proj_set, x0, solver_config(flags, cfg)

@@ -3,7 +3,8 @@
 ``run_dr`` iterates the half-space case-split operator, ``run_dr_generic``
 pairs an arbitrary single-valued constraint with a projectable set, and
 ``run_ap`` alternates projections.  All three are one loop, ``_iterate``,
-with a different step strategy.  Every run records a full trace.  The
+with a different step strategy; each step takes q, the first nearest
+point in ``project_all``'s order.  Every run records a full trace.  The
 two-set and alternating runs detect cycles; the half-space run cannot
 cycle (it reaches a point of Q in H or diverges) and counts the march:
 witness steps, with x in H and q outside H attaining m = min over Q of
@@ -73,7 +74,6 @@ __all__ = [
     "run_dr_generic",
 ]
 
-TIE_RULES = ("first", "rotate", "random")
 REFLECT_ORDERS = ("set-first", "constraint-first")
 NORM_CAP = 1e12     # fallback bailout when no certificate forms
 # Per (n + 2): with |a| = 1, bounds the rounding of <a,u> - <a,v> against
@@ -90,8 +90,6 @@ class SolverConfig:
     eps_cycle: float = 1e-9      # cycle grid (two-set, AP); witness steps (DR)
     window: int = 25             # steps of evidence before a divergence certificate
     reflect_order: str = "set-first"
-    tie_rule: str = "first"
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -102,15 +100,10 @@ class SolverConfig:
             raise ValueError("window must be >= 1")
         if self.reflect_order not in REFLECT_ORDERS:
             raise ValueError(f"reflect_order must be one of {REFLECT_ORDERS}")
-        if self.tie_rule not in TIE_RULES:
-            raise ValueError(f"tie_rule must be one of {TIE_RULES}")
 
     def key(self) -> tuple:
-        # NORM_CAP is a run parameter too, so the fingerprint covers it.
-        return (
-            self.max_iter, self.eps_h, self.eps_cycle, self.window,
-            self.reflect_order, self.tie_rule, self.seed, NORM_CAP,
-        )
+        # every field, then NORM_CAP: the fingerprint covers each setting
+        return (*vars(self).values(), NORM_CAP)
 
 
 @dataclass(frozen=True)
@@ -252,31 +245,18 @@ def _step(x: np.ndarray, q: np.ndarray, a: np.ndarray, b: float,
 
 
 def dr_step_generic(x, constraint, proj_set: ProjectableSet,
-                    cfg: SolverConfig, k: int = 0,
-                    rng: Optional[np.random.Generator] = None):
+                    cfg: SolverConfig):
     """One generic two-set step; returns (next iterate, q used).
 
     set-first reflects the projectable set before the constraint,
-    x' = (x + R_A(2q - x)) / 2 with q the tie-selected nearest point of x;
-    constraint-first swaps the roles and selects q from the nearest points
-    of R_A(x).
+    x' = (x + R_A(2q - x)) / 2 with q the first nearest point of x;
+    constraint-first swaps the roles, with q the first nearest point of R_A(x).
     """
     x = as_point(x, constraint.dim)
     step = _TwoSetStep(constraint, cfg)
     src = step.source(x)
-    q = _select(proj_set.project_all(src), k, cfg.tie_rule, rng)
+    q = proj_set.project_all(src)[0]
     return step.advance(x, q, src), q
-
-
-def _select(ties: list[np.ndarray], k: int, rule: str,
-            rng: Optional[np.random.Generator]) -> np.ndarray:
-    if len(ties) == 1 or rule == "first":
-        return ties[0]
-    if rule == "rotate":
-        return ties[k % len(ties)]
-    if rng is None:
-        raise ValueError("random tie rule needs a generator")
-    return ties[int(rng.integers(len(ties)))]
 
 
 class _CycleDetector:
@@ -399,7 +379,7 @@ def _fingerprint(*parts) -> str:
 class _Strategy:
     """One driver's step; ``_iterate`` holds what the drivers share.
 
-    A step selects q among the nearest points of ``source(x)``, records
+    A step takes q, the first nearest point of ``source(x)``, records
     x, q and their ``distances``, and moves to ``advance(x, q, source(x))``.
     ``verdict(k, x, q, d_xH, d_qH, trace)`` may end the run after step k;
     by default it reports a confirmed cycle of x on the eps_cycle grid.
@@ -414,8 +394,8 @@ class _Strategy:
     def source(self, x):
         return x
 
-    def nearest(self, proj_set: ProjectableSet, x, src) -> list[np.ndarray]:
-        return proj_set.project_all(src)
+    def nearest(self, proj_set: ProjectableSet, x, src) -> np.ndarray:
+        return proj_set.project_all(src)[0]
 
     def distances(self, x, q) -> tuple[float, float, float]:
         """(d_xH, d_qH, d_xL) of ``IterateRecord``."""
@@ -449,26 +429,27 @@ class _HalfSpaceSplit(_Strategy):
         self.constraint, self.cfg = hs, cfg   # no _CycleDetector
         self.proj_set, self.length = proj_set, 0
         self.support: Optional[float] = None
-        self.held, self.hold = [], None     # a unique q; its ray_hold
+        self.held = self.hold = None    # a unique q; its ray_hold
         self.q = self.r = None      # the last q; a bound on |x| once known
         self.c, self.top = _ROUNDING * (hs.dim + 2), hs.b + cfg.eps_h
 
     def nearest(self, proj_set, x, src):
         held, a = self.held, self.constraint.a
         self.ax = float(a.dot(x))
-        if self.hold is not None:       # then held[0] is self.q
+        if self.hold is not None:       # then held is self.q
             lam, t = self.aq - self.ax, self.c * (self.nq + self.r) + 1e-300
             # Both false for NaN and inf: an overflowed x reaches project_all.
             if (t <= lam and lam + t < self.hold
-                    or 0.0 <= float(a.dot(held[0] - x)) < self.hold):
+                    or 0.0 <= float(a.dot(held - x)) < self.hold):
                 return held
         ties = proj_set.project_all(src)
-        if len(ties) == 1 and held and ties[0].tobytes() == held[0].tobytes():
+        q, unique = ties[0], len(ties) == 1
+        if unique and held is not None and q.tobytes() == held.tobytes():
             if self.hold is None:           # x is on the ray of q now
-                self.hold = proj_set.ray_hold(held[0], a)
+                self.hold = proj_set.ray_hold(held, a)
             return held
-        self.held, self.hold = ties if len(ties) == 1 else [], None
-        return ties
+        self.held, self.hold = q if unique else None, None
+        return q
 
     def distances(self, x, q):
         a, b = self.constraint.a, self.constraint.b
@@ -560,18 +541,16 @@ def _iterate(proj_set: ProjectableSet, constraint, x0, cfg: SolverConfig,
     trace = Trace(x.size, (strategy.tag, proj_set.key(), constraint.key(),
                            x.tobytes(), cfg.key()))
     xs, qs, d_xH_col, d_qH_col, d_xL_col = trace._cols
-    rule, eps_h, max_iter = cfg.tie_rule, cfg.eps_h, cfg.max_iter
-    rng = np.random.default_rng(cfg.seed) if rule == "random" else None
+    eps_h, max_iter = cfg.eps_h, cfg.max_iter
     outcome: Optional[RunOutcome]
     k = 0
     while True:
         src = strategy.source(x)
         try:
-            ties = strategy.nearest(proj_set, x, src)
+            q = strategy.nearest(proj_set, x, src)
         except DegenerateProjectionError:
             outcome = DegenerateProjection(at_index=k)
             break
-        q = _select(ties, k, rule, rng)
         d_xH, d_qH, d_xL = strategy.distances(x, q)
         xs.extend(x.tolist())
         qs.extend(strategy.q_list(q))
@@ -614,7 +593,7 @@ def run_dr_generic(constraint, proj_set: ProjectableSet, x0,
 
     With a half-space constraint and the default set-first order this is
     exactly ``run_dr`` (same code path, identical traces).  Solved requires
-    the tie-selected q to lie in both sets within eps_h.
+    the selected q to lie in both sets within eps_h.
     """
     if isinstance(constraint, HalfSpace) and cfg.reflect_order == "set-first":
         return run_dr(proj_set, constraint, x0, cfg)

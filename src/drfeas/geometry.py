@@ -169,9 +169,6 @@ class HalfSpace(_Flat):
         v = self._value(x)
         return x.copy() if v <= 0.0 else x - 2.0 * v * self.a
 
-    def boundary(self) -> "Hyperplane":
-        return Hyperplane(self.a, self.b)
-
 
 @dataclass(frozen=True)
 class Hyperplane(_Flat):

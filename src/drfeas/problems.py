@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import REFLECT_ORDERS, TIE_RULES, SolverConfig
+from .engine import REFLECT_ORDERS, SolverConfig
 from .geometry import HalfSpace, Hyperplane
 from .sets import (
     BinaryKnapsackSet,
@@ -31,8 +31,8 @@ from .sets import (
     TriadicSet,
 )
 
-__all__ = ["ProblemFile", "ProblemFormatError", "SETTINGS", "load_problem",
-           "solver_config"]
+__all__ = ["ProblemFile", "ProblemFormatError", "SETTINGS", "build_problem",
+           "load_problem", "solver_config"]
 
 
 class ProblemFormatError(ValueError):
@@ -45,9 +45,7 @@ SETTINGS = {
     "tol": ("eps_h", float, None),
     "cycle_tol": ("eps_cycle", float, None),
     "window": ("window", int, None),
-    "tie_rule": ("tie_rule", str, TIE_RULES),
     "reflect_order": ("reflect_order", str, REFLECT_ORDERS),
-    "seed": ("seed", int, None),
 }
 
 
@@ -138,6 +136,11 @@ class ProblemFile:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ProblemFile":
+        return cls._parse(data)[0]
+
+    @classmethod
+    def _parse(cls, data) -> tuple["ProblemFile", tuple]:
+        """The checked file and its ``build()``, which checks the rest."""
         if not isinstance(data, dict):
             raise ProblemFormatError("problem file must be a JSON object")
         extra = set(data) - {"constraint", "set", "x0", "config"}
@@ -146,20 +149,9 @@ class ProblemFile:
         for need in ("constraint", "set", "x0"):
             if need not in data:
                 raise ProblemFormatError(f"missing top-level field {need!r}")
-        pf = cls(
-            constraint=data["constraint"],
-            set=data["set"],
-            x0=data["x0"],
-            config=data.get("config", {}),
-        )
-        pf.build()  # validate eagerly
-        return pf
-
-    def to_json_dict(self) -> dict:
-        out = {"constraint": self.constraint, "set": self.set, "x0": self.x0}
-        if self.config:
-            out["config"] = self.config
-        return out
+        pf = cls(data["constraint"], data["set"], data["x0"],
+                 data.get("config", {}))
+        return pf, pf.build()
 
     def build(self):
         constraint = _build(self.constraint, CONSTRAINT_TYPES, "constraint")
@@ -187,6 +179,15 @@ class ProblemFile:
 
 def load_problem(path: str) -> ProblemFile:
     """Read and validate a problem file; JSON errors carry line/column."""
+    return _load(path)[0]
+
+
+def build_problem(path: str) -> tuple:
+    """``load_problem(path).build()``, building the problem once."""
+    return _load(path)[1]
+
+
+def _load(path: str) -> tuple[ProblemFile, tuple]:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -197,6 +198,6 @@ def load_problem(path: str) -> ProblemFile:
             f"{exc.msg}"
         ) from exc
     try:
-        return ProblemFile.from_json_dict(data)
+        return ProblemFile._parse(data)
     except ProblemFormatError as exc:
         raise ProblemFormatError(f"{path}: {exc}") from exc

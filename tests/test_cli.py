@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from drfeas import problems
 from drfeas.cli import build_parser, main
 from drfeas.engine import SolverConfig
 from drfeas.problems import SETTINGS
@@ -154,12 +155,19 @@ class TestSolveFlags:
         out = capsys.readouterr().out
         assert out.startswith("k,x0")
 
-    def test_seed_and_tie_rule_accepted(self):
-        code = main([
-            "solve", problem("four-points.json"),
-            "--tie-rule", "random", "--seed", "5",
-        ])
-        assert code == 0
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    def test_the_problem_is_built_once(self, command, monkeypatch, capsys):
+        # the objects built to check the file are the ones the command runs
+        built = []
+
+        def counting(spec, types, what):
+            built.append(what)
+            return real(spec, types, what)
+
+        real = problems._build
+        monkeypatch.setattr(problems, "_build", counting)
+        assert main([command, problem("four-points.json")]) == 0
+        assert built == ["constraint", "set"]
 
     def test_reflect_order_flag(self, capsys):
         code = main([
@@ -180,13 +188,14 @@ class TestBadInput:
 
     @pytest.mark.parametrize("flags", [
         ["--tol", "-1"], ["--cycle-tol", "0"], ["--window", "0"],
-        ["--tie-rule", "bogus"], ["--max-iter", "x"],
+        ["--tie-rule", "first"], ["--max-iter", "x"], ["--seed", "5"],
     ])
     def test_bad_setting_flag(self, flags, capsys):
         assert main(["solve", problem("four-points.json")] + flags) == 1
         self.assert_one_error_line(capsys)
 
-    @pytest.mark.parametrize("config", [{"max_iter": "x"}, {"seed": None}])
+    @pytest.mark.parametrize("config", [{"max_iter": "x"}, {"window": None},
+                                        {"tie_rule": "first"}, {"seed": 0}])
     def test_bad_config_value(self, config, tmp_path, capsys):
         data = json.loads(open(problem("triadic.json")).read())
         data["config"] = config
@@ -271,8 +280,9 @@ class TestGoldenOutput:
                                                                capsys):
         # main keeps one parser per process
         name, out = "triadic.json", tmp_path / "trace.csv"
-        assert main(["solve", problem(name), "--max-iter", "1", "--tie-rule",
-                     "rotate", "--format", "json", "--output", str(out)]) == 4
+        assert main(["solve", problem(name), "--max-iter", "1",
+                     "--reflect-order", "constraint-first", "--format", "json",
+                     "--output", str(out)]) == 0
         assert main(["solve", problem(name), "--output", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CSV[name]
         capsys.readouterr()

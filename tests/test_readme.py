@@ -1,9 +1,12 @@
-"""The README's python examples print what their comments say."""
+"""The README's python examples print what their comments say, and its
+settings paragraph names exactly the solver settings."""
 
 import contextlib
 import io
 import os
 import re
+
+from drfeas.problems import SETTINGS
 
 README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
@@ -20,3 +23,15 @@ def test_python_examples_print_their_comments():
         with contextlib.redirect_stdout(out):
             exec(code, {})
         assert out.getvalue().splitlines() == expected
+
+
+def test_settings_paragraph_documents_exactly_the_settings():
+    with open(README, encoding="utf-8") as f:
+        text = f.read()
+    # the paragraph runs from its opening words to the next blank line
+    para = re.search(r"settings flags of `solve`.*?\n\n", text, re.S).group()
+    flags = set(re.findall(r"`--([a-z-]+)", para))
+    keys = re.findall(r"`([a-z_]+)`",
+                      re.search(r"\(config keys (.*?)\)", para, re.S).group(1))
+    assert flags == {name.replace("_", "-") for name in SETTINGS}
+    assert sorted(keys) == sorted(SETTINGS)

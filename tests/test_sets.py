@@ -143,7 +143,8 @@ class TestBinaryKnapsack:
             BinaryKnapsackSet(np.array([1.0, 1.0]), 5.0)
 
     def test_nan_threshold_rejected(self):
-        # was accepted, and run_dr on it raised IndexError in _select
+        # was accepted, and run_dr on it raised IndexError taking the
+        # first of no nearest points
         with pytest.raises(ValueError, match="finite"):
             BinaryKnapsackSet(np.array([1.0, 2.0]), np.nan)
 
