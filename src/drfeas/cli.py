@@ -69,9 +69,8 @@ def _rows(trace: Trace):
 
 
 def trace_to_csv(trace: Trace) -> str:
-    """One row per step; float repr keeps output byte-identical per input."""
-    if not len(trace):
-        return ""
+    """A header, then one row per step; float repr keeps output
+    byte-identical per input."""
     n = trace.dim
     header = (["k"] + [f"x{i}" for i in range(n)] + [f"q{i}" for i in range(n)]
               + ["d_xH", "d_qH", "d_xL"])
@@ -131,17 +130,18 @@ def cmd_solve(args) -> int:
     return EXIT_CODES[type(outcome)]
 
 
+def _final(column) -> str:
+    """A column's last value, or "-" for a run that took no step."""
+    return f"{column[-1]:.3g}" if len(column) else "-"
+
+
 def cmd_compare(args) -> int:
     constraint, proj_set, x0, cfg = _load(args)
-    dr_trace, dr_out = run_dr_generic(constraint, proj_set, x0, cfg)
-    ap_trace, ap_out = run_ap(proj_set, constraint, x0, cfg)
-    rows = [
-        ("method", "outcome", "steps", "final d(x,H)", "final d(q,H)"),
-        ("DR", _summary(dr_out), str(len(dr_trace)),
-         f"{dr_trace.d_xH[-1]:.3g}", f"{dr_trace.d_qH[-1]:.3g}"),
-        ("AP", _summary(ap_out), str(len(ap_trace)),
-         f"{ap_trace.d_xH[-1]:.3g}", f"{ap_trace.d_qH[-1]:.3g}"),
-    ]
+    runs = [("DR", *run_dr_generic(constraint, proj_set, x0, cfg)),
+            ("AP", *run_ap(proj_set, constraint, x0, cfg))]
+    rows = [("method", "outcome", "steps", "final d(x,H)", "final d(q,H)")]
+    rows += [(method, _summary(outcome), str(len(trace)), _final(trace.d_xH),
+              _final(trace.d_qH)) for method, trace, outcome in runs]
     widths = [max(len(row[i]) for row in rows) for i in range(5)]
     for row in rows:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
@@ -190,6 +190,13 @@ def _dims(text: str) -> tuple[int, ...]:
     return verifier_mod.check_dims(text.split(","))
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise ValueError(f"the seed must be at least 0, got {seed}")
+    return seed
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises usage errors, so ``main`` exits 1 on them: 2 means Diverging."""
 
@@ -231,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--oracle-trials", type=trials, default=100)
     p_verify.add_argument("--dims", type=_checked(_dims), default="1,2,3,4,5",
                           help="comma-separated ambient dimensions")
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_checked(_seed), default=0)
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

@@ -8,12 +8,12 @@ point in ``project_all``'s order.  Every run records a full trace.  The
 two-set and alternating runs detect cycles; the half-space run cannot
 cycle (it reaches a point of Q in H or diverges) and counts the march:
 witness steps, with x in H and q outside H attaining m = min over Q of
-<a,p> (the set's ``min_along``, computed once) up to ``eps_cycle`` *
+<a,p> (the set's ``min_along``, computed once) up to ``WITNESS_TOL`` *
 max(1, |m|).  There <a,2q-x> > b, so each step is exactly x - d(q,H)*a.
 
-A march outlasting the window is declared ``Diverging`` if m > b: then
-it never hands over, and Q misses H.  Nothing is probed.  The
-certificate's offsets are read from the trace's x column.
+A march of more than ``SolverConfig.window`` steps is ``Diverging`` if
+m > b: then it never hands over, and Q misses H.  Nothing is probed.
+The certificate's offsets are read from the trace's x column.
 
 The trace is stored as columns: each step appends x, q and its three
 distances to growable float64 arrays, 8 bytes per coordinate and
@@ -76,6 +76,7 @@ __all__ = [
 
 REFLECT_ORDERS = ("set-first", "constraint-first")
 NORM_CAP = 1e12     # fallback bailout when no certificate forms
+WITNESS_TOL = 1e-9  # a witness step's <a,q> - m, relative to max(1, |m|)
 # Per (n + 2): with |a| = 1, bounds the rounding of <a,u> - <a,v> against
 # <a,u - v> in n dimensions, relative to |u| + |v|.
 _ROUNDING = 8 * 2.0 ** -53
@@ -87,17 +88,15 @@ class SolverConfig:
 
     max_iter: int = 10000
     eps_h: float = 1e-9          # membership tolerance for the stopping rule
-    eps_cycle: float = 1e-9      # cycle grid (two-set, AP); witness steps (DR)
-    window: int = 25             # steps of evidence before a divergence certificate
+    eps_cycle: float = 1e-9      # cycle grid of the two-set and AP runs
     reflect_order: str = "set-first"
+    window = 25     # a constant, not a field: march steps before Diverging
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if not (0 < self.eps_h < math.inf and 0 < self.eps_cycle < math.inf):
             raise ValueError("tolerances must be positive and finite")
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
         if self.reflect_order not in REFLECT_ORDERS:
             raise ValueError(f"reflect_order must be one of {REFLECT_ORDERS}")
 
@@ -321,20 +320,19 @@ def detect_cycle(states, eps_cycle: float = 1e-9,
     return None
 
 
-def _march(length: int, aq: float, d_xH: float, d_qH: float,
-           hs: HalfSpace, m: float, cfg: SolverConfig) -> tuple[int, bool]:
+def _march(length: int, aq: float, d_xH: float, d_qH: float, hs: HalfSpace,
+           m: float, eps_h: float, tol: float, window: int) -> tuple[int, bool]:
     """The march rule, one step: the march's new length, and whether it
     is now ``Diverging``.
 
     A witness step has x in H, q outside H and <a,q> (``aq``) - m within
-    ``eps_cycle`` * max(1, |m|), m being min over Q of <a,p>.  The march
-    counts consecutive witness steps; it is Diverging once it outlasts
-    the window and m > b.
+    ``tol`` * max(1, |m|), m being min over Q of <a,p>.  The march counts
+    consecutive witness steps; it is Diverging once it outlasts ``window``
+    steps and m > b.
     """
-    if (d_xH > cfg.eps_h or d_qH <= cfg.eps_h
-            or aq - m > cfg.eps_cycle * max(1.0, abs(m))):
+    if d_xH > eps_h or d_qH <= eps_h or aq - m > tol * max(1.0, abs(m)):
         return 0, False
-    return length + 1, length >= cfg.window and m > hs.b
+    return length + 1, length >= window and m > hs.b
 
 
 def _certificate(hs: HalfSpace, k: int, length: int, q: np.ndarray,
@@ -351,22 +349,23 @@ def _certificate(hs: HalfSpace, k: int, length: int, q: np.ndarray,
 
 
 def detect_linear_divergence(records, hs: HalfSpace,
-                             window: int = 25,
+                             window: int = SolverConfig.window,
                              eps_h: float = 1e-9,
-                             eps_cycle: float = 1e-9, *,
+                             eps_cycle: float = WITNESS_TOL, *,
                              support: float = -math.inf,
                              ) -> Optional[DivergenceCertificate]:
     """Scan a recorded trace for the march ``run_dr`` certifies.
 
+    ``eps_cycle`` is the witness tolerance; the defaults are ``run_dr``'s.
     ``support`` is m = min over Q of <a,p> (the set's ``min_along``); the
     default, an unknown bound, certifies nothing.
     """
-    cfg = SolverConfig(window=window, eps_h=eps_h, eps_cycle=eps_cycle)
     length, xs = 0, []
     for rec in records:
         xs.append(rec.x)
         length, diverging = _march(length, float(hs.a.dot(rec.q)), rec.d_xH,
-                                   rec.d_qH, hs, support, cfg)
+                                   rec.d_qH, hs, support, eps_h, eps_cycle,
+                                   window)
         if diverging:
             return _certificate(hs, rec.k, length, rec.q, rec.d_qH, xs)
     return None
@@ -470,7 +469,8 @@ class _HalfSpaceSplit(_Strategy):
             self.support = self.proj_set.min_along(hs.a)
         m = self.support
         self.length, diverging = _march(self.length, self.aq, d_xH, d_qH,
-                                        hs, m, self.cfg)
+                                        hs, m, self.cfg.eps_h, WITNESS_TOL,
+                                        SolverConfig.window)
         if not diverging:
             return None
         return Diverging(_certificate(hs, k, self.length, q, d_qH, trace.x), m)
@@ -581,8 +581,9 @@ def run_dr(proj_set: ProjectableSet, hs: HalfSpace, x0,
     Stops Solved as soon as the selected projection is within eps_h of
     membership.  Otherwise it ends Diverging on a march of witness steps,
     or MaxIterations; never CycleDetected, since against a half-space no
-    orbit repeats.  ``eps_cycle`` is the witness steps' tolerance.  Inside
-    a constant-q segment q is reused while the set's ``ray_hold`` allows.
+    orbit repeats; ``eps_cycle``, the cycle grid, enters only the
+    fingerprint.  Inside a constant-q segment q is reused while the set's
+    ``ray_hold`` allows.
     """
     return _iterate(proj_set, hs, x0, cfg, _HalfSpaceSplit(proj_set, hs, cfg))
 

@@ -115,6 +115,7 @@ class ReflectableConstraint(abc.ABC):
         return math.sqrt(d.dot(d))  # np.linalg.norm(d), bit for bit
 
     def contains(self, x, tol: float = 1e-9) -> bool:
+        """Whether ``distance(x) <= tol``: no constraint overrides this."""
         return self.distance(x) <= tol
 
     @abc.abstractmethod

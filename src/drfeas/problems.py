@@ -44,7 +44,6 @@ SETTINGS = {
     "max_iter": ("max_iter", int, None),
     "tol": ("eps_h", float, None),
     "cycle_tol": ("eps_cycle", float, None),
-    "window": ("window", int, None),
     "reflect_order": ("reflect_order", str, REFLECT_ORDERS),
 }
 
@@ -73,7 +72,7 @@ CONSTRAINT_TYPES = {
     "hyperplane": (Hyperplane, ("a", "b")),
     "slab": (Slab, ("a", "lower", "upper")),
     "cone": (PlanarCone.from_boundary_points, ("apex", "p1", "p2")),
-    "diagonal": (lambda n: DiagonalSet(int(n)), ("block_dim",)),
+    "diagonal": (DiagonalSet, ("block_dim",)),
 }
 
 SET_TYPES = {

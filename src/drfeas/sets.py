@@ -11,6 +11,7 @@ from __future__ import annotations
 import abc
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,7 @@ __all__ = [
     "Slab",
     "Sphere",
     "TIE_TOL",
+    "TRIADIC_DEPTH_CAP",
 ]
 
 # Absolute tie tolerance on squared distances: exact ties in the symmetric
@@ -41,6 +43,9 @@ TIE_TOL = 1e-12
 # Largest BinaryKnapsackSet dimension: its split search enumerates two
 # halves of 2^16 partial corners at m = 32.
 KNAPSACK_CAP = 32
+
+# Largest TriadicSet depth: the last at which every 2/3^k is a normal float.
+TRIADIC_DEPTH_CAP = 645
 
 _EPS = float(np.finfo(float).eps)
 
@@ -87,11 +92,19 @@ class ProjectableSet(abc.ABC):
         return float(np.linalg.norm(as_point(x, self.dim) - p))
 
     def contains(self, x, tol: float = 1e-9) -> bool:
+        """Whether ``distance(x) <= tol``: no set overrides this."""
         return self.distance(x) <= tol
 
     @abc.abstractmethod
     def key(self) -> tuple:
         """Hashable description used for trace fingerprints."""
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int; ValueError unless it is an integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _bit_rows(idx: np.ndarray, m: int) -> np.ndarray:
@@ -362,13 +375,6 @@ class BinaryKnapsackSet(ProjectableSet):
             cost.append(row_cost[j])
         return np.concatenate(idx), np.concatenate(cost)
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        x = as_point(x, self.dim)
-        y = np.round(x)
-        if np.any(np.abs(x - y) > tol) or np.any((y != 0) & (y != 1)):
-            return False
-        return float(np.sum(self.c * y)) >= self.threshold
-
     def key(self) -> tuple:
         return ("BinaryKnapsackSet", self.c.tobytes(), self.threshold)
 
@@ -383,13 +389,15 @@ class TriadicSet(ProjectableSet):
     """The 1-D set {2/3^k : 0 <= k <= depth} together with 0.
 
     The infinite tail is truncated at ``depth``; 2/3^60 is already below
-    double-precision relevance for the first few dozen iterates.
+    double-precision relevance for the first few dozen iterates.  The
+    depth is an integer from 1 to TRIADIC_DEPTH_CAP.
     """
 
     def __init__(self, depth: int = 60):
-        self.depth = int(depth)
-        if self.depth < 1:
-            raise ValueError("depth must be positive")
+        self.depth = _integer(depth, "depth")
+        if not 1 <= self.depth <= TRIADIC_DEPTH_CAP:
+            raise ValueError(f"depth must be from 1 to {TRIADIC_DEPTH_CAP}, "
+                             f"got {self.depth}")
         vals = [0.0] + [2.0 / 3.0**k for k in range(self.depth, -1, -1)]
         self.values = np.asarray(vals)
         self.values.setflags(write=False)
@@ -493,10 +501,6 @@ class PlanarCone(ReflectableConstraint):
     def _coords(self, x: np.ndarray) -> np.ndarray:
         return self._basis_inv @ (x - self.apex)
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        s, t = self._coords(as_point(x, 2))
-        return s >= -tol and t >= -tol
-
     def project(self, x) -> np.ndarray:
         return self._project(as_point(x, 2))
 
@@ -530,7 +534,7 @@ class DiagonalSet(ReflectableConstraint):
     block_dim: int
 
     def __post_init__(self):
-        if self.block_dim < 1:
+        if _integer(self.block_dim, "block dimension") < 1:
             raise ValueError("block dimension must be positive")
 
     @property
@@ -608,13 +612,6 @@ class ProductSet(ProjectableSet):
                     for comp, blk in zip(self.components, self._blocks(x))
                 )
             )
-        )
-
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        x = as_point(x, self.dim)
-        return all(
-            comp.contains(blk, tol)
-            for comp, blk in zip(self.components, self._blocks(x))
         )
 
     def key(self) -> tuple:

@@ -632,11 +632,11 @@ def _certificate_valid(outcome, hs) -> bool:
     return bool(np.all(np.abs(np.diff(offs) - inc) <= step_tol))
 
 
-def check_theorems_finite(trials=100, dims=(1, 2, 3, 4, 5), seed=0,
-                          knapsack_trials=100) -> PropertyReport:
+def check_theorems_finite(trials=100, dims=(1, 2, 3, 4, 5),
+                          seed=0) -> PropertyReport:
     """Solved/Diverging outcomes versus exhaustive feasibility oracles.
 
-    Random explicit finite sets plus random binary-threshold instances.
+    ``trials`` random finite sets, then ``trials`` binary-threshold instances.
     Feasible instances must finish Solved with an oracle-verified point,
     and x must then settle (judged where q repeats, with no step budget);
     infeasible ones must produce a valid divergence certificate whose
@@ -644,8 +644,7 @@ def check_theorems_finite(trials=100, dims=(1, 2, 3, 4, 5), seed=0,
     the iteration cap are counted as vacuous (inconclusive).
     """
     rng = np.random.default_rng(seed)
-    report = PropertyReport("theorems-oracle-agreement",
-                            trials + knapsack_trials, seed=seed)
+    report = PropertyReport("theorems-oracle-agreement", 2 * trials, seed=seed)
     cfg = SolverConfig(max_iter=10000)
     for t in range(trials):
         n = int(dims[int(rng.integers(len(dims)))])
@@ -654,7 +653,7 @@ def check_theorems_finite(trials=100, dims=(1, 2, 3, 4, 5), seed=0,
                                        (int(rng.integers(1, 8)), n)))
         x0 = rng.uniform(-COORD_RANGE, COORD_RANGE, n)
         _judge(report, t, Q, hs, x0, *_finite_oracle(Q, hs), cfg)
-    for t in range(knapsack_trials):
+    for t in range(trials):
         m = int(rng.integers(2, 13))
         c = rng.uniform(0.0, 3.0, m)
         lam = float(rng.uniform(0.0, float(c.sum())))
@@ -742,15 +741,16 @@ def run_all_suites(trials=10000, dims=(1, 2, 3, 4, 5), seed=0,
                    oracle_trials=100) -> list[PropertyReport]:
     dims = check_dims(dims)
     trials, oracle_trials = check_trials(trials), check_trials(oracle_trials)
+    # prop4 has content only for n >= 2; with no such dims all its trials
+    # are drawn from the given ones, and count as vacuous
     return [
         _timed(check_prop1, trials, dims, seed),
         _timed(check_prop2, trials, dims, seed),
         _timed(check_prop3, trials, dims, seed),
-        _timed(check_prop4, trials, tuple(d for d in dims if d >= 2) or (2,),
+        _timed(check_prop4, trials, tuple(d for d in dims if d >= 2) or dims,
                seed),
         _timed(check_lemmas, trials, dims, seed),
-        _timed(check_theorems_finite, oracle_trials, dims, seed,
-               knapsack_trials=oracle_trials),
+        _timed(check_theorems_finite, oracle_trials, dims, seed),
     ]
 
 

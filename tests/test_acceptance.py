@@ -181,9 +181,7 @@ def test_criterion_8_property_suites_full_scale():
 
 
 def test_criterion_9_oracle_equivalence():
-    result = check_theorems_finite(
-        trials=100, dims=DIMS, seed=0, knapsack_trials=100
-    )
+    result = check_theorems_finite(trials=100, dims=DIMS, seed=0)
     total = result.trials
     ok = (
         result.passed

@@ -187,15 +187,19 @@ class TestBadInput:
         return out
 
     @pytest.mark.parametrize("flags", [
-        ["--tol", "-1"], ["--cycle-tol", "0"], ["--window", "0"],
-        ["--tie-rule", "first"], ["--max-iter", "x"], ["--seed", "5"],
+        ["--tol", "-1"], ["--cycle-tol", "0"], ["--max-iter", "x"],
+        # retired settings
+        ["--window", "5"], ["--tie-rule", "first"], ["--seed", "5"],
     ])
     def test_bad_setting_flag(self, flags, capsys):
         assert main(["solve", problem("four-points.json")] + flags) == 1
         self.assert_one_error_line(capsys)
 
-    @pytest.mark.parametrize("config", [{"max_iter": "x"}, {"window": None},
-                                        {"tie_rule": "first"}, {"seed": 0}])
+    @pytest.mark.parametrize("config", [
+        {"max_iter": "x"},
+        # retired settings
+        {"window": 25}, {"tie_rule": "first"}, {"seed": 0},
+    ])
     def test_bad_config_value(self, config, tmp_path, capsys):
         data = json.loads(open(problem("triadic.json")).read())
         data["config"] = config
@@ -208,6 +212,14 @@ class TestBadInput:
         ("sphere.json", "set", "radius", float("inf")),
         ("knapsack.json", "set", "threshold", float("nan")),
         ("four-points.json", "constraint", "b", float("-inf")),
+        # integer fields: 2/3^647 overflowed in a traceback, 2.5 and true
+        # were truncated by int() and solved
+        ("triadic.json", "set", "depth", 646),
+        ("triadic.json", "set", "depth", 647),
+        ("triadic.json", "set", "depth", 2.5),
+        ("triadic.json", "set", "depth", True),
+        ("corner-cycle.json", "constraint", "block_dim", 1.7),
+        ("corner-cycle.json", "constraint", "block_dim", True),
     ])
     def test_non_finite_parameter(self, name, part, field, value, tmp_path,
                                   capsys):
@@ -236,6 +248,7 @@ class TestBadInput:
     @pytest.mark.parametrize("counts", [
         ["--trials", "-3", "--oracle-trials", "-2"],
         ["--trials", "2", "--oracle-trials", "-2"],
+        ["--trials", "2", "--seed", "-1"],
     ])
     def test_negative_verify_trials(self, counts, capsys):
         # used to run no trial and report "passed": true with exit 0
@@ -302,6 +315,21 @@ class TestCompare:
         out = capsys.readouterr().out
         assert "DR" in out and "AP" in out
         assert "method" in out
+
+    def test_a_run_that_takes_no_step(self, tmp_path, capsys):
+        # x0 at the sphere's centre: both runs end at step 0, and the CSV
+        # trace is its header line
+        data = {
+            "constraint": {"type": "halfspace", "a": [0.0, 1.0], "b": -2.0},
+            "set": {"type": "sphere", "center": [0.0, 0.0], "radius": 1.0},
+            "x0": [0.0, 0.0],
+        }
+        path, out = write_problem(tmp_path, data), tmp_path / "t.csv"
+        assert main(["compare", path]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert [row.split()[-3:] for row in rows[1:]] == [["0", "-", "-"]] * 2
+        assert main(["solve", path, "--output", str(out)]) == 5
+        assert out.read_text() == "k,x0,x1,q0,q1,d_xH,d_qH,d_xL\n"
 
 
 class TestRepro:

@@ -182,7 +182,7 @@ class TestRunDr:
         Q = _CountingSet([(0, 1), (80, -1)])
         run_dr(Q, self.HS, [80.0, -1.0])
         assert Q.min_calls == 0
-        trace, outcome = run_dr(Q, self.HS, [0.0, 1.0], SolverConfig(window=10))
+        trace, outcome = run_dr(Q, self.HS, [0.0, 1.0])
         assert isinstance(outcome, Solved)
         assert np.array_equal(outcome.q, [80, -1])
         assert Q.min_calls == 1
@@ -236,7 +236,7 @@ class TestRunDr:
 
     def test_sphere_divergence_does_not_depend_on_scale(self):
         # on a sphere q moves a little each march step: the march counts
-        # steps whose q attains m up to eps_cycle*max(1, |m|), so a scaled
+        # steps whose q attains m up to WITNESS_TOL*max(1, |m|), so a scaled
         # run still ends Diverging, with a valid certificate.  Lengths are
         # not pinned: eps_h is still absolute.
         rng = np.random.default_rng(20)
@@ -255,6 +255,17 @@ class TestRunDr:
                                     s * np.asarray(x0), cfg)
                 assert isinstance(outcome, Diverging), (s, outcome)
                 assert _certificate_valid(outcome, hs), s
+
+    def test_cycle_grid_does_not_change_a_half_space_run(self):
+        # the witness tolerance is a constant: eps_cycle is only the cycle
+        # grid of the two-set and AP runs
+        Q, hs = Sphere([0.3, 2.0], 1.0), HalfSpace([0.2, 1.0], 0.5)
+        runs = [run_dr(Q, hs, [1.0, 1.5], SolverConfig(eps_cycle=eps))
+                for eps in (1e-300, 1e-3)]
+        (t1, o1), (t2, o2) = runs
+        assert isinstance(o1, Diverging) and repr(o1) == repr(o2)
+        for col in ("x", "q", "d_xH", "d_qH", "d_xL"):
+            assert np.array_equal(getattr(t1, col), getattr(t2, col))
 
     def test_max_iterations(self):
         Q = TriadicSet()
@@ -300,8 +311,9 @@ class TestRunDr:
         assert repr(o1) == repr(o2)
 
     def test_tie_rules_are_validated(self):
-        # a run takes the first nearest point: no tie rule or seed is taken
-        for retired in ("tie_rule", "seed"):
+        # a run takes the first nearest point and marches a fixed window: no
+        # tie rule, seed or window is taken
+        for retired in ("tie_rule", "seed", "window"):
             with pytest.raises(TypeError):
                 SolverConfig(**{retired: 0})
         with pytest.raises(ValueError):
@@ -330,10 +342,10 @@ class TestRunDr:
 
     def test_key_covers_every_setting(self):
         base = SolverConfig()
-        other = {"max_iter": 7, "eps_h": 1e-6, "eps_cycle": 1e-6, "window": 3,
+        other = {"max_iter": 7, "eps_h": 1e-6, "eps_cycle": 1e-6,
                  "reflect_order": "constraint-first"}
         assert sorted(other) == sorted(f.name for f in dataclasses.fields(base))
-        assert base.key() == (10000, 1e-9, 1e-9, 25, "set-first", NORM_CAP)
+        assert base.key() == (10000, 1e-9, 1e-9, "set-first", NORM_CAP)
         for name, value in other.items():
             assert dataclasses.replace(base, **{name: value}).key() != base.key()
 
@@ -480,7 +492,7 @@ class TestSegmentReuse:
         # than as <a, q - x>; with the hold at the latter the scalars cannot
         # tell, the exact test does, and step 5 is projected
         Q, hs = _RecordingSet([(1.81, 0.49)]), HalfSpace([2.04, -2.56], 0.0)
-        cfg = SolverConfig(max_iter=30, window=10**6)
+        cfg = SolverConfig(max_iter=20)     # under the window of 25 steps
         trace, _ = run_dr(Q, hs, [-2.44, -0.4], cfg)
         q, x5 = trace.q[0], trace.x[5]
         lam = float(hs.a.dot(q - x5))
@@ -593,7 +605,7 @@ class TestColumnarTrace:
         assert np.array_equal(trace.x, xs) and np.array_equal(trace.q, qs)
         assert trace.x[0].tolist() == [1.5, -1.5]
         assert trace.q[-1].tolist() == [-1.0, -2.0]
-        assert trace.fingerprint == "837f9071f848f533"
+        assert trace.fingerprint == "869daa7ea93b1a41"
 
     def test_fingerprint_is_hashed_once_on_first_read(self, monkeypatch):
         calls = []
@@ -606,15 +618,16 @@ class TestColumnarTrace:
         monkeypatch.setattr(engine, "_fingerprint", counting)
         trace, _ = run_dr(self.Q, self.HS, [1.5, -1.5])
         assert len(calls) == 0
-        assert trace.fingerprint == "837f9071f848f533"
-        assert trace.fingerprint == "837f9071f848f533"
+        assert trace.fingerprint == "869daa7ea93b1a41"
+        assert trace.fingerprint == "869daa7ea93b1a41"
         assert len(calls) == 1
 
     def test_long_march_memory_per_record(self):
-        # a 20001-step constant-q march (the window is never reached);
-        # a frozen IterateRecord per step held 478 B/record here
-        cfg = SolverConfig(max_iter=20000, window=10**6)
-        Q, hs = FinitePointSet([(0.0, 1.0)]), HalfSpace([0.0, 1.0], 0.0)
+        # a 20001-step constant-q march whose q never attains m, so it is
+        # never a witness; a frozen IterateRecord per step held 478 B/record
+        cfg = SolverConfig(max_iter=20000)
+        Q = FinitePointSet([(0.0, 1.0), (1e6, -1.0)])
+        hs = HalfSpace([0.0, 1.0], 0.0)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]

@@ -42,19 +42,18 @@ class TestParsing:
         data = minimal()
         data["config"] = {
             "max_iter": 50, "tol": 1e-6, "cycle_tol": 1e-10,
-            "window": 7, "reflect_order": "constraint-first",
+            "reflect_order": "constraint-first",
         }
         *_, cfg = ProblemFile.from_json_dict(data).build()
         assert cfg.max_iter == 50
         assert cfg.eps_h == 1e-6
         assert cfg.eps_cycle == 1e-10
-        assert cfg.window == 7
         assert cfg.reflect_order == "constraint-first"
 
     def test_solver_config_applies_settings_over_base(self):
-        base = SolverConfig(max_iter=7, window=4)
-        cfg = solver_config({"tol": "1e-6", "window": 2}, base)
-        assert cfg == SolverConfig(max_iter=7, eps_h=1e-6, window=2)
+        base = SolverConfig(max_iter=7, eps_cycle=1e-4)
+        cfg = solver_config({"tol": "1e-6", "cycle_tol": 2e-4}, base)
+        assert cfg == SolverConfig(max_iter=7, eps_h=1e-6, eps_cycle=2e-4)
         assert solver_config({}, base) == base
         with pytest.raises(ProblemFormatError, match="unknown"):
             solver_config({"eps_h": 1e-6}, base)

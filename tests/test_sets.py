@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drfeas.geometry import HalfSpace
+from drfeas.geometry import HalfSpace, Hyperplane
 from drfeas.sets import (
     KNAPSACK_CAP,
     TIE_TOL,
@@ -25,6 +25,35 @@ from drfeas.sets import (
 )
 
 COORD = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
+
+
+# One member of every set and constraint type; an offset moves it out.
+MEMBERS = [
+    (FinitePointSet([(0, 0), (3, 1)]), [0.0, 0.0]),
+    (Sphere([0, 0], 1.0), [1.0, 0.0]),
+    (BinaryKnapsackSet([2.0, 1.0], 2.0), [1.0, 0.0]),
+    (TriadicSet(20), [2 / 3]),
+    (ProductSet([FinitePointSet([(0.0,)]), Sphere([0.0], 1.0)]), [0.0, 1.0]),
+    (HalfSpace([0.0, -1.0], 0.0), [0.0, 0.0]),
+    (Hyperplane([0.0, 1.0], 0.0), [0.0, 0.0]),
+    (Slab([0.0, 1.0], -1.0, 1.0), [0.0, -1.0]),
+    (PlanarCone([0, 0], [1, 0], [1, 1]), [1.0, 0.0]),
+    (DiagonalSet(1), [1.0, 1.0]),
+]
+
+
+@pytest.mark.parametrize("obj, member", MEMBERS,
+                         ids=[type(obj).__name__ for obj, _ in MEMBERS])
+def test_contains_is_distance_within_tol(obj, member):
+    # offsets of 0.6e-9 and 0.8e-9 per coordinate put a 2-D point just
+    # inside and just outside the default band; each tol is tried at the
+    # distance and one float either side of it
+    for delta in (0.6e-9, 0.8e-9):
+        x = np.asarray(member) + delta * (-1.0) ** np.arange(obj.dim)
+        d = obj.distance(x)
+        assert obj.contains(x) == (d <= 1e-9)
+        for tol in (np.nextafter(d, 0.0), d, np.nextafter(d, np.inf)):
+            assert obj.contains(x, tol) == (d <= tol)
 
 
 class TestFinitePointSet:

@@ -57,6 +57,10 @@ def test_prop4_is_vacuous_in_one_dimension():
     # point at equal distance, so the suite must not claim coverage
     report = check_prop4(trials=50, dims=(1,), seed=0)
     assert report.vacuous == report.trials
+    # run_all_suites draws it in the dimensions asked for, not in 2-D
+    prop4 = run_all_suites(trials=10, dims=(1,), oracle_trials=0)[3]
+    assert prop4.property_id == report.property_id
+    assert prop4.vacuous == prop4.trials == 10
 
 
 def test_lemma_suite_passes():
@@ -74,8 +78,7 @@ def test_lemma_suite_keeps_outside_points_off_shallow_depths(seed):
 
 
 def test_theorem_suite_agrees_with_oracles():
-    report = check_theorems_finite(trials=40, dims=DIMS, seed=11,
-                                   knapsack_trials=40)
+    report = check_theorems_finite(trials=40, dims=DIMS, seed=11)
     assert report.passed, report.failures[:3]
     assert report.vacuous <= report.trials * 0.01
 
@@ -83,7 +86,7 @@ def test_theorem_suite_agrees_with_oracles():
 @pytest.mark.parametrize("seed", range(10))
 def test_theorem_suite_passes_at_the_cli_oracle_count(seed):
     # drfeas verify's default --oracle-trials 100, on each suite seed
-    report = check_theorems_finite(100, seed=seed, knapsack_trials=100)
+    report = check_theorems_finite(100, seed=seed)
     assert report.passed, report.failures[:3]
 
 
@@ -92,7 +95,7 @@ def _theorem_instance(monkeypatch, seed, trial):
     drawn = {}
     monkeypatch.setattr(verifier, "_judge", lambda report, t, Q, hs, x0, *_:
                         drawn.setdefault(t, (Q, hs, x0)))
-    check_theorems_finite(100, seed=seed, knapsack_trials=100)
+    check_theorems_finite(100, seed=seed)
     return drawn[trial]
 
 
@@ -228,8 +231,7 @@ def _digest(report):
 @pytest.mark.parametrize("seed", sorted(REPORT_PINS))
 def test_lemma_and_theorem_reports_are_pinned(seed):
     lemmas = check_lemmas(trials=200, dims=DIMS, seed=seed)
-    theorems = check_theorems_finite(trials=20, dims=DIMS, seed=seed,
-                                     knapsack_trials=20)
+    theorems = check_theorems_finite(trials=20, dims=DIMS, seed=seed)
     assert (_digest(lemmas), _digest(theorems)) == REPORT_PINS[seed]
 
 
