@@ -597,6 +597,116 @@ class TestRayHold:
                 for q in corners[pick]:
                     self._check(ks, corners, q, a, float(np.sum(q * a)) <= low)
 
+    def test_knapsack_both_paths_against_all_corners(self, monkeypatch):
+        # zeros in a and c, thresholds on a corner's row-sum weight; the
+        # relaxation's corner (q with its best flips) is feasible on some
+        # calls and not on others, and only the search asks for _lowest
+        lowest, searched = BinaryKnapsackSet._lowest, []
+        monkeypatch.setattr(BinaryKnapsackSet, "_lowest",
+                            lambda ks, a: searched.append(1) or lowest(ks, a))
+        rng = np.random.default_rng(16)
+        calls, searches = 0, 0
+        for m in range(1, 11):
+            for _ in range(6):
+                c = rng.uniform(0.0, 3.0, m)
+                c[rng.random(m) < 0.2] = 0.0
+                a = rng.normal(size=m)
+                a[rng.random(m) < 0.3] = 0.0
+                if not a.any():
+                    continue
+                a /= np.linalg.norm(a)
+                corner = (rng.random((1, m)) < 0.5).astype(float)
+                threshold = (float(np.sum(corner * c, axis=1)[0])
+                             if rng.random() < 0.5
+                             else float(rng.uniform(0.0, c.sum())))
+                ks = BinaryKnapsackSet(c, threshold)
+                corners = _row_sum_corners(ks.c, ks.threshold)
+                low = ks.min_along(a)
+                for q in corners[rng.permutation(len(corners))[:12]]:
+                    before = len(searched)
+                    self._check(ks, corners, q, a, float(np.sum(q * a)) <= low)
+                    calls += 1
+                    searches += len(searched) > before
+        # 522 calls: 103 ran the search, and 419 had a feasible relaxation
+        # corner or no positive gain
+        assert (calls, searches) == (522, 103)
+
+    def test_knapsack_relaxation_feasible_by_row_sums(self):
+        # the relaxation's corner 11000011 weighs 8.440000000000001 by
+        # y @ c and 8.44 by row sums, so at this threshold it is out of Q;
+        # the hold is then the crossing of a corner with two flips
+        c = [0.57, 2.38, 2.95, 1.4, 2.3, 0.05, 2.7, 2.79]
+        ks = BinaryKnapsackSet(c, 8.440000000000001)
+        q = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0])
+        a = np.where(q == 1.0, -0.1, 0.1)
+        a[2] = 1.0
+        a /= np.linalg.norm(a)
+        corners = _row_sum_corners(ks.c, ks.threshold)
+        self._check(ks, corners, q, a, False)
+        assert ks.ray_hold(q, a) > 2.0 * 0.5 / a[2]
+
+    def test_knapsack_hit_makes_no_projection(self, monkeypatch):
+        # the threshold is the row-sum weight of the relaxation's corner,
+        # so that corner is feasible with no slack and answers alone
+        project_all, calls = BinaryKnapsackSet.project_all, []
+        monkeypatch.setattr(BinaryKnapsackSet, "project_all",
+                            lambda ks, x: calls.append(x) or project_all(ks, x))
+        rng = np.random.default_rng(17)
+        held = 0
+        for m in range(1, 11):
+            every = _row_sum_corners(np.zeros(m), 0.0)
+            for _ in range(10):
+                c = rng.uniform(0.0, 3.0, m)
+                q = (rng.random(m) < 0.5).astype(float)
+                a = rng.normal(size=m)
+                a /= np.linalg.norm(a)
+                g = (q - every) @ a
+                ahead = every[g > 0]
+                if not ahead.size:
+                    continue
+                crossing = np.sum((q - ahead) ** 2, axis=1) / (2 * g[g > 0])
+                y = ahead[crossing.argmin()]
+                threshold = float(np.sum(y[None] * c, axis=1)[0])
+                if float(np.sum(q[None] * c, axis=1)[0]) < threshold:
+                    continue
+                ks = BinaryKnapsackSet(c, threshold)
+                lam = ks.ray_hold(q, a)
+                cross = _crossing(_row_sum_corners(ks.c, ks.threshold), q, a)
+                assert cross * (1 - 1e-6) <= lam <= cross
+                held += 1
+        assert calls == [] and held == 46
+
+    def test_knapsack_workload_holds_rarely_project(self, monkeypatch):
+        # the 8 run_dr cases of solve-knapsack at seed 3 ask for 27 holds;
+        # Dinkelbach alone projected 47 times inside them
+        import importlib.util
+        import os
+
+        from drfeas.engine import run_dr
+
+        path = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                            "bench", "workloads.py")
+        spec = importlib.util.spec_from_file_location("workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        hold, project_all = BinaryKnapsackSet.ray_hold, BinaryKnapsackSet.project_all
+        inside, calls = [], []
+
+        def counted_hold(ks, q, a):
+            inside.append(1)
+            try:
+                return hold(ks, q, a)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(BinaryKnapsackSet, "ray_hold", counted_hold)
+        monkeypatch.setattr(BinaryKnapsackSet, "project_all", lambda ks, x: (
+            inside and calls.append(x)) or project_all(ks, x))
+        inputs = workloads.generate("solve-knapsack", 3)
+        for hs, Q, x0, cfg in workloads.build(inputs)["cases"]:
+            run_dr(Q, hs, x0, cfg)
+        assert len(calls) <= 9
+
     def test_triadic_against_brute_force(self):
         # values 2/3^k lie within sqrt(TIE_TOL) of their neighbours, where
         # the hold's band of 2 TIE_TOL, not TIE_TOL, decides its length
