@@ -101,7 +101,8 @@ class SolverConfig:
             raise ValueError(f"reflect_order must be one of {REFLECT_ORDERS}")
 
     def key(self) -> tuple:
-        # every field, then NORM_CAP: the fingerprint covers each setting
+        # every field, then NORM_CAP: a two-set or AP run's fingerprint
+        # covers each setting
         return (*vars(self).values(), NORM_CAP)
 
 
@@ -412,6 +413,10 @@ class _Strategy:
         hit = self.cycles.add(x, k)
         return hit and CycleDetected(*hit)
 
+    def key(self) -> tuple:
+        """The settings the run reads, hashed into its fingerprint."""
+        return self.cfg.key()
+
     def capped(self, x) -> bool:
         """Whether |x| exceeds ``NORM_CAP``, which ends the run."""
         # math.sqrt(x.dot(x)) is np.linalg.norm(x) for a 1-D float array.
@@ -460,6 +465,9 @@ class _HalfSpaceSplit(_Strategy):
 
     def q_list(self, q):
         return self.row
+
+    def key(self):
+        return (self.cfg.max_iter, self.cfg.eps_h, NORM_CAP)
 
     def verdict(self, k, x, q, d_xH, d_qH, trace):
         hs = self.constraint
@@ -539,7 +547,7 @@ def _iterate(proj_set: ProjectableSet, constraint, x0, cfg: SolverConfig,
         raise DimensionMismatchError(f"set has dimension {proj_set.dim}, "
                                      f"constraint has dimension {constraint.dim}")
     trace = Trace(x.size, (strategy.tag, proj_set.key(), constraint.key(),
-                           x.tobytes(), cfg.key()))
+                           x.tobytes(), strategy.key()))
     xs, qs, d_xH_col, d_qH_col, d_xL_col = trace._cols
     eps_h, max_iter = cfg.eps_h, cfg.max_iter
     outcome: Optional[RunOutcome]
@@ -581,8 +589,8 @@ def run_dr(proj_set: ProjectableSet, hs: HalfSpace, x0,
     Stops Solved as soon as the selected projection is within eps_h of
     membership.  Otherwise it ends Diverging on a march of witness steps,
     or MaxIterations; never CycleDetected, since against a half-space no
-    orbit repeats; ``eps_cycle``, the cycle grid, enters only the
-    fingerprint.  Inside a constant-q segment q is reused while the set's
+    orbit repeats.  It reads neither ``eps_cycle``, the cycle grid, nor
+    ``reflect_order``, and its fingerprint holds neither.  Inside a constant-q segment q is reused while the set's
     ``ray_hold`` allows.
     """
     return _iterate(proj_set, hs, x0, cfg, _HalfSpaceSplit(proj_set, hs, cfg))

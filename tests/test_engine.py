@@ -26,7 +26,8 @@ from drfeas.engine import (
     run_dr_generic,
 )
 from drfeas.geometry import DimensionMismatchError, HalfSpace, Hyperplane
-from drfeas.sets import BinaryKnapsackSet, FinitePointSet, Sphere, TriadicSet
+from drfeas.sets import (BinaryKnapsackSet, FinitePointSet, Slab, Sphere,
+                         TriadicSet)
 from drfeas.verifier import _certificate_valid
 
 COORD = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
@@ -266,6 +267,21 @@ class TestRunDr:
         assert isinstance(o1, Diverging) and repr(o1) == repr(o2)
         for col in ("x", "q", "d_xH", "d_qH", "d_xL"):
             assert np.array_equal(getattr(t1, col), getattr(t2, col))
+
+    def test_fingerprint_holds_only_the_settings_a_run_reads(self):
+        # a half-space run reads neither eps_cycle nor reflect_order; a
+        # two-set run reads eps_cycle as its cycle grid
+        Q, hs = Sphere([0.3, 2.0], 1.0), HalfSpace([0.2, 1.0], 0.5)
+        one, two, capped = (run_dr(Q, hs, [1.0, 1.5], cfg)[0].fingerprint
+                            for cfg in (SolverConfig(eps_cycle=1e-300),
+                                        SolverConfig(eps_cycle=1e-3),
+                                        SolverConfig(max_iter=7)))
+        assert one == two != capped
+        slab, P = Slab([0.0, 1.0], -1.0, 1.0), FinitePointSet([(0, 3), (1, 5)])
+        one, two = (run_dr_generic(slab, P, [0.0, 4.0],
+                                   SolverConfig(eps_cycle=eps))[0].fingerprint
+                    for eps in (1e-300, 1e-3))
+        assert one != two
 
     def test_max_iterations(self):
         Q = TriadicSet()
@@ -605,7 +621,7 @@ class TestColumnarTrace:
         assert np.array_equal(trace.x, xs) and np.array_equal(trace.q, qs)
         assert trace.x[0].tolist() == [1.5, -1.5]
         assert trace.q[-1].tolist() == [-1.0, -2.0]
-        assert trace.fingerprint == "869daa7ea93b1a41"
+        assert trace.fingerprint == "1749765a4059b596"
 
     def test_fingerprint_is_hashed_once_on_first_read(self, monkeypatch):
         calls = []
@@ -618,8 +634,8 @@ class TestColumnarTrace:
         monkeypatch.setattr(engine, "_fingerprint", counting)
         trace, _ = run_dr(self.Q, self.HS, [1.5, -1.5])
         assert len(calls) == 0
-        assert trace.fingerprint == "869daa7ea93b1a41"
-        assert trace.fingerprint == "869daa7ea93b1a41"
+        assert trace.fingerprint == "1749765a4059b596"
+        assert trace.fingerprint == "1749765a4059b596"
         assert len(calls) == 1
 
     def test_long_march_memory_per_record(self):
