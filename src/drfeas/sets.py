@@ -34,6 +34,7 @@ __all__ = [
     "Sphere",
     "TIE_TOL",
     "TRIADIC_DEPTH_CAP",
+    "TriadicSet",
 ]
 
 # Absolute tie tolerance on squared distances: exact ties in the symmetric
