@@ -590,8 +590,8 @@ def run_dr(proj_set: ProjectableSet, hs: HalfSpace, x0,
     membership.  Otherwise it ends Diverging on a march of witness steps,
     or MaxIterations; never CycleDetected, since against a half-space no
     orbit repeats.  It reads neither ``eps_cycle``, the cycle grid, nor
-    ``reflect_order``, and its fingerprint holds neither.  Inside a constant-q segment q is reused while the set's
-    ``ray_hold`` allows.
+    ``reflect_order``, and its fingerprint holds neither.  Inside a
+    constant-q segment q is reused while the set's ``ray_hold`` allows.
     """
     return _iterate(proj_set, hs, x0, cfg, _HalfSpaceSplit(proj_set, hs, cfg))
 

@@ -583,42 +583,29 @@ class TestRayHold:
                 _held_from_first_unique(Q, q, a, [t * min(lam, 1e3)
                                                   for t in self.FRACTIONS])
 
-    def test_knapsack_against_all_corners(self):
-        rng = np.random.default_rng(14)
-        for m in range(1, 11):
-            for _ in range(3):
-                c = rng.uniform(0.0, 3.0, m)
-                ks = BinaryKnapsackSet(c, float(rng.uniform(0.0, c.sum())))
-                corners = _row_sum_corners(ks.c, ks.threshold)
-                a = rng.normal(size=m)
-                a /= np.linalg.norm(a)
-                low = ks.min_along(a)
-                pick = rng.permutation(len(corners))[:12]
-                for q in corners[pick]:
-                    self._check(ks, corners, q, a, float(np.sum(q * a)) <= low)
-
-    def test_knapsack_both_paths_against_all_corners(self, monkeypatch):
-        # zeros in a and c, thresholds on a corner's row-sum weight; the
-        # relaxation's corner (q with its best flips) is feasible on some
-        # calls and not on others, and only the search asks for _lowest
+    def test_knapsack_against_all_corners(self, monkeypatch):
+        # instances 3-8 of each m have zeros in a and c, and half of them a
+        # threshold on a corner's row-sum weight; the relaxation's corner
+        # (q with its best flips) is feasible on some calls and not on
+        # others, and only the search asks for _lowest
         lowest, searched = BinaryKnapsackSet._lowest, []
         monkeypatch.setattr(BinaryKnapsackSet, "_lowest",
                             lambda ks, a: searched.append(1) or lowest(ks, a))
-        rng = np.random.default_rng(16)
+        rng = np.random.default_rng(14)
         calls, searches = 0, 0
         for m in range(1, 11):
-            for _ in range(6):
+            for i in range(9):
                 c = rng.uniform(0.0, 3.0, m)
-                c[rng.random(m) < 0.2] = 0.0
                 a = rng.normal(size=m)
-                a[rng.random(m) < 0.3] = 0.0
+                if i >= 3:
+                    c[rng.random(m) < 0.2] = 0.0
+                    a[rng.random(m) < 0.3] = 0.0
+                corner = (rng.random((1, m)) < 0.5).astype(float)
+                threshold = (float(np.sum(corner * c, axis=1)[0]) if i >= 6
+                             else float(rng.uniform(0.0, c.sum())))
                 if not a.any():
                     continue
                 a /= np.linalg.norm(a)
-                corner = (rng.random((1, m)) < 0.5).astype(float)
-                threshold = (float(np.sum(corner * c, axis=1)[0])
-                             if rng.random() < 0.5
-                             else float(rng.uniform(0.0, c.sum())))
                 ks = BinaryKnapsackSet(c, threshold)
                 corners = _row_sum_corners(ks.c, ks.threshold)
                 low = ks.min_along(a)
@@ -627,9 +614,9 @@ class TestRayHold:
                     self._check(ks, corners, q, a, float(np.sum(q * a)) <= low)
                     calls += 1
                     searches += len(searched) > before
-        # 522 calls: 103 ran the search, and 419 had a feasible relaxation
+        # 719 calls: 161 ran the search, and 558 had a feasible relaxation
         # corner or no positive gain
-        assert (calls, searches) == (522, 103)
+        assert (calls, searches) == (719, 161)
 
     def test_knapsack_relaxation_feasible_by_row_sums(self):
         # the relaxation's corner 11000011 weighs 8.440000000000001 by
@@ -643,14 +630,14 @@ class TestRayHold:
         a /= np.linalg.norm(a)
         corners = _row_sum_corners(ks.c, ks.threshold)
         self._check(ks, corners, q, a, False)
-        assert ks.ray_hold(q, a) > 2.0 * 0.5 / a[2]
+        assert ks.ray_hold(q, a) > 1.0 / (2.0 * a[2])   # 11000011's crossing
 
     def test_knapsack_hit_makes_no_projection(self, monkeypatch):
         # the threshold is the row-sum weight of the relaxation's corner,
         # so that corner is feasible with no slack and answers alone
         project_all, calls = BinaryKnapsackSet.project_all, []
-        monkeypatch.setattr(BinaryKnapsackSet, "project_all",
-                            lambda ks, x: calls.append(x) or project_all(ks, x))
+        monkeypatch.setattr(BinaryKnapsackSet, "project_all", lambda ks, x: (
+            calls.append(x) or project_all(ks, x)))
         rng = np.random.default_rng(17)
         held = 0
         for m in range(1, 11):
@@ -689,15 +676,16 @@ class TestRayHold:
         spec = importlib.util.spec_from_file_location("workloads", path)
         workloads = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(workloads)
-        hold, project_all = BinaryKnapsackSet.ray_hold, BinaryKnapsackSet.project_all
-        inside, calls = [], []
+        hold = BinaryKnapsackSet.ray_hold
+        project_all = BinaryKnapsackSet.project_all
+        holds, inside, calls = [], [], []
 
         def counted_hold(ks, q, a):
-            inside.append(1)
-            try:
-                return hold(ks, q, a)
-            finally:
-                inside.pop()
+            holds.append(q)
+            inside.append(q)
+            lam = hold(ks, q, a)
+            inside.clear()
+            return lam
 
         monkeypatch.setattr(BinaryKnapsackSet, "ray_hold", counted_hold)
         monkeypatch.setattr(BinaryKnapsackSet, "project_all", lambda ks, x: (
@@ -705,7 +693,7 @@ class TestRayHold:
         inputs = workloads.generate("solve-knapsack", 3)
         for hs, Q, x0, cfg in workloads.build(inputs)["cases"]:
             run_dr(Q, hs, x0, cfg)
-        assert len(calls) <= 9
+        assert len(holds) == 27 and len(calls) <= 9
 
     def test_triadic_against_brute_force(self):
         # values 2/3^k lie within sqrt(TIE_TOL) of their neighbours, where
