@@ -52,7 +52,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .geometry import DimensionMismatchError, HalfSpace, as_point
-from .sets import DegenerateProjectionError, ProjectableSet
+from .sets import DegenerateProjectionError, ProjectableSet, _integer
 
 __all__ = [
     "CycleDetected",
@@ -93,7 +93,7 @@ class SolverConfig:
     window = 25     # a constant, not a field: march steps before Diverging
 
     def __post_init__(self):
-        if self.max_iter < 1:
+        if _integer(self.max_iter, "max_iter") < 1:
             raise ValueError("max_iter must be >= 1")
         if not (0 < self.eps_h < math.inf and 0 < self.eps_cycle < math.inf):
             raise ValueError("tolerances must be positive and finite")

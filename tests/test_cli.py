@@ -199,6 +199,8 @@ class TestBadInput:
         {"max_iter": "x"},
         # retired settings
         {"window": 25}, {"tie_rule": "first"}, {"seed": 0},
+        # int() truncated these to 2 and 1, and the run went on
+        {"max_iter": 2.5}, {"max_iter": True},
     ])
     def test_bad_config_value(self, config, tmp_path, capsys):
         data = json.loads(open(problem("triadic.json")).read())

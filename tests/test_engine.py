@@ -337,6 +337,13 @@ class TestRunDr:
         with pytest.raises(ValueError):
             SolverConfig(max_iter=0)
 
+    @pytest.mark.parametrize("bad", [2.5, 1.0, True, "3"])
+    def test_max_iter_must_be_an_integer(self, bad):
+        # max_iter=2.5 used to run 4 steps: k >= 2.5 first holds at k = 3
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            SolverConfig(max_iter=bad)
+        assert SolverConfig(max_iter=np.int64(3)).max_iter == 3
+
     @pytest.mark.parametrize("eps", [0.0, -1.0, float("inf"), float("nan")])
     def test_tolerances_must_be_positive_and_finite(self, eps):
         # an infinite eps_h "solves" every run at k=0, an infinite

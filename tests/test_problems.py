@@ -57,6 +57,10 @@ class TestParsing:
         assert solver_config({}, base) == base
         with pytest.raises(ProblemFormatError, match="unknown"):
             solver_config({"eps_h": 1e-6}, base)
+        # int() used to truncate these to 2 and 1
+        for bad in (2.5, True):
+            with pytest.raises(ProblemFormatError, match="max_iter"):
+                solver_config({"max_iter": bad}, base)
 
     @pytest.mark.parametrize("kind,spec", [
         ("hyperplane", {"type": "hyperplane", "a": [1.0, 0.0], "b": 2.0}),
