@@ -27,16 +27,16 @@ the constraint share a dimension.  In the loop the one point check is the
 set's ``project_all``, which also rejects an iterate that has overflowed.
 ``run_dr`` skips it inside a constant-q segment: once a unique q repeats,
 it reuses q while x = q - lam*a has 0 <= lam < the set's ``ray_hold``, a
-test false for NaN and inf (finite, triadic and knapsack sets hold).  The
-step, distances, trace, march rule and ``NORM_CAP`` still run every step,
-so the trace is unchanged.  They read scalars: <a,x>, once per step, and
-<a,q>, |q| and q's list, once per q object (a held q is one object).  r
-bounds |x|: the exact norm at x0, (|q| + |s|)(1 + c) after x' = q + s*a.
-The hold (lam = <a,q> - <a,x>), the case (2<a,q> - <a,x> against b +
-eps_h) and the cap (r) are decided from these when they clear the
-rounding margin c*(|q| + r), c*(2|q| + r) for the case, c = 8(n+2)*2**-53
-(plus 1e-300 for underflow).  Inside it, and for NaN or inf, <a,q - x>,
-<a,2q - x> or |x| decides as before, so every decision is unchanged.
+test false for NaN and inf (finite, triadic and knapsack sets hold).
+Each such step is the outside case and lam grows by d(q,H), so from
+``_SEGMENT_MIN`` steps on the segment is appended at once, lam rounded
+once per row (``_HalfSpaceSplit.segment``).  Its decisions are those the
+per-step tests take on its rows, none of them within the rounding margin
+c*(3|q| + lam), c = 8(n+2)*2**-53.  Against a run that projects every
+step, x, d_xH and d_xL differ by rounding, at row k by at most c times
+the sum over rows i <= k of |q_i| + |x_i| + |b|; the decisions, and so
+the q and d_qH columns, could differ only where a test falls within that
+rounding of its threshold, and are equal on every run the tests compare.
 ``SolverConfig`` checks its own values (``drfeas.problems.SETTINGS`` names
 them for users).  DR runs end as MaxIterations once |x| > ``NORM_CAP``.
 """
@@ -80,6 +80,10 @@ WITNESS_TOL = 1e-9  # a witness step's <a,q> - m, relative to max(1, |m|)
 # Per (n + 2): with |a| = 1, bounds the rounding of <a,u> - <a,v> against
 # <a,u - v> in n dimensions, relative to |u| + |v|.
 _ROUNDING = 8 * 2.0 ** -53
+# run_dr appends a held segment at once from this many steps on.  Timed
+# against stepping it (about 5 us a step): a 5-step segment broke even in
+# 2-D, a 6-step one saved 3-8 us in 2-D and 16 us in 14-D.
+_SEGMENT_MIN = 6
 
 
 @dataclass(frozen=True)
@@ -233,12 +237,7 @@ def dr_step(x, q, hs: HalfSpace, eps_h: float = 1e-9) -> np.ndarray:
     Case split: q when <a, 2q - x> <= b (+ eps_h), otherwise
     q + (<a,x> + b - 2<a,q>) a, which equals (x + R_H(2q - x)) / 2.
     """
-    return _step(as_point(x, hs.dim), as_point(q, hs.dim), hs.a, hs.b, eps_h)
-
-
-def _step(x: np.ndarray, q: np.ndarray, a: np.ndarray, b: float,
-          eps_h: float) -> np.ndarray:
-    """``dr_step`` on checked float64 arrays and the unit normal's (a, b)."""
+    x, q, a, b = as_point(x, hs.dim), as_point(q, hs.dim), hs.a, hs.b
     if float(a.dot(2.0 * q - x)) <= b + eps_h:
         return q.copy()
     return q + (float(a.dot(x)) + b - 2.0 * float(a.dot(q))) * a
@@ -417,6 +416,11 @@ class _Strategy:
         """The settings the run reads, hashed into its fingerprint."""
         return self.cfg.key()
 
+    def segment(self, k, x, trace) -> tuple[int, np.ndarray]:
+        """Steps from k on that the strategy records at once; by default
+        none.  Returns the step and x the loop resumes at."""
+        return k, x
+
     def capped(self, x) -> bool:
         """Whether |x| exceeds ``NORM_CAP``, which ends the run."""
         # math.sqrt(x.dot(x)) is np.linalg.norm(x) for a 1-D float array.
@@ -434,18 +438,15 @@ class _HalfSpaceSplit(_Strategy):
         self.proj_set, self.length = proj_set, 0
         self.support: Optional[float] = None
         self.held = self.hold = None    # a unique q; its ray_hold
-        self.q = self.r = None      # the last q; a bound on |x| once known
+        self.q = self.lam = None    # the last q; x = q - lam*a when held
         self.c, self.top = _ROUNDING * (hs.dim + 2), hs.b + cfg.eps_h
 
     def nearest(self, proj_set, x, src):
         held, a = self.held, self.constraint.a
         self.ax = float(a.dot(x))
-        if self.hold is not None:       # then held is self.q
-            lam, t = self.aq - self.ax, self.c * (self.nq + self.r) + 1e-300
-            # Both false for NaN and inf: an overflowed x reaches project_all.
-            if (t <= lam and lam + t < self.hold
-                    or 0.0 <= float(a.dot(held - x)) < self.hold):
-                return held
+        # False for NaN and inf: an overflowed x reaches project_all.
+        if self.hold is not None and 0.0 <= float(a.dot(held - x)) < self.hold:
+            return held                 # held is self.q
         ties = proj_set.project_all(src)
         q, unique = ties[0], len(ties) == 1
         if unique and held is not None and q.tobytes() == held.tobytes():
@@ -483,24 +484,61 @@ class _HalfSpaceSplit(_Strategy):
             return None
         return Diverging(_certificate(hs, k, self.length, q, d_qH, trace.x), m)
 
-    def capped(self, x):
-        # r clears the cap by the margin, or the exact norm decides
-        r = self.r
-        if r is not None and r + self.c * (self.nq + r) + 1e-300 <= NORM_CAP:
-            return False
-        self.r = math.sqrt(float(x.dot(x)))
-        return self.r > NORM_CAP
-
     def advance(self, x, q, src):
-        a, b, aq, ax = self.constraint.a, self.constraint.b, self.aq, self.ax
-        s, v = ax + b - 2.0 * aq, 2.0 * aq - ax
-        t = self.c * (2.0 * self.nq + self.r) + 1e-300
-        self.r = (self.nq + abs(s)) * (1.0 + self.c)    # |x'| <= |q| + |s|
-        if v + t <= self.top:
+        # dr_step's, with <a,x> and <a,q> as computed for the distances
+        a, b, self.lam = self.constraint.a, self.constraint.b, None
+        if float(a.dot(2.0 * q - x)) <= self.top:
             return q.copy()
-        if v - t > self.top:
-            return q + s * a
-        return _step(x, q, a, b, self.cfg.eps_h)
+        s = self.ax + b - 2.0 * self.aq
+        if self.hold is not None:       # x' = q - lam*a on q's ray
+            self.lam = -s
+        return q + s * a
+
+    def segment(self, k, x, trace):
+        """Append held steps k, k+1, ..., x_j = q - (lam_0 + j*v)*a, v =
+        d_qH, up to the least count to: the hold; ``max_iter``; |x_j| >
+        ``NORM_CAP``; x in H with m unknown (0); the window, q a witness
+        and m > b; a case or witness-membership test within the margin
+        (0 or none: lam only moves them clear)."""
+        lam, m = self.lam, self.support
+        if lam is None or m is None:
+            return k, x
+        hs, eps_h, c = self.constraint, self.cfg.eps_h, self.c
+        nq, aq = self.nq, self.aq
+        v, t = aq - hs.b, c * (3.0 * nq + lam) + 1e-300
+        # false for NaN too
+        if not (self.hold - lam >= _SEGMENT_MIN * v and v + lam - t > eps_h):
+            return k, x
+        n = self.cfg.max_iter - k
+        witness = aq - m <= WITNESS_TOL * max(1.0, abs(m))
+        if witness:
+            if v - lam + t > eps_h:
+                return k, x
+            if m > hs.b:
+                n = min(n, SolverConfig.window - self.length)
+        # |x_j| <= (1 - 16c) NORM_CAP for lam_j between the roots aq -+ w of
+        # |q - lam*a|^2 = |q|^2 - 2 lam <a,q> + lam^2: room for the roots'
+        # rounding and the per-step norm's
+        cap = NORM_CAP * (1.0 - 16.0 * c)
+        w = math.sqrt(max(0.0, cap * cap - nq * nq + aq * aq))
+        end = min(self.hold, aq + w)
+        n = int(min(n, (end - lam) // v + 2))   # at least the count below end
+        if n < _SEGMENT_MIN or not lam >= aq - w:
+            return k, x
+        lams = np.arange(n + 1) * v + lam
+        n = int(np.searchsorted(lams[:n], end))     # the lam_j < end
+        xs = np.multiply.outer(lams, -hs.a)     # q - lam*a as q + s*a rounds
+        xs += self.q
+        cols, x = trace._cols, xs[n].copy()
+        cols[0].frombytes(xs[:n].data.cast("B"))
+        del xs                                  # each temporary in turn
+        cols[1].frombytes(self.q.tobytes() * n)
+        d = np.subtract(v, lams[:n], out=lams[:n])      # <a,x_j> - b
+        cols[2].frombytes(np.where(d > 0.0, d, 0.0).data.cast("B"))
+        cols[3].frombytes(np.full(n, v).data.cast("B"))
+        cols[4].frombytes(np.abs(d, out=d).data.cast("B"))
+        self.length = self.length + n if witness else 0
+        return k + n, x
 
 
 class _TwoSetStep(_Strategy):
@@ -577,8 +615,7 @@ def _iterate(proj_set: ProjectableSet, constraint, x0, cfg: SolverConfig,
         if strategy.capped(x):
             outcome = MaxIterations(d_qH, norm_capped=True)
             break
-        x = strategy.advance(x, q, src)
-        k += 1
+        k, x = strategy.segment(k + 1, strategy.advance(x, q, src), trace)
     return trace, outcome
 
 
@@ -591,7 +628,8 @@ def run_dr(proj_set: ProjectableSet, hs: HalfSpace, x0,
     or MaxIterations; never CycleDetected, since against a half-space no
     orbit repeats.  It reads neither ``eps_cycle``, the cycle grid, nor
     ``reflect_order``, and its fingerprint holds neither.  Inside a
-    constant-q segment q is reused while the set's ``ray_hold`` allows.
+    constant-q segment q is reused while the set's ``ray_hold`` allows,
+    and a long one is appended in closed form, x within rounding.
     """
     return _iterate(proj_set, hs, x0, cfg, _HalfSpaceSplit(proj_set, hs, cfg))
 

@@ -57,8 +57,7 @@ def solver_config(settings: dict,
     if extra:
         raise ProblemFormatError(f"config: unknown field(s) {sorted(extra)}")
     try:
-        # an integer passes as given, for SolverConfig to check: int()
-        # would truncate 2.5 and true
+        # SolverConfig checks integers: int() would truncate 2.5 and true
         return dataclasses.replace(base, **{
             SETTINGS[name][0]: value if SETTINGS[name][1] is int
             else SETTINGS[name][1](value)

@@ -61,9 +61,11 @@ def test_divergence_scan_takes_five_positional_arguments():
         trace.records, hs, cfg.window, cfg.eps_h, cfg.eps_cycle) is None
 
 
-def test_segment_reuse_leaves_every_benchmark_run_unchanged(monkeypatch):
+def test_segment_reuse_leaves_every_benchmark_run_unchanged(monkeypatch,
+                                                           same_decisions):
     # every run_dr case of the two solve workloads at seed 3, as built and
-    # with ray_hold forced to 0 on the instance (a projection every step)
+    # with ray_hold forced to 0 on the instance (a projection every step):
+    # the same decisions, and x within rounding
     workloads = _bench_module("workloads")
     calls = []
     project_all = BinaryKnapsackSet.project_all
@@ -88,11 +90,8 @@ def test_segment_reuse_leaves_every_benchmark_run_unchanged(monkeypatch):
             Q.ray_hold = lambda q, a: 0.0
             plain = engine.run_dr(Q, hs, x0, cfg)
             del Q.ray_hold
-            for col in ("x", "q", "d_xH", "d_qH", "d_xL"):
-                assert np.array_equal(getattr(held[0], col),
-                                      getattr(plain[0], col)), (case["family"], col)
+            same_decisions(hs.b, held, plain, case["family"])
             assert held[0].fingerprint == plain[0].fingerprint
-            assert repr(held[1]) == repr(plain[1]), case["family"]
             if isinstance(held[1], MaxIterations):
                 # run_dr stops at the first march the scan would certify
                 assert engine.detect_linear_divergence(
@@ -105,43 +104,54 @@ def test_segment_reuse_leaves_every_benchmark_run_unchanged(monkeypatch):
     assert knapsack_calls <= 0.3 * knapsack_steps
 
 
-def test_run_dr_rarely_falls_back_to_the_exact_case_test(monkeypatch):
-    # run_dr calls engine._step only when 2<a,q> - <a,x> lies within the
-    # rounding margin of b + eps_h; on the seed-3 run_dr cases it never does
+def test_benchmark_runs_decide_as_stepped(segments, stepped, same_decisions):
+    # the 652 run_dr cases of the 1172 solve-small and solve-knapsack driver
+    # runs at seeds 3 and 20261017 (the generic and AP runs append no
+    # segment), against run_dr stepped by hand
     workloads = _bench_module("workloads")
-    calls, step = [], engine._step
-    monkeypatch.setattr(engine, "_step",
-                        lambda *args: calls.append(args) or step(*args))
-    steps = 0
-    for name in ("solve-small", "solve-knapsack"):
-        inputs = workloads.generate(name, 3)
-        built = workloads.build(inputs)
-        for case, (hs, Q, x0, cfg) in zip(inputs["cases"], built["cases"]):
-            if case["driver"] == "dr":
-                steps += len(engine.run_dr(Q, hs, x0, cfg)[0])
-    assert steps > 4000 and len(calls) <= 0.01 * steps
+    runs = 0
+    for seed in (3, 20261017):
+        for name in ("solve-small", "solve-knapsack"):
+            inputs = workloads.generate(name, seed)
+            built = workloads.build(inputs)
+            for case, (hs, Q, x0, cfg) in zip(inputs["cases"], built["cases"]):
+                if case["driver"] == "dr":
+                    same_decisions(hs.b, engine.run_dr(Q, hs, x0, cfg),
+                                   stepped(Q, hs, x0, cfg),
+                                   (seed, case["family"]))
+                    runs += 1
+    assert runs == 652 and len(segments) > 150
 
 
-# sha256 of the trace columns and outcome reprs of the eight run_dr cases
-# of the solve-knapsack workload at seed 3
-KNAPSACK_RUNS_SHA256 = (
-    "39d6c3b8c9e578e8866cb5b2b0fbe4ec7ef7e231f732ddb773948653f99ebfae")
+# sha256 of the eight run_dr cases of the solve-knapsack workload at seed
+# 3.  Decisions: their q and d_qH columns and decided outcome fields, the
+# same as when every held step was stepped.  Columns: their x, d_xH and
+# d_xL columns and outcome reprs (certificate offsets are read from x),
+# which carry the closed form's rounding.
+KNAPSACK_DECISIONS_SHA256 = (
+    "756b3700c5d94ead25856d55b1d4f3edd80d4a9c189d8ff3d0af61e0a9e990c2")
+KNAPSACK_COLUMNS_SHA256 = (
+    "1abad9dd85337d40e6e5c47c2705d5e1c48ef2509e01088004a19ae8615d780a")
 
 
-def test_knapsack_workload_runs_are_pinned():
+def test_knapsack_workload_runs_are_pinned(decided):
     workloads = _bench_module("workloads")
     inputs = workloads.generate("solve-knapsack", 3)
     built = workloads.build(inputs)
-    digest, runs = hashlib.sha256(), 0
+    decisions, columns, runs = hashlib.sha256(), hashlib.sha256(), 0
     for case, (hs, Q, x0, cfg) in zip(inputs["cases"], built["cases"]):
         assert case["driver"] == "dr"
         trace, outcome = engine.run_dr(Q, hs, x0, cfg)
-        for col in ("x", "q", "d_xH", "d_qH", "d_xL"):
-            digest.update(getattr(trace, col).tobytes())
-        digest.update(repr(outcome).encode())
+        for col in ("q", "d_qH"):
+            decisions.update(getattr(trace, col).tobytes())
+        decisions.update(repr(decided(outcome)).encode())
+        for col in ("x", "d_xH", "d_xL"):
+            columns.update(getattr(trace, col).tobytes())
+        columns.update(repr(outcome).encode())
         runs += 1
     assert runs == 8
-    assert digest.hexdigest() == KNAPSACK_RUNS_SHA256
+    assert decisions.hexdigest() == KNAPSACK_DECISIONS_SHA256
+    assert columns.hexdigest() == KNAPSACK_COLUMNS_SHA256
 
 
 def _bench_run(monkeypatch):

@@ -497,35 +497,44 @@ class TestSegmentReuse:
         assert np.array_equal(plain[0].q, trace.q)
         assert repr(plain[1]) == repr(outcome)
 
-    def test_reuse_stops_before_the_crossing(self):
+    def test_reuse_stops_before_the_crossing(self, same_decisions):
         # (80, -1) ties (0, 1) exactly at step 1601, lam = 1601 down the
-        # ray, and is nearer from step 1602 on: the run projects there as
+        # ray, and is nearer from step 1602 on: the closed form's hold ends
+        # before x = q - lam*a reaches the tie, the run projects there as
         # it would without reuse, and solves
         Q = _RecordingSet([(0, 1), (80, -1)])
         cfg = SolverConfig(max_iter=2000)
-        trace, outcome = run_dr(Q, self.HS, [0.0, 1.0], cfg)
+        held = run_dr(Q, self.HS, [0.0, 1.0], cfg)
+        trace, outcome = held
         assert isinstance(outcome, Solved) and np.array_equal(outcome.q, [80, -1])
         assert len(trace) == 1603 and len(Q.asked) < 10
         assert len(Q.project_all(trace.x[1601])) == 2
+        assert trace.x[1601].tobytes() in {x.tobytes() for x in Q.asked}
+        assert trace.q[1601].tolist() == [0, 1] != trace.q[1602].tolist()
         Q.ray_hold = lambda q, a: 0.0
-        plain, _ = run_dr(Q, self.HS, [0.0, 1.0], cfg)
-        assert np.array_equal(plain.x, trace.x)
-        assert np.array_equal(plain.q, trace.q)
+        same_decisions(self.HS.b, held, run_dr(Q, self.HS, [0.0, 1.0], cfg))
+        # a hold of exactly lam = 1500 holds q up to step 1499 only
+        Q.asked.clear()
+        Q.ray_hold = lambda q, a: 1500.0
+        run_dr(Q, self.HS, [0.0, 1.0], cfg)
+        assert Q.asked[2].tolist() == [0.0, 1.0 - 1500]
+        assert len(Q.asked) == 2 + 1603 - 1500
         # an oblique march whose lam at step 5 rounds lower as <a,q> - <a,x>
-        # than as <a, q - x>; with the hold at the latter the scalars cannot
-        # tell, the exact test does, and step 5 is projected
+        # than as <a, q - x>; with the hold at the latter only the exact
+        # test tells, and step 5 is projected
         Q, hs = _RecordingSet([(1.81, 0.49)]), HalfSpace([2.04, -2.56], 0.0)
         cfg = SolverConfig(max_iter=20)     # under the window of 25 steps
-        trace, _ = run_dr(Q, hs, [-2.44, -0.4], cfg)
-        q, x5 = trace.q[0], trace.x[5]
+        Q.ray_hold = lambda q, a: 0.0
+        plain = run_dr(Q, hs, [-2.44, -0.4], cfg)
+        q, x5 = plain[0].q[0], plain[0].x[5]
         lam = float(hs.a.dot(q - x5))
         assert float(hs.a.dot(q)) - float(hs.a.dot(x5)) < lam
         Q.asked.clear()
         Q.ray_hold = lambda q, a: lam
-        held, _ = run_dr(Q, hs, [-2.44, -0.4], cfg)
-        assert np.array_equal(held.x, trace.x)
+        held = run_dr(Q, hs, [-2.44, -0.4], cfg)
+        same_decisions(hs.b, held, plain)
         assert Q.asked[2].tobytes() == x5.tobytes()
-        assert len(Q.asked) == 2 + len(trace) - 5
+        assert len(Q.asked) == 2 + len(plain[0]) - 5
 
 
 def _instance(rng, kind: str, scale: float):
@@ -547,19 +556,15 @@ def _instance(rng, kind: str, scale: float):
     return Q, hs, rng.uniform(-4, 4, d) * scale
 
 
-def _outcome(Q, hs, x0, cfg):
-    trace, outcome = run_dr(Q, hs, x0, cfg)
-    return ([getattr(trace, col).tobytes()
-             for col in ("x", "q", "d_xH", "d_qH", "d_xL")],
-            trace.fingerprint, repr(outcome))
-
-
 class TestScalarDecisions:
-    """run_dr decides its hold, case and norm-cap tests from <a,x>, <a,q>,
-    |q| and a bound on |x| outside a rounding margin, exactly inside it."""
+    """A step of run_dr takes the exact case and norm-cap tests, where a
+    test from scalars would round the other way; a closed-form segment
+    ends before a decision within its rounding margin."""
 
-    def test_default_runs_equal_the_exact_tests(self, monkeypatch):
-        # with an infinite margin every decision takes the exact test
+    def test_default_runs_equal_the_exact_tests(self, monkeypatch, segments,
+                                                same_decisions):
+        # with an infinite margin no segment is appended in closed form:
+        # every step takes the exact tests
         rng = np.random.default_rng(19)
         cfg = SolverConfig(max_iter=60)
         cases = [(kind, int(rng.integers(2**31)))
@@ -568,10 +573,15 @@ class TestScalarDecisions:
         for kind, seed in cases:
             for k in (-30, -10, 0, 10, 30):
                 inputs = _instance(np.random.default_rng(seed), kind, 2.0**k)
-                default = _outcome(*inputs, cfg)
+                default = run_dr(*inputs, cfg)
+                appended = len(segments)
                 with monkeypatch.context() as m:
                     m.setattr(engine, "_ROUNDING", np.inf)
-                    assert _outcome(*inputs, cfg) == default, (kind, seed, k)
+                    exact = run_dr(*inputs, cfg)
+                assert len(segments) == appended
+                same_decisions(inputs[1].b, default, exact, (kind, seed, k))
+                assert default[0].fingerprint == exact[0].fingerprint
+        assert len(segments) > 100
 
     def test_case_test_inside_the_margin(self):
         # <a, 2q - x0> and 2<a,q> - <a,x0> round to neighbouring floats;
@@ -594,6 +604,45 @@ class TestScalarDecisions:
         assert len(trace) == 2 and outcome.norm_capped
         s = float(hs.a.dot(x0)) + hs.b - 2.0 * float(hs.a.dot(q))
         assert np.linalg.norm(q) + abs(s) <= NORM_CAP < np.linalg.norm(trace.x[1])
+
+
+class TestClosedFormSegments:
+    """run_dr appends a held segment at once.  Stepped by hand, each run
+    takes the same decisions, and its x is within rounding."""
+
+    def test_instances_decide_as_stepped(self, segments, stepped,
+                                         same_decisions):
+        rng = np.random.default_rng(24)
+        cfg = SolverConfig(max_iter=60)
+        for kind in ("finite", "triadic", "knapsack", "sphere"):
+            for _ in range(30):
+                seed = int(rng.integers(2**31))
+                for k in range(-30, 31, 10):
+                    inputs = _instance(np.random.default_rng(seed), kind, 2.0**k)
+                    same_decisions(inputs[1].b, run_dr(*inputs, cfg),
+                                   stepped(*inputs, cfg), (kind, seed, k))
+        assert len(segments) > 200
+
+    HS = HalfSpace([0.0, 1.0], 0.0)
+
+    @pytest.mark.parametrize("bound, points, x0, max_iter, resumed", [
+        # (80, -1) ties q = (0, 1) at lam = 1601, step 1601
+        ("hold", [(0, 1), (80, -1)], [0.0, 1.0], 2000, 1601),
+        ("max_iter", [(0, 1), (1e6, -1)], [0.0, 1.0], 300, 300),
+        # |x_k| = k*1e9: step 1000 reaches NORM_CAP, step 1001 passes it
+        ("norm cap", [(0, 1e9), (1e15, -1e9)], [0.0, 0.0], 10000, 1000),
+        # a witness march from step 1: Diverging at step 26
+        ("window", [(0, 1)], [0.0, 1.0], 10000, 26),
+    ])
+    def test_a_segment_ends_at_each_bound(self, segments, stepped,
+                                          same_decisions, bound, points, x0,
+                                          max_iter, resumed):
+        Q, cfg = FinitePointSet(points), SolverConfig(max_iter=max_iter)
+        run = run_dr(Q, self.HS, x0, cfg)
+        same_decisions(self.HS.b, run, stepped(Q, self.HS, x0, cfg))
+        assert segments == [(2, resumed)]
+        assert len(run[0]) == {"hold": 1603, "max_iter": 301,
+                               "norm cap": 1002, "window": 27}[bound]
 
 
 class TestColumnarTrace:

@@ -548,7 +548,10 @@ class TestRayHold:
         assert 0.0 <= lam <= max(0.0, cross)
         if np.isfinite(cross) and cross > 0:
             assert lam >= _crossing(points, q, a, tie) * (1 - rel)
-            _held_from_first_unique(Q, q, a, [t * lam for t in self.FRACTIONS])
+            # the last lam below the hold too: run_dr holds q there, at x
+            # rounded as q - lam*a
+            _held_from_first_unique(Q, q, a, [t * lam for t in self.FRACTIONS]
+                                    + [np.nextafter(lam, 0.0)])
         elif lam == np.inf:
             _held_from_first_unique(Q, q, a, [0.0, 1e-3, 1.0, 1e3, 1e6])
 
@@ -581,7 +584,8 @@ class TestRayHold:
                 assert (lam == np.inf) == (along[i] == Q.min_along(a))
                 assert 0.0 <= lam <= max(0.0, _crossing(Q.points, q, a))
                 _held_from_first_unique(Q, q, a, [t * min(lam, 1e3)
-                                                  for t in self.FRACTIONS])
+                                                  for t in self.FRACTIONS]
+                                        + [np.nextafter(min(lam, 1e3), 0.0)])
 
     def test_knapsack_against_all_corners(self, monkeypatch):
         # instances 3-8 of each m have zeros in a and c, and half of them a
@@ -726,10 +730,11 @@ class TestRayHold:
         for Q in (Sphere([0.0], 1.0), ProductSet([FinitePointSet([(0.0,)])])):
             assert Q.ray_hold(np.array([1.0]), a) == 0.0
 
-    def test_scaled_instances_run_the_same_with_and_without_the_hold(self):
+    def test_scaled_instances_run_the_same_with_and_without_the_hold(
+            self, same_decisions):
         # powers of two keep the arithmetic exact, so only the tie
         # tolerance differs between scales; at every scale reusing q must
-        # give the trace that projecting every step gives
+        # take the decisions that projecting every step takes
         from drfeas.engine import SolverConfig, run_dr
 
         rng = np.random.default_rng(15)
@@ -749,7 +754,8 @@ class TestRayHold:
                 held = run_dr(Q, hs, s * x0, cfg)
                 Q.ray_hold = lambda q, a: 0.0
                 plain = run_dr(Q, hs, s * x0, cfg)
-                assert _same_run(held, plain), (pts.tolist(), a, b, k)
+                same_decisions(hs.b, held, plain, (pts.tolist(), a, b, k))
+                assert held[0].fingerprint == plain[0].fingerprint
 
 
 def _same_run(one, two):
