@@ -81,9 +81,9 @@ WITNESS_TOL = 1e-9  # a witness step's <a,q> - m, relative to max(1, |m|)
 # <a,u - v> in n dimensions, relative to |u| + |v|.
 _ROUNDING = 8 * 2.0 ** -53
 # run_dr appends a held segment at once from this many steps on.  Timed
-# against stepping it (about 5 us a step): a 5-step segment broke even in
-# 2-D, a 6-step one saved 3-8 us in 2-D and 16 us in 14-D.
-_SEGMENT_MIN = 6
+# against stepping it, one hold of L steps, best of 400: L = 3 lost 4 us
+# in 2-D, L = 4 saved 4-7 us in 2-D and 11 us in 14-D.
+_SEGMENT_MIN = 4
 
 
 @dataclass(frozen=True)

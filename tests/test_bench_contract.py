@@ -131,7 +131,7 @@ def test_benchmark_runs_decide_as_stepped(segments, stepped, same_decisions):
 KNAPSACK_DECISIONS_SHA256 = (
     "756b3700c5d94ead25856d55b1d4f3edd80d4a9c189d8ff3d0af61e0a9e990c2")
 KNAPSACK_COLUMNS_SHA256 = (
-    "1abad9dd85337d40e6e5c47c2705d5e1c48ef2509e01088004a19ae8615d780a")
+    "f257760e63979dc71a25032ce6741fdaa45de7f48ea4ca33b3860fcc012b4c8c")
 
 
 def test_knapsack_workload_runs_are_pinned(decided):

@@ -557,9 +557,9 @@ def _instance(rng, kind: str, scale: float):
 
 
 class TestScalarDecisions:
-    """A step of run_dr takes the exact case and norm-cap tests, where a
-    test from scalars would round the other way; a closed-form segment
-    ends before a decision within its rounding margin."""
+    """run_dr decides a step's case and norm cap by the exact tests, also
+    where a test from scalars rounds the other way; a closed-form segment
+    ends before any decision within its rounding margin."""
 
     def test_default_runs_equal_the_exact_tests(self, monkeypatch, segments,
                                                 same_decisions):
@@ -625,24 +625,23 @@ class TestClosedFormSegments:
 
     HS = HalfSpace([0.0, 1.0], 0.0)
 
-    @pytest.mark.parametrize("bound, points, x0, max_iter, resumed", [
-        # (80, -1) ties q = (0, 1) at lam = 1601, step 1601
-        ("hold", [(0, 1), (80, -1)], [0.0, 1.0], 2000, 1601),
-        ("max_iter", [(0, 1), (1e6, -1)], [0.0, 1.0], 300, 300),
-        # |x_k| = k*1e9: step 1000 reaches NORM_CAP, step 1001 passes it
-        ("norm cap", [(0, 1e9), (1e15, -1e9)], [0.0, 0.0], 10000, 1000),
-        # a witness march from step 1: Diverging at step 26
-        ("window", [(0, 1)], [0.0, 1.0], 10000, 26),
+    @pytest.mark.parametrize("points, x0, max_iter, resumed, steps", [
+        # the hold: (80, -1) ties q = (0, 1) at lam = 1601, step 1601
+        ([(0, 1), (80, -1)], [0.0, 1.0], 2000, 1601, 1603),
+        ([(0, 1), (1e6, -1)], [0.0, 1.0], 300, 300, 301),       # max_iter
+        # the norm cap: |x_k| = k*1e9 reaches NORM_CAP at step 1000 and
+        # passes it at step 1001
+        ([(0, 1e9), (1e15, -1e9)], [0.0, 0.0], 10000, 1000, 1002),
+        # the window: a witness march from step 1, Diverging at step 26
+        ([(0, 1)], [0.0, 1.0], 10000, 26, 27),
     ])
     def test_a_segment_ends_at_each_bound(self, segments, stepped,
-                                          same_decisions, bound, points, x0,
-                                          max_iter, resumed):
+                                          same_decisions, points, x0,
+                                          max_iter, resumed, steps):
         Q, cfg = FinitePointSet(points), SolverConfig(max_iter=max_iter)
         run = run_dr(Q, self.HS, x0, cfg)
         same_decisions(self.HS.b, run, stepped(Q, self.HS, x0, cfg))
-        assert segments == [(2, resumed)]
-        assert len(run[0]) == {"hold": 1603, "max_iter": 301,
-                               "norm cap": 1002, "window": 27}[bound]
+        assert segments == [(2, resumed)] and len(run[0]) == steps
 
 
 class TestColumnarTrace:
