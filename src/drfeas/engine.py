@@ -531,7 +531,7 @@ class _HalfSpaceSplit(_Strategy):
         xs += self.q
         cols, x = trace._cols, xs[n].copy()
         cols[0].frombytes(xs[:n].data.cast("B"))
-        del xs                                  # each temporary in turn
+        del xs          # each temporary freed before the next: peak memory
         cols[1].frombytes(self.q.tobytes() * n)
         d = np.subtract(v, lams[:n], out=lams[:n])      # <a,x_j> - b
         cols[2].frombytes(np.where(d > 0.0, d, 0.0).data.cast("B"))
