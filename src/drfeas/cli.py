@@ -187,7 +187,7 @@ def _checked(check):
 
 
 def _dims(text: str) -> tuple[int, ...]:
-    return verifier_mod.check_dims(text.split(","))
+    return verifier_mod.check_dims([int(d) for d in text.split(",")])
 
 
 def _seed(text: str) -> int:
@@ -233,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_repro.set_defaults(func=cmd_repro)
 
     p_verify = sub.add_parser("verify", help="run the property suites")
-    trials = _checked(verifier_mod.check_trials)
+    trials = _checked(lambda text: verifier_mod.check_trials(int(text)))
     p_verify.add_argument("--trials", type=trials, default=10000)
     p_verify.add_argument("--oracle-trials", type=trials, default=100)
     p_verify.add_argument("--dims", type=_checked(_dims), default="1,2,3,4,5",

@@ -3,13 +3,15 @@
 ``run_dr`` iterates the half-space case-split operator, ``run_dr_generic``
 pairs an arbitrary single-valued constraint with a projectable set, and
 ``run_ap`` alternates projections.  All three are one loop, ``_iterate``,
-with a different step strategy; each step takes q, the first nearest
-point in ``project_all``'s order.  Every run records a full trace.  The
-two-set and alternating runs detect cycles; the half-space run cannot
-cycle (it reaches a point of Q in H or diverges) and counts the march:
-witness steps, with x in H and q outside H attaining m = min over Q of
-<a,p> (the set's ``min_along``, computed once) up to ``WITNESS_TOL`` *
-max(1, |m|).  There <a,2q-x> > b, so each step is exactly x - d(q,H)*a.
+with a different step strategy, whose four hooks each step calls:
+``nearest``, ``distances``, ``verdict`` and ``advance``.  Each step takes
+q, the first nearest point in ``project_all``'s order.  Every run records
+a full trace.  The two-set and alternating runs detect cycles; the
+half-space run cannot cycle (it reaches a point of Q in H or diverges)
+and counts the march: witness steps, with x in H and q outside H
+attaining m = min over Q of <a,p> (the set's ``min_along``, computed
+once) up to ``WITNESS_TOL`` * max(1, |m|).  There <a,2q-x> > b, so each
+step is exactly x - d(q,H)*a.
 
 A march of more than ``SolverConfig.window`` steps is ``Diverging`` if
 m > b: then it never hands over, and Q misses H.  Nothing is probed.
@@ -28,9 +30,11 @@ set's ``project_all``, which also rejects an iterate that has overflowed.
 ``run_dr`` skips it inside a constant-q segment: once a unique q repeats,
 it reuses q while x = q - lam*a has 0 <= lam < the set's ``ray_hold``, a
 test false for NaN and inf (finite, triadic and knapsack sets hold).
-Each such step is the outside case and lam grows by d(q,H), so from
-``_SEGMENT_MIN`` steps on the segment is appended at once, lam rounded
-once per row (``_HalfSpaceSplit.segment``).  Its decisions are those the
+lam is the value the step computed, -s of x = q + s*a, and is unknown
+after an inside-case step, whose next step projects.  Each held step is
+the outside case and lam grows by d(q,H), so from ``_SEGMENT_MIN`` steps
+on the segment is appended at once, lam rounded once per row
+(``_HalfSpaceSplit._segment``).  Its decisions are those the
 per-step tests take on its rows, none of them within the rounding margin
 c*(3|q| + lam), c = 8(n+2)*2**-53.  Against a run that projects every
 step, x, d_xH and d_xL differ by rounding, at row k by at most c times
@@ -99,8 +103,9 @@ class SolverConfig:
     def __post_init__(self):
         if _integer(self.max_iter, "max_iter") < 1:
             raise ValueError("max_iter must be >= 1")
-        if not (0 < self.eps_h < math.inf and 0 < self.eps_cycle < math.inf):
-            raise ValueError("tolerances must be positive and finite")
+        if not all(0 < e < math.inf and not isinstance(e, bool)
+                   for e in (self.eps_h, self.eps_cycle)):
+            raise ValueError("tolerances must be positive finite numbers")
         if self.reflect_order not in REFLECT_ORDERS:
             raise ValueError(f"reflect_order must be one of {REFLECT_ORDERS}")
 
@@ -252,10 +257,9 @@ def dr_step_generic(x, constraint, proj_set: ProjectableSet,
     constraint-first swaps the roles, with q the first nearest point of R_A(x).
     """
     x = as_point(x, constraint.dim)
-    step = _TwoSetStep(constraint, cfg)
-    src = step.source(x)
-    q = proj_set.project_all(src)[0]
-    return step.advance(x, q, src), q
+    step = _TwoSetStep(proj_set, constraint, cfg)
+    q, src = step.nearest(x)
+    return step.advance(0, x, q, src, None)[1], q
 
 
 class _CycleDetector:
@@ -378,97 +382,75 @@ def _fingerprint(*parts) -> str:
 class _Strategy:
     """One driver's step; ``_iterate`` holds what the drivers share.
 
-    A step takes q, the first nearest point of ``source(x)``, records
-    x, q and their ``distances``, and moves to ``advance(x, q, source(x))``.
-    ``verdict(k, x, q, d_xH, d_qH, trace)`` may end the run after step k;
-    by default it reports a confirmed cycle of x on the eps_cycle grid.
+    ``_iterate`` calls four hooks per step k.  ``nearest(x)`` gives q, the
+    first nearest point of the point it projects, and that point (src);
+    ``distances(x, q)`` gives the record's d_xH, d_qH and d_xL and q as a
+    list; ``verdict(k, x, q, d_xH, d_qH, trace)`` may end the run, by
+    default on a confirmed cycle of x on the eps_cycle grid; ``advance(k,
+    x, q, src, trace)`` gives the step and x the loop resumes at.  ``tag``
+    and ``key``, the settings the run reads, go into the fingerprint; the
+    run ends once |x| > ``cap``.
     """
 
-    tag = ""
+    tag, cap = "", NORM_CAP
 
-    def __init__(self, constraint, cfg: SolverConfig):
-        self.constraint, self.cfg = constraint, cfg
+    def __init__(self, proj_set: ProjectableSet, constraint, cfg: SolverConfig):
+        self.proj_set, self.constraint, self.key = proj_set, constraint, cfg.key()
         self.cycles = _CycleDetector(cfg.eps_cycle, confirm=True)
 
-    def source(self, x):
-        return x
+    def nearest(self, x) -> tuple[np.ndarray, np.ndarray]:
+        return self.proj_set.project_all(x)[0], x
 
-    def nearest(self, proj_set: ProjectableSet, x, src) -> np.ndarray:
-        return proj_set.project_all(src)[0]
-
-    def distances(self, x, q) -> tuple[float, float, float]:
-        """(d_xH, d_qH, d_xL) of ``IterateRecord``."""
+    def distances(self, x, q) -> tuple[float, float, float, list]:
         c = self.constraint
         if isinstance(c, HalfSpace):
             vx, vq = c._value(x), c._value(q)
-            return max(0.0, vx), max(0.0, vq), abs(vx)
+            return max(0.0, vx), max(0.0, vq), abs(vx), q.tolist()
         dx = c._distance(x)
-        return dx, c._distance(q), dx
-
-    def q_list(self, q) -> list:
-        return q.tolist()
+        return dx, c._distance(q), dx, q.tolist()
 
     def verdict(self, k, x, q, d_xH, d_qH, trace) -> Optional[RunOutcome]:
         hit = self.cycles.add(x, k)
         return hit and CycleDetected(*hit)
 
-    def key(self) -> tuple:
-        """The settings the run reads, hashed into its fingerprint."""
-        return self.cfg.key()
-
-    def segment(self, k, x, trace) -> tuple[int, np.ndarray]:
-        """Steps from k on that the strategy records at once; by default
-        none.  Returns the step and x the loop resumes at."""
-        return k, x
-
-    def capped(self, x) -> bool:
-        """Whether |x| exceeds ``NORM_CAP``, which ends the run."""
-        # math.sqrt(x.dot(x)) is np.linalg.norm(x) for a 1-D float array.
-        return math.sqrt(float(x.dot(x))) > NORM_CAP
-
 
 class _HalfSpaceSplit(_Strategy):
     """The case-split step against a half-space, with the march rule in
-    place of the cycle detector, reusing a unique q along its ray."""
+    place of the cycle detector.  A unique q found again by the projection
+    is held while lam, the value its step computed for x = q - lam*a, has
+    0 <= lam < the set's ``ray_hold``."""
 
     tag = "dr"
 
     def __init__(self, proj_set: ProjectableSet, hs: HalfSpace, cfg: SolverConfig):
-        self.constraint, self.cfg = hs, cfg   # no _CycleDetector
-        self.proj_set, self.length = proj_set, 0
-        self.support: Optional[float] = None
-        self.held = self.hold = None    # a unique q; its ray_hold
-        self.q = self.lam = None    # the last q; x = q - lam*a when held
+        self.proj_set, self.constraint, self.cfg = proj_set, hs, cfg
+        self.key = (cfg.max_iter, cfg.eps_h, NORM_CAP)
+        self.length, self.support = 0, None
+        self.q = self.hold = None   # the last q if unique; its ray_hold
+        self.lam = math.nan         # unknown after an inside-case step
         self.c, self.top = _ROUNDING * (hs.dim + 2), hs.b + cfg.eps_h
 
-    def nearest(self, proj_set, x, src):
-        held, a = self.held, self.constraint.a
+    def nearest(self, x):
+        a = self.constraint.a
         self.ax = float(a.dot(x))
-        # False for NaN and inf: an overflowed x reaches project_all.
-        if self.hold is not None and 0.0 <= float(a.dot(held - x)) < self.hold:
-            return held                 # held is self.q
-        ties = proj_set.project_all(src)
+        # False for NaN and inf: after an inside-case or an overflowed step
+        # x reaches project_all.
+        if self.hold is not None and 0.0 <= self.lam < self.hold:
+            return self.q, x
+        ties = self.proj_set.project_all(x)
         q, unique = ties[0], len(ties) == 1
-        if unique and held is not None and q.tobytes() == held.tobytes():
+        if unique and self.q is not None and q.tobytes() == self.q.tobytes():
             if self.hold is None:           # x is on the ray of q now
-                self.hold = proj_set.ray_hold(held, a)
-            return held
-        self.held, self.hold = q if unique else None, None
-        return q
+                self.hold = self.proj_set.ray_hold(self.q, a)
+            return self.q, x
+        self.q, self.hold = q if unique else None, None
+        self.aq, self.row = float(a.dot(q)), q.tolist()
+        return q, x
 
     def distances(self, x, q):
-        a, b = self.constraint.a, self.constraint.b
-        if q is not self.q:         # a held q is the same object
-            self.q, self.aq, self.row = q, float(a.dot(q)), q.tolist()
-            self.nq = math.hypot(*self.row)
+        b = self.constraint.b
         vx = self.ax - b
-        return max(0.0, vx), max(0.0, self.aq - b), abs(vx)
-
-    def q_list(self, q):
-        return self.row
-
-    def key(self):
-        return (self.cfg.max_iter, self.cfg.eps_h, NORM_CAP)
+        return max(0.0, vx), max(0.0, self.aq - b), abs(vx), self.row
 
     def verdict(self, k, x, q, d_xH, d_qH, trace):
         hs = self.constraint
@@ -484,27 +466,30 @@ class _HalfSpaceSplit(_Strategy):
             return None
         return Diverging(_certificate(hs, k, self.length, q, d_qH, trace.x), m)
 
-    def advance(self, x, q, src):
+    def advance(self, k, x, q, src, trace):
         # dr_step's, with <a,x> and <a,q> as computed for the distances
-        a, b, self.lam = self.constraint.a, self.constraint.b, None
+        a = self.constraint.a
         if float(a.dot(2.0 * q - x)) <= self.top:
-            return q.copy()
-        s = self.ax + b - 2.0 * self.aq
-        if self.hold is not None:       # x' = q - lam*a on q's ray
-            self.lam = -s
-        return q + s * a
+            self.lam = math.nan
+            return k + 1, q.copy()
+        s = self.ax + self.constraint.b - 2.0 * self.aq
+        self.lam = -s                   # x' = q - lam*a on q's ray
+        if self.hold is None:
+            return k + 1, q + s * a
+        return self._segment(k + 1, q + s * a, trace)
 
-    def segment(self, k, x, trace):
+    def _segment(self, k, x, trace):
         """Append held steps k, k+1, ..., x_j = q - (lam_0 + j*v)*a, v =
         d_qH, up to the least count to: the hold; ``max_iter``; |x_j| >
         ``NORM_CAP``; x in H with m unknown (0); the window, q a witness
         and m > b; a case or witness-membership test within the margin
-        (0 or none: lam only moves them clear)."""
+        (0 or none: lam only moves them clear).  Stores the lam of the
+        row it resumes at."""
         lam, m = self.lam, self.support
-        if lam is None or m is None:
+        if m is None:
             return k, x
         hs, eps_h, c = self.constraint, self.cfg.eps_h, self.c
-        nq, aq = self.nq, self.aq
+        nq, aq = math.hypot(*self.row), self.aq
         v, t = aq - hs.b, c * (3.0 * nq + lam) + 1e-300
         # false for NaN too
         if not (self.hold - lam >= _SEGMENT_MIN * v and v + lam - t > eps_h):
@@ -527,6 +512,7 @@ class _HalfSpaceSplit(_Strategy):
             return k, x
         lams = np.arange(n + 1) * v + lam
         n = int(np.searchsorted(lams[:n], end))     # the lam_j < end
+        self.lam = float(lams[n])
         xs = np.multiply.outer(lams, -hs.a)     # q - lam*a as q + s*a rounds
         xs += self.q
         cols, x = trace._cols, xs[n].copy()
@@ -547,59 +533,56 @@ class _TwoSetStep(_Strategy):
 
     tag = "dr-generic"
 
-    def __init__(self, constraint, cfg: SolverConfig):
-        super().__init__(constraint, cfg)
+    def __init__(self, proj_set: ProjectableSet, constraint, cfg: SolverConfig):
+        super().__init__(proj_set, constraint, cfg)
         self.set_first = cfg.reflect_order == "set-first"
 
-    def source(self, x):
-        return x if self.set_first else self.constraint._reflect(x)
+    def nearest(self, x):
+        src = x if self.set_first else self.constraint._reflect(x)
+        return self.proj_set.project_all(src)[0], src
 
-    def advance(self, x, q, src):
+    def advance(self, k, x, q, src, trace):
         if self.set_first:
-            return 0.5 * (x + self.constraint._reflect(2.0 * q - x))
-        return 0.5 * (x + 2.0 * q - src)
+            return k + 1, 0.5 * (x + self.constraint._reflect(2.0 * q - x))
+        return k + 1, 0.5 * (x + 2.0 * q - src)
 
 
 class _Alternating(_Strategy):
     """x_{k+1} = P_A(q_k), watched over the half-steps x_0, q_0, x_1, ..."""
 
-    tag = "ap"
+    tag, cap = "ap", math.inf
 
     def verdict(self, k, x, q, d_xH, d_qH, trace):
         hit = (self.cycles.add(x, 2 * k, tag="x")
                or self.cycles.add(q, 2 * k + 1, tag="q"))
         return hit and CycleDetected(*hit)
 
-    def capped(self, x):
-        return False
-
-    def advance(self, x, q, src):
-        return self.constraint._project(q)
+    def advance(self, k, x, q, src, trace):
+        return k + 1, self.constraint._project(q)
 
 
-def _iterate(proj_set: ProjectableSet, constraint, x0, cfg: SolverConfig,
-             strategy: _Strategy) -> tuple[Trace, RunOutcome]:
+def _iterate(strategy: _Strategy, x0, cfg: SolverConfig) -> tuple[Trace, RunOutcome]:
     """The loop of every driver: stop rule, detectors, caps and the trace."""
+    proj_set, constraint = strategy.proj_set, strategy.constraint
     x = as_point(x0, constraint.dim)
     if proj_set.dim != constraint.dim:
         raise DimensionMismatchError(f"set has dimension {proj_set.dim}, "
                                      f"constraint has dimension {constraint.dim}")
     trace = Trace(x.size, (strategy.tag, proj_set.key(), constraint.key(),
-                           x.tobytes(), strategy.key()))
+                           x.tobytes(), strategy.key))
     xs, qs, d_xH_col, d_qH_col, d_xL_col = trace._cols
     eps_h, max_iter = cfg.eps_h, cfg.max_iter
     outcome: Optional[RunOutcome]
     k = 0
     while True:
-        src = strategy.source(x)
         try:
-            q = strategy.nearest(proj_set, x, src)
+            q, src = strategy.nearest(x)
         except DegenerateProjectionError:
             outcome = DegenerateProjection(at_index=k)
             break
-        d_xH, d_qH, d_xL = strategy.distances(x, q)
+        d_xH, d_qH, d_xL, q_row = strategy.distances(x, q)
         xs.extend(x.tolist())
-        qs.extend(strategy.q_list(q))
+        qs.extend(q_row)
         d_xH_col.append(d_xH)
         d_qH_col.append(d_qH)
         d_xL_col.append(d_xL)
@@ -612,10 +595,11 @@ def _iterate(proj_set: ProjectableSet, constraint, x0, cfg: SolverConfig,
         if k >= max_iter:
             outcome = MaxIterations(d_qH)
             break
-        if strategy.capped(x):
+        # math.sqrt(x.dot(x)) is np.linalg.norm(x) for a 1-D float array.
+        if math.sqrt(float(x.dot(x))) > strategy.cap:
             outcome = MaxIterations(d_qH, norm_capped=True)
             break
-        k, x = strategy.segment(k + 1, strategy.advance(x, q, src), trace)
+        k, x = strategy.advance(k, x, q, src, trace)
     return trace, outcome
 
 
@@ -631,7 +615,7 @@ def run_dr(proj_set: ProjectableSet, hs: HalfSpace, x0,
     constant-q segment q is reused while the set's ``ray_hold`` allows,
     and a long one is appended in closed form, x within rounding.
     """
-    return _iterate(proj_set, hs, x0, cfg, _HalfSpaceSplit(proj_set, hs, cfg))
+    return _iterate(_HalfSpaceSplit(proj_set, hs, cfg), x0, cfg)
 
 
 def run_dr_generic(constraint, proj_set: ProjectableSet, x0,
@@ -644,7 +628,7 @@ def run_dr_generic(constraint, proj_set: ProjectableSet, x0,
     """
     if isinstance(constraint, HalfSpace) and cfg.reflect_order == "set-first":
         return run_dr(proj_set, constraint, x0, cfg)
-    return _iterate(proj_set, constraint, x0, cfg, _TwoSetStep(constraint, cfg))
+    return _iterate(_TwoSetStep(proj_set, constraint, cfg), x0, cfg)
 
 
 def run_ap(proj_set: ProjectableSet, constraint, x0,
@@ -656,4 +640,4 @@ def run_ap(proj_set: ProjectableSet, constraint, x0,
     constraint projection is reported with period 2 (period and
     first_index are counted in half-steps).
     """
-    return _iterate(proj_set, constraint, x0, cfg, _Alternating(constraint, cfg))
+    return _iterate(_Alternating(proj_set, constraint, cfg), x0, cfg)

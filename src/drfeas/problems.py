@@ -57,9 +57,11 @@ def solver_config(settings: dict,
     if extra:
         raise ProblemFormatError(f"config: unknown field(s) {sorted(extra)}")
     try:
-        # SolverConfig checks integers: int() would truncate 2.5 and true
+        # SolverConfig checks integers and booleans: int() would truncate
+        # 2.5 and true, float() would read true as 1.0
         return dataclasses.replace(base, **{
-            SETTINGS[name][0]: value if SETTINGS[name][1] is int
+            SETTINGS[name][0]: value
+            if SETTINGS[name][1] is int or isinstance(value, bool)
             else SETTINGS[name][1](value)
             for name, value in settings.items()
         })

@@ -37,7 +37,7 @@ import numpy as np
 
 from .geometry import HalfSpace, as_point
 from .engine import dr_step, run_dr, SolverConfig, Solved, Diverging, MaxIterations
-from .sets import TIE_TOL, BinaryKnapsackSet, FinitePointSet
+from .sets import TIE_TOL, BinaryKnapsackSet, FinitePointSet, _integer
 
 __all__ = [
     "MUTANTS",
@@ -722,16 +722,16 @@ def mutant_killed(suite_id: str, trials=300, seed=0) -> bool:
 
 
 def check_dims(dims) -> tuple[int, ...]:
-    """``dims`` as a tuple of ints; ValueError unless each is at least 1."""
-    dims = tuple(int(d) for d in dims)
+    """``dims`` as a tuple; ValueError unless each is an integer >= 1."""
+    dims = tuple(_integer(d, "dimensions") for d in dims)
     if not dims or min(dims) < 1:
         raise ValueError(f"dimensions must be at least 1, got {list(dims)}")
     return dims
 
 
 def check_trials(trials) -> int:
-    """``trials`` as an int; ValueError if it is negative."""
-    trials = int(trials)
+    """``trials`` as an int; ValueError unless it is an integer >= 0."""
+    trials = _integer(trials, "trial counts")
     if trials < 0:
         raise ValueError(f"trial counts must be at least 0, got {trials}")
     return trials

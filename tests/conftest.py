@@ -107,7 +107,7 @@ def stepped_run(Q, hs, x0, cfg):
 def segments(monkeypatch):
     """The (first, resumed) steps of each segment run_dr appends in closed
     form while the test runs: steps first to resumed - 1."""
-    appended, segment = [], engine._HalfSpaceSplit.segment
+    appended, segment = [], engine._HalfSpaceSplit._segment
 
     def counted(strategy, k, x, trace):
         resumed = segment(strategy, k, x, trace)
@@ -115,7 +115,7 @@ def segments(monkeypatch):
             appended.append((k, resumed[0]))
         return resumed
 
-    monkeypatch.setattr(engine._HalfSpaceSplit, "segment", counted)
+    monkeypatch.setattr(engine._HalfSpaceSplit, "_segment", counted)
     return appended
 
 

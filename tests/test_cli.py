@@ -201,6 +201,8 @@ class TestBadInput:
         {"window": 25}, {"tie_rule": "first"}, {"seed": 0},
         # int() truncated these to 2 and 1, and the run went on
         {"max_iter": 2.5}, {"max_iter": True},
+        # float() read true as a tolerance of 1.0, and the run went on
+        {"tol": True}, {"cycle_tol": True},
     ])
     def test_bad_config_value(self, config, tmp_path, capsys):
         data = json.loads(open(problem("triadic.json")).read())
@@ -241,7 +243,7 @@ class TestBadInput:
                      "--output", str(tmp_path)]) == 1
         assert self.assert_one_error_line(capsys) == ""
 
-    @pytest.mark.parametrize("dims", ["0", "2,0", "a"])
+    @pytest.mark.parametrize("dims", ["0", "2,0", "a", "1.7,2"])
     def test_bad_verify_dims(self, dims, capsys):
         # --dims 0 used to loop forever drawing a nonzero 0-D vector
         assert main(["verify", "--trials", "1", "--dims", dims]) == 1
@@ -251,6 +253,7 @@ class TestBadInput:
         ["--trials", "-3", "--oracle-trials", "-2"],
         ["--trials", "2", "--oracle-trials", "-2"],
         ["--trials", "2", "--seed", "-1"],
+        ["--trials", "2.5"],
     ])
     def test_negative_verify_trials(self, counts, capsys):
         # used to run no trial and report "passed": true with exit 0

@@ -187,6 +187,11 @@ class TestRunDr:
         assert isinstance(outcome, Solved)
         assert np.array_equal(outcome.q, [80, -1])
         assert Q.min_calls == 1
+        # from (0, 5) q is held from step 1, outside H, before m is known;
+        # m is still computed once, by the step that first has x in H
+        trace, outcome = run_dr(Q, self.HS, [0.0, 5.0])
+        assert isinstance(outcome, Solved) and trace.d_xH[1] > 0.0
+        assert Q.min_calls == 2
 
     def test_far_handover_is_not_certified(self):
         # (1e4, -0.01) is in H but wins the nearest-point comparison only
@@ -344,7 +349,8 @@ class TestRunDr:
             SolverConfig(max_iter=bad)
         assert SolverConfig(max_iter=np.int64(3)).max_iter == 3
 
-    @pytest.mark.parametrize("eps", [0.0, -1.0, float("inf"), float("nan")])
+    @pytest.mark.parametrize("eps", [0.0, -1.0, float("inf"), float("nan"),
+                                     True])
     def test_tolerances_must_be_positive_and_finite(self, eps):
         # an infinite eps_h "solves" every run at k=0, an infinite
         # eps_cycle puts every state in one grid cell
@@ -519,22 +525,52 @@ class TestSegmentReuse:
         run_dr(Q, self.HS, [0.0, 1.0], cfg)
         assert Q.asked[2].tolist() == [0.0, 1.0 - 1500]
         assert len(Q.asked) == 2 + 1603 - 1500
-        # an oblique march whose lam at step 5 rounds lower as <a,q> - <a,x>
-        # than as <a, q - x>; with the hold at the latter only the exact
-        # test tells, and step 5 is projected
+        # an oblique march whose step to x5 computes lam = -s one ulp below
+        # <a, q - x5>: the hold decides on that lam, so a hold one ulp above
+        # it holds q at step 5 and a hold at or below it projects there;
+        # each run equals the run that projects every step, bit for bit
         Q, hs = _RecordingSet([(1.81, 0.49)]), HalfSpace([2.04, -2.56], 0.0)
         cfg = SolverConfig(max_iter=20)     # under the window of 25 steps
         Q.ray_hold = lambda q, a: 0.0
         plain = run_dr(Q, hs, [-2.44, -0.4], cfg)
-        q, x5 = plain[0].q[0], plain[0].x[5]
-        lam = float(hs.a.dot(q - x5))
-        assert float(hs.a.dot(q)) - float(hs.a.dot(x5)) < lam
-        Q.asked.clear()
-        Q.ray_hold = lambda q, a: lam
-        held = run_dr(Q, hs, [-2.44, -0.4], cfg)
-        same_decisions(hs.b, held, plain)
-        assert Q.asked[2].tobytes() == x5.tobytes()
-        assert len(Q.asked) == 2 + len(plain[0]) - 5
+        q, x4, x5 = plain[0].q[0], plain[0].x[4], plain[0].x[5]
+        lam = -(float(hs.a.dot(x4)) + hs.b - 2.0 * float(hs.a.dot(q)))
+        assert lam < float(hs.a.dot(q - x5))
+        for hold, projected in [(np.nextafter(lam, np.inf), False),
+                                (lam, True), (np.nextafter(lam, 0.0), True)]:
+            Q.asked.clear()
+            Q.ray_hold = lambda q, a: hold
+            held = run_dr(Q, hs, [-2.44, -0.4], cfg)
+            same_decisions(hs.b, held, plain)
+            for col in ("x", "q", "d_xH", "d_qH", "d_xL"):
+                assert (getattr(held[0], col).tobytes()
+                        == getattr(plain[0], col).tobytes()), (hold, col)
+            assert repr(held[1]) == repr(plain[1])
+            # projected: steps 0, 1 and 5 on, or steps 0, 1 and 6 on
+            first = 5 if projected else 6
+            assert Q.asked[2].tobytes() == plain[0].x[first].tobytes()
+            assert len(Q.asked) == 2 + len(plain[0]) - first
+
+    def test_an_inside_case_step_leaves_lam_unknown(self):
+        # x' = q computes no lam, so the next step projects, also where the
+        # lam before it lies inside the hold.  A run takes the inside case
+        # with q held only at lam < 0, so the steps are driven by hand:
+        # steps 0 and 1 find q = (0, 1) and hold it with lam = 2, and
+        # x = (0, 3) has <a, 2q - x> = -1
+        Q = _RecordingSet([(0, 1), (80, -1)])
+        step = engine._HalfSpaceSplit(Q, self.HS, SolverConfig())
+
+        def take(k, x):
+            q, src = step.nearest(x)
+            step.distances(x, q)
+            return step.advance(k, x, q, src, None)[1]
+
+        x = take(1, take(0, np.array([0.0, 1.0])))
+        assert x.tolist() == [0.0, -1.0] and 0.0 <= step.lam < step.hold
+        x = take(2, np.array([0.0, 3.0]))
+        assert x.tolist() == [0.0, 1.0] and len(Q.asked) == 2
+        step.nearest(x)
+        assert len(Q.asked) == 3 and Q.asked[2].tolist() == [0.0, 1.0]
 
 
 def _instance(rng, kind: str, scale: float):
@@ -642,6 +678,63 @@ class TestClosedFormSegments:
         run = run_dr(Q, self.HS, x0, cfg)
         same_decisions(self.HS.b, run, stepped(Q, self.HS, x0, cfg))
         assert segments == [(2, resumed)] and len(run[0]) == steps
+
+
+def _rounding_cases():
+    """run_dr inputs whose first possible segment, at step 2, starts inside
+    a margin: (points, hs, x0, max_iter, the margin, the segments).  x0 =
+    q, so x1 is in H and q repeats there; a second point far along -a
+    makes q held but not the witness."""
+    a = HalfSpace([0.6, 0.8], 0.0).a
+    q = np.array([0.8, -0.6]) * 2.0 ** 27   # |q| = 2^27, <a,q> near 0
+    aq, far = float(a.dot(q)), [q, q - 1e3 * a]
+    # (1 - 16c) NORM_CAP, c = 32 eps, is 0.057 below NORM_CAP: x2 to x4
+    # lie between the two, lam below the lower cap root <a,q> - w
+    edge = np.array([NORM_CAP - 0.01, 0.0])
+    return [
+        # d(q,H) = 1e-8 is under an ulp of q: x stays put, at lam ~ 6e-8
+        (far, HalfSpace(a, aq - 1e-8), q, 100, "case", []),
+        (far, HalfSpace(a, aq - 1e-7), q, 100, "case", [(14, 100)]),
+        ([q], HalfSpace(a, aq - 1e-6), q, 10000, "membership", [(3, 26)]),
+        ([edge, edge - [1e6, 0.0]], HalfSpace([1.0, 0.0], edge[0] - 0.01),
+         edge, 60, "cap", [(5, 60)]),
+    ]
+
+
+class TestSegmentMargins:
+    """A closed-form segment starts only outside every rounding margin:
+    the case test and, for a witness q, the membership test clear by
+    c(3|q| + lam), c = 8(n + 2) eps, and |x| at most (1 - 16c) NORM_CAP."""
+
+    @staticmethod
+    def _inside(hs, trace, k, eps_h, witness):
+        """The margins step k's start lies inside, lam as the step to it
+        computed."""
+        q, a, b = trace.q[k], hs.a, hs.b
+        lam = -(float(a.dot(trace.x[k - 1])) + b - 2.0 * float(a.dot(q)))
+        v, c = float(a.dot(q)) - b, 8 * (hs.dim + 2) * 2.0 ** -53
+        t = c * (3.0 * np.linalg.norm(q) + lam)
+        return {name for name, inside in [
+            ("case", v + lam - t <= eps_h),
+            ("membership", witness and v - lam + t > eps_h),
+            ("cap", np.linalg.norm(trace.x[k]) > (1.0 - 16.0 * c) * NORM_CAP),
+        ] if inside}
+
+    @pytest.mark.parametrize("points, hs, x0, max_iter, margin, appended",
+                             _rounding_cases(), ids=["case-stalled", "case",
+                                                     "membership", "cap"])
+    def test_no_segment_starts_inside_a_margin(self, segments, stepped,
+                                               same_decisions, points, hs,
+                                               x0, max_iter, margin,
+                                               appended):
+        Q, cfg = FinitePointSet(points), SolverConfig(max_iter=max_iter)
+        run = run_dr(Q, hs, x0, cfg)
+        same_decisions(hs.b, run, stepped(Q, hs, x0, cfg))
+        witness = len(points) == 1
+        assert self._inside(hs, run[0], 2, cfg.eps_h, witness) == {margin}
+        assert segments == appended
+        for first, _ in segments:
+            assert not self._inside(hs, run[0], first, cfg.eps_h, witness)
 
 
 class TestColumnarTrace:

@@ -61,6 +61,10 @@ class TestParsing:
         for bad in (2.5, True):
             with pytest.raises(ProblemFormatError, match="max_iter"):
                 solver_config({"max_iter": bad}, base)
+        # float() read true as a tolerance of 1.0
+        for name in ("tol", "cycle_tol"):
+            with pytest.raises(ProblemFormatError, match="tolerances"):
+                solver_config({name: True}, base)
 
     @pytest.mark.parametrize("kind,spec", [
         ("hyperplane", {"type": "hyperplane", "a": [1.0, 0.0], "b": 2.0}),

@@ -189,6 +189,17 @@ def test_run_all_suites_rejects_negative_trial_counts(counts):
         run_all_suites(trials=trials, dims=(2,), oracle_trials=oracle_trials)
 
 
+@pytest.mark.parametrize("counts", [
+    {"trials": 2.5}, {"dims": (1.7, 2)}, {"oracle_trials": True},
+    {"trials": "2"}])
+def test_run_all_suites_rejects_non_integer_counts(counts):
+    # int() truncated these: 2.5 trials ran 2, dims (1.7, 2) ran (1, 2)
+    # and oracle_trials=True ran 1 oracle trial
+    counts = {"trials": 2, "dims": (2,), "oracle_trials": 0, **counts}
+    with pytest.raises(ValueError, match="must be an integer"):
+        run_all_suites(**counts)
+
+
 def test_run_all_suites_covers_registry():
     reports = run_all_suites(trials=50, dims=(2, 3), seed=5, oracle_trials=10)
     assert len(reports) == len(SUITES)
