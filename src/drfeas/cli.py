@@ -191,10 +191,7 @@ def _dims(text: str) -> tuple[int, ...]:
 
 
 def _seed(text: str) -> int:
-    seed = int(text)
-    if seed < 0:
-        raise ValueError(f"the seed must be at least 0, got {seed}")
-    return seed
+    return verifier_mod.check_seed(int(text))
 
 
 class _Parser(argparse.ArgumentParser):

@@ -73,6 +73,7 @@ __all__ = [
     "detect_linear_divergence",
     "dr_step",
     "dr_step_generic",
+    "dr_step_rows",
     "run_ap",
     "run_dr",
     "run_dr_generic",
@@ -241,11 +242,28 @@ def dr_step(x, q, hs: HalfSpace, eps_h: float = 1e-9) -> np.ndarray:
 
     Case split: q when <a, 2q - x> <= b (+ eps_h), otherwise
     q + (<a,x> + b - 2<a,q>) a, which equals (x + R_H(2q - x)) / 2.
+    ``dr_step_rows`` is its row form, equal to it bit for bit on every row
+    (``tests/test_engine.py::TestDrStepRows``); this scalar body stays
+    because a one-row call of the row form costs two to three times as much.
     """
     x, q, a, b = as_point(x, hs.dim), as_point(q, hs.dim), hs.a, hs.b
     if float(a.dot(2.0 * q - x)) <= b + eps_h:
         return q.copy()
     return q + (float(a.dot(x)) + b - 2.0 * float(a.dot(q))) * a
+
+
+def dr_step_rows(x, q, a, b, eps_h: float = 1e-9) -> np.ndarray:
+    """``dr_step`` on each row of (k, n) float stacks x, q and unit normals
+    a, with offsets b of shape (k,); the inputs are not checked."""
+    keep = _dots(a, 2.0 * q - x) <= b + eps_h
+    s = _dots(a, x) + b - 2.0 * _dots(a, q)
+    return np.where(keep[:, None], q, q + s[:, None] * a)
+
+
+def _dots(a, x):
+    """<a_i, x_i> for each row, bit for bit ``a_i.dot(x_i)`` (the same BLAS
+    dot on the same n; zero padding could change its blocking)."""
+    return (a[:, None, :] @ x[:, :, None])[:, 0, 0]
 
 
 def dr_step_generic(x, constraint, proj_set: ProjectableSet,

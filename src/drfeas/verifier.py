@@ -8,8 +8,13 @@ the checks have power.
 
 The one-step suites (prop1-prop4) draw the dimension of every trial
 first, then all instances of one dimension as arrays, and judge them as
-arrays; the operator itself is still called once per instance, as
-``step_fn(x, q, hs)`` on that instance's HalfSpace.  The lemma suite works in
+arrays.  They step a dimension's rows, and each of prop2's follow-ups, in
+one call ``step_fn(x, q, a, b)`` on (k, n) stacks and the k unit normals
+and offsets: ``dr_step_rows``, equal to ``dr_step`` bit for bit on every
+row, or a row mutant.  The lemma suite calls ``step_fn(x, q, hs)`` once
+per row, with ``dr_step`` as the operator under test: a benchmark rerun
+of one trial wraps exactly that signature, and a one-row call of the row
+form costs two to three times a ``dr_step`` call.  It works in
 blocks of trials and in three passes.  It draws every trial of a block in
 trial order, with the generator calls it has always made.  It steps the
 never-entering (even) trajectories in lockstep, one batch per dimension,
@@ -36,13 +41,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import HalfSpace, as_point
-from .engine import dr_step, run_dr, SolverConfig, Solved, Diverging, MaxIterations
+from .engine import (dr_step, dr_step_rows, run_dr, SolverConfig, Solved,
+                     Diverging, MaxIterations, _dots)
 from .sets import TIE_TOL, BinaryKnapsackSet, FinitePointSet, _integer
 
 __all__ = [
     "MUTANTS",
     "PropertyReport",
     "check_dims",
+    "check_seed",
     "check_trials",
     "check_lemmas",
     "check_prop1",
@@ -105,12 +112,21 @@ def _mutant(keep_q, shift):
     return step
 
 
+def _row_mutant(keep_q, shift):
+    """dr_step_rows with the same two replacements, on every row."""
+    def step(x, q, a, b, eps_h=1e-9):
+        keep = keep_q(_dots(a, 2.0 * q - x), b + eps_h)
+        s = shift(_dots(a, x), b, _dots(a, q))
+        return np.where(keep[:, None], q, q + s[:, None] * a)
+    return step
+
+
 MUTANTS = {
-    "prop1": ("flipped-case-condition", {"step_fn": _mutant(
+    "prop1": ("flipped-case-condition", {"step_fn": _row_mutant(
         operator.gt, lambda ax, b, aq: ax + b - 2.0 * aq)}),
-    "prop2": ("dropped-offset-term", {"step_fn": _mutant(
+    "prop2": ("dropped-offset-term", {"step_fn": _row_mutant(
         operator.le, lambda ax, b, aq: ax - 2.0 * aq)}),
-    "prop3": ("wrong-sign-shift", {"step_fn": _mutant(
+    "prop3": ("wrong-sign-shift", {"step_fn": _row_mutant(
         operator.le, lambda ax, b, aq: -(ax + b - 2.0 * aq))}),
     "prop4": ("dropped-slack-term", {"drop_slack_term": True}),
     "lemmas": ("half-length-shift", {"step_fn": _mutant(
@@ -145,10 +161,11 @@ def _units(rng, k, n):
 
 
 def _halfspaces(rng, k, n):
-    """k half-spaces, and their unit normals and offsets as arrays."""
-    hss = [HalfSpace(a, b) for a, b in zip(_units(rng, k, n),
-                                          rng.uniform(-5.0, 5.0, k))]
-    return hss, np.array([hs.a for hs in hss]), np.array([hs.b for hs in hss])
+    """k half-spaces as unit normals and offsets, rows of arrays: those of
+    ``HalfSpace(a_i, b_i)`` bit for bit (``unit_normal`` per row)."""
+    a, b = _units(rng, k, n), rng.uniform(-5.0, 5.0, k)
+    norm = np.sqrt(_dots(a, a))
+    return a / norm[:, None], b / norm
 
 
 def _values(a, b, x):
@@ -223,12 +240,6 @@ def _nearest(pts, x):
     return mask, d2min
 
 
-def _steps(step_fn, x, q, hss):
-    """step_fn(x_i, q_i, hs_i) for each row, stacked like x."""
-    z = [step_fn(*args) for args in zip(x, q, hss)]
-    return np.array(z).reshape(x.shape)
-
-
 def _norms(v):
     return np.linalg.norm(v, axis=-1)
 
@@ -255,19 +266,19 @@ def _by_trial(report):
 # Half-space invariance: x in H implies every one-step image lies in H.
 
 def check_prop1(trials=10000, dims=(1, 2, 3, 4, 5), seed=0,
-                step_fn=dr_step) -> PropertyReport:
+                step_fn=dr_step_rows) -> PropertyReport:
     rng = np.random.default_rng(seed)
     report = PropertyReport("prop1-halfspace-invariance", trials, seed=seed)
     for n, idx in _groups(rng, trials, dims):
         k = idx.size
-        hss, a, b = _halfspaces(rng, k, n)
+        a, b = _halfspaces(rng, k, n)
         x = _points_in_H(rng, a, b, 0.1)
         pts = rng.uniform(-COORD_RANGE, COORD_RANGE, (k, 4, n))
         dup = rng.random(k) < 0.2
         pts[dup, 1] = pts[dup, 0]  # duplicate collapses, keeps sampler varied
         rows, cols = np.nonzero(_nearest(pts, x)[0])
         q = pts[rows, cols]
-        z = _steps(step_fn, x[rows], q, [hss[i] for i in rows])
+        z = step_fn(x[rows], q, a[rows], b[rows])
         dist = np.maximum(_values(a[rows], b[rows], z), 0.0)
         for r in np.flatnonzero(dist > TOL):
             i = rows[r]
@@ -286,13 +297,13 @@ _DQ_RANGES = np.array([(0.0, 3.0), (0.05, 0.45), (1.05, 2.0), (0.55, 0.95)])
 
 
 def check_prop2(trials=10000, dims=(1, 2, 3, 4, 5), seed=0,
-                step_fn=dr_step) -> PropertyReport:
+                step_fn=dr_step_rows) -> PropertyReport:
     rng = np.random.default_rng(seed)
     report = PropertyReport("prop2-outside-H-case-tree", trials, seed=seed)
     for n, idx in _groups(rng, trials, dims):
         k = idx.size
         case = idx % 4
-        hss, a, b = _halfspaces(rng, k, n)
+        a, b = _halfspaces(rng, k, n)
         xl = _points_in_H(rng, a, b, on_boundary_prob=1.0)  # feet on L
         dx = rng.uniform(0.5, 5.0, k)
         x = xl + dx[:, None] * a
@@ -302,7 +313,7 @@ def check_prop2(trials=10000, dims=(1, 2, 3, 4, 5), seed=0,
         q = x + (dq - dx)[:, None] * a + _tangent_offsets(rng, a)
         pts = np.concatenate(
             [q[:, None], _fillers(rng, x, _norms(x - q))], axis=1)
-        z = _steps(step_fn, x, q, hss)
+        z = step_fn(x, q, a, b)
         aq = (a * q).sum(axis=1)
         expect = q + ((a * x).sum(axis=1) + b - 2.0 * aq)[:, None] * a
         dz = np.maximum(_values(a, b, z), 0.0)
@@ -311,7 +322,7 @@ def check_prop2(trials=10000, dims=(1, 2, 3, 4, 5), seed=0,
         ok &= np.where(case == 3, np.abs(dz - (dx - dq)) <= TOL, True)
         # iia: q is its own nearest point, so the follow-up applies.
         sel = np.flatnonzero(ok & (case == 1))
-        z2 = _steps(step_fn, q[sel], q[sel], [hss[i] for i in sel])
+        z2 = step_fn(q[sel], q[sel], a[sel], b[sel])
         pl = q[sel] - (aq[sel] - b[sel])[:, None] * a[sel]
         ok[sel] = _norms(z2 - pl) <= TOL
         # iibII: from z, while q is still a nearest point, the next step
@@ -319,7 +330,7 @@ def check_prop2(trials=10000, dims=(1, 2, 3, 4, 5), seed=0,
         same_q = (_nearest(pts, z)[0]
                   & (_norms(pts - q[:, None]) <= 1e-12)).any(axis=1)
         sel = np.flatnonzero(ok & (case == 3) & same_q)
-        z3 = _steps(step_fn, z[sel], q[sel], [hss[i] for i in sel])
+        z3 = step_fn(z[sel], q[sel], a[sel], b[sel])
         ok[sel] = _values(a[sel], b[sel], z3) <= TOL
         for i in np.flatnonzero(~ok):
             _fail(report, trial=idx[i], case=_CASES[case[i]], dim=n, a=a[i],
@@ -331,13 +342,13 @@ def check_prop2(trials=10000, dims=(1, 2, 3, 4, 5), seed=0,
 # In-H displacement identity.
 
 def check_prop3(trials=10000, dims=(1, 2, 3, 4, 5), seed=0,
-                step_fn=dr_step) -> PropertyReport:
+                step_fn=dr_step_rows) -> PropertyReport:
     rng = np.random.default_rng(seed)
     report = PropertyReport("prop3-inside-H-displacement", trials, seed=seed)
     for n, idx in _groups(rng, trials, dims):
-        hss, a, b = _halfspaces(rng, idx.size, n)
+        a, b = _halfspaces(rng, idx.size, n)
         x, q, _, _ = _inside(rng, a, b)
-        z = _steps(step_fn, x, q, hss)
+        z = step_fn(x, q, a, b)
         dlx, dlq, dlz = (np.abs(_values(a, b, v)) for v in (x, q, z))
         expect = q - (dlx + 2.0 * dlq)[:, None] * a
         ok = ((_norms(z - expect) <= TOL)
@@ -351,8 +362,8 @@ def check_prop3(trials=10000, dims=(1, 2, 3, 4, 5), seed=0,
 # ---------------------------------------------------------------------------
 # Strict decrease of the auxiliary distance when the nearest point changes.
 
-def check_prop4(trials=10000, dims=(2, 3, 4, 5), seed=0, step_fn=dr_step,
-                drop_slack_term=False) -> PropertyReport:
+def check_prop4(trials=10000, dims=(2, 3, 4, 5), seed=0,
+                step_fn=dr_step_rows, drop_slack_term=False) -> PropertyReport:
     """Inequality linking successive distinct auxiliary points.
 
     Non-vacuous instances (a new nearest point p != q appears after the
@@ -370,7 +381,7 @@ def check_prop4(trials=10000, dims=(2, 3, 4, 5), seed=0, step_fn=dr_step,
             report.vacuous += idx.size
             continue
         k = idx.size
-        hss, a, b = _halfspaces(rng, k, n)
+        a, b = _halfspaces(rng, k, n)
         x, q, dxl, dq = _inside(rng, a, b)
         # Place p = q + delta*t_hat - mu*a so that p is outside H, farther
         # from x than q, but strictly nearer to the next iterate z
@@ -394,7 +405,7 @@ def check_prop4(trials=10000, dims=(2, 3, 4, 5), seed=0, step_fn=dr_step,
         same_q = _norms(pts - q[:, None]) <= 1e-12
         # crafted geometry degenerate: skip rather than fail
         live = np.flatnonzero((_nearest(pts, x)[0] & same_q).any(axis=1))
-        z = _steps(step_fn, x[live], q[live], [hss[i] for i in live])
+        z = step_fn(x[live], q[live], a[live], b[live])
         pts, same_q = pts[live], same_q[live]
         near, d2 = _nearest(pts, z)
         dh = np.maximum((pts * a[live, None]).sum(axis=2) - b[live, None], 0.0)
@@ -467,12 +478,6 @@ def _first_nearest(pts, x):
     repeated row never drops its first copy."""
     d2 = ((pts - x) ** 2).sum(axis=-1)
     return pts[(d2 <= d2.min() + TIE_TOL).argmax()]
-
-
-def _dots(a, x):
-    """<a_i, x_i> for each row, bit for bit ``a_i.dot(x_i)`` (the same BLAS
-    dot on the same n; zero padding could change its blocking)."""
-    return (a[:, None, :] @ x[:, :, None])[:, 0, 0]
 
 
 def _outside_trajectories(report, n, trials, g, s, c, step_fn):
@@ -717,6 +722,9 @@ SUITES = {
 
 def mutant_killed(suite_id: str, trials=300, seed=0) -> bool:
     """Run a suite against its documented mutant; True if failures appear."""
+    if suite_id not in MUTANTS:
+        raise ValueError(f"no mutant for suite {suite_id!r}; the suites with "
+                         f"one are {', '.join(MUTANTS)}")
     _, inject = MUTANTS[suite_id]
     return not SUITES[suite_id](trials=trials, seed=seed, **inject).passed
 
@@ -737,9 +745,17 @@ def check_trials(trials) -> int:
     return trials
 
 
+def check_seed(seed) -> int:
+    """``seed`` as an int; ValueError unless it is an integer >= 0."""
+    seed = _integer(seed, "the seed")
+    if seed < 0:
+        raise ValueError(f"the seed must be at least 0, got {seed}")
+    return seed
+
+
 def run_all_suites(trials=10000, dims=(1, 2, 3, 4, 5), seed=0,
                    oracle_trials=100) -> list[PropertyReport]:
-    dims = check_dims(dims)
+    dims, seed = check_dims(dims), check_seed(seed)
     trials, oracle_trials = check_trials(trials), check_trials(oracle_trials)
     # prop4 has content only for n >= 2; with no such dims all its trials
     # are drawn from the given ones, and count as vacuous

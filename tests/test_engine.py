@@ -21,6 +21,7 @@ from drfeas.engine import (
     detect_linear_divergence,
     dr_step,
     dr_step_generic,
+    dr_step_rows,
     run_ap,
     run_dr,
     run_dr_generic,
@@ -80,6 +81,41 @@ class TestDrStep:
             return
         nxt = dr_step(x, q, hs, eps_h=0.0)
         assert hs.value(nxt) <= 1e-9
+
+
+def _bit_differences(u, v):
+    """Rows of u whose bits differ from v's (0.0 and -0.0 differ)."""
+    return np.flatnonzero((u.view(np.uint64) != v.view(np.uint64)).any(axis=1))
+
+
+class TestDrStepRows:
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_each_row_is_dr_step_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        k = 5000
+        hss = [HalfSpace(a, b) for a, b in zip(rng.normal(size=(k, n)),
+                                               rng.uniform(-5.0, 5.0, k))]
+        a, b = np.array([hs.a for hs in hss]), np.array([hs.b for hs in hss])
+        x, q = rng.uniform(-10.0, 10.0, (2, k, n))
+        # a third of the rows put <a, 2q - x> within rounding of b + eps_h,
+        # c = b + eps_h moved by up to 4 ulps, through x = 2q - c*a
+        near = k // 3
+        c = b[:near] + 1e-9
+        c += rng.integers(-4, 5, near) * np.spacing(c)
+        x[:near] = 2.0 * q[:near] - c[:, None] * a[:near]
+        z = dr_step_rows(x, q, a, b)
+        expect = np.array([dr_step(*row) for row in zip(x, q, hss)])
+        assert list(_bit_differences(z, expect)) == []
+        # both cases, among the rows at the threshold and among the others
+        keep = (z == q).all(axis=1)
+        for part in (keep[:near], keep[near:]):
+            assert 0.3 < part.mean() < 0.7
+
+    def test_eps_h_moves_the_threshold(self):
+        a, b = np.array([[0.0, 1.0]]), np.array([0.0])
+        x, q = np.array([[0.0, -1.0]]), np.array([[0.0, 0.0]])  # <a,2q-x> = 1
+        assert np.array_equal(dr_step_rows(x, q, a, b), [[0.0, -1.0]])
+        assert np.array_equal(dr_step_rows(x, q, a, b, eps_h=1.0), q)
 
 
 class TestGenericStepAgreement:

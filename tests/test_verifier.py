@@ -6,6 +6,7 @@ exercised at reduced trial counts so failures localize quickly.
 
 import hashlib
 import json
+import operator
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -13,14 +14,19 @@ import numpy as np
 import pytest
 
 from drfeas import verifier
-from drfeas.engine import Diverging, SolverConfig, Solved, dr_step, run_dr
+from drfeas.engine import (Diverging, SolverConfig, Solved, dr_step,
+                           dr_step_rows, run_dr)
 from drfeas.geometry import HalfSpace
 from drfeas.sets import FinitePointSet
 from drfeas.verifier import (
     MUTANTS,
     SUITES,
     _certificate_valid,
+    _halfspaces,
+    _mutant,
     _nearest,
+    _norms,
+    _units,
     _x_settles_after,
     check_lemmas,
     check_prop1,
@@ -200,6 +206,29 @@ def test_run_all_suites_rejects_non_integer_counts(counts):
         run_all_suites(**counts)
 
 
+@pytest.mark.parametrize("seed", [True, 1.5, "3", -1])
+def test_run_all_suites_rejects_a_bad_seed(seed):
+    # seed=True ran seed 1 and reported "seed": true; 1.5 and "3" raised
+    # numpy's TypeError
+    with pytest.raises(ValueError, match="seed"):
+        run_all_suites(trials=2, dims=(2,), seed=seed, oracle_trials=0)
+
+
+def test_run_all_suites_takes_a_numpy_integer_seed():
+    reports = run_all_suites(trials=2, dims=(2,), seed=np.int64(4),
+                             oracle_trials=0)
+    assert {type(r.seed) for r in reports} == {int}
+    assert [r.seed for r in reports] == [4] * len(SUITES)
+
+
+@pytest.mark.parametrize("suite_id", ["theorems", "prop5"])
+def test_mutant_killed_names_the_suites_that_have_a_mutant(suite_id):
+    # a suite with no mutant, or none at all, used to raise a bare KeyError
+    with pytest.raises(ValueError, match=repr(suite_id)) as info:
+        mutant_killed(suite_id)
+    assert ", ".join(MUTANTS) in str(info.value)
+
+
 def test_run_all_suites_covers_registry():
     reports = run_all_suites(trials=50, dims=(2, 3), seed=5, oracle_trials=10)
     assert len(reports) == len(SUITES)
@@ -302,36 +331,74 @@ def test_batch_nearest_agrees_on_random_sets():
     assert ties > 50
 
 
+@pytest.mark.parametrize("n", range(1, 17))
+def test_row_normaliser_gives_the_half_space_bits(n):
+    # _halfspaces normalises the drawn rows as HalfSpace(a_i, b_i) does
+    a, b = _halfspaces(np.random.default_rng(n), 5000, n)
+    rng = np.random.default_rng(n)
+    drawn = zip(_units(rng, 5000, n), rng.uniform(-5.0, 5.0, 5000))
+    hss = [HalfSpace(ai, bi) for ai, bi in drawn]
+    assert np.array([hs.a for hs in hss]).tobytes() == a.tobytes()
+    assert np.array([hs.b for hs in hss]).tobytes() == b.tobytes()
+
+
+# The per-row formula of each row mutant: the lemma suite's mutant form
+ROW_MUTANT_FORMULAS = {
+    "prop1": _mutant(operator.gt, lambda ax, b, aq: ax + b - 2.0 * aq),
+    "prop2": _mutant(operator.le, lambda ax, b, aq: ax - 2.0 * aq),
+    "prop3": _mutant(operator.le, lambda ax, b, aq: -(ax + b - 2.0 * aq)),
+}
+
+
+@pytest.mark.parametrize("suite_id", sorted(ROW_MUTANT_FORMULAS))
+def test_row_mutants_equal_their_per_row_formula(suite_id):
+    rng = np.random.default_rng(2)
+    for n in DIMS:
+        a, b = _halfspaces(rng, 2000, n)
+        x, q = rng.uniform(-10.0, 10.0, (2, 2000, n))
+        hss = [SimpleNamespace(a=ai, b=bi) for ai, bi in zip(a, b)]
+        z = MUTANTS[suite_id][1]["step_fn"](x, q, a, b)
+        expect = np.array([ROW_MUTANT_FORMULAS[suite_id](*row)
+                           for row in zip(x, q, hss)])
+        assert z.tobytes() == expect.tobytes()
+        assert 0.3 < (z == q).all(axis=1).mean() < 0.7  # both cases
+
+
 @pytest.mark.parametrize("check", [check_prop1, check_prop2, check_prop3,
                                    check_prop4])
 def test_prop_suites_step_each_instance_once_on_its_half_space(check):
     calls = []
 
-    def step(x, q, hs):
-        calls.append(hs)
-        return dr_step(x, q, hs)
+    def step(x, q, a, b):
+        calls.append((a, b))
+        return dr_step_rows(x, q, a, b)
 
     report = check(trials=200, dims=(2, 3), seed=4, step_fn=step)
     assert report.passed
-    assert all(isinstance(hs, HalfSpace) for hs in calls)
+    # one call per dimension group, and prop2's two follow-ups per group
+    assert [a.shape[1] for a, _ in calls] == (
+        [2, 2, 2, 3, 3, 3] if check is check_prop2 else [2, 3])
+    rows = [len(b) for _, b in calls]
+    normals = {(ai.tobytes(), bi) for a, b in calls for ai, bi in zip(a, b)}
+    assert all(np.allclose(_norms(a), 1.0) for a, _ in calls)
     if check is check_prop3:
-        assert len({id(hs) for hs in calls}) == len(calls) == 200
+        assert len(normals) == sum(rows) == 200
     else:
         # prop1 steps every nearest point, prop2 adds follow-up steps on
         # the same half-space, prop4 skips degenerate instances
-        assert 150 <= len({id(hs) for hs in calls}) <= 200
+        assert 150 <= len(normals) <= 200
 
 
 @pytest.mark.parametrize("check", [check_prop1, check_prop2, check_prop3])
 def test_failures_carry_the_original_trial_index(check):
     # a step pushed far out of H along the normal fails every check; one
     # pushed only in dimension 3 fails exactly the trials of that dimension
-    def step(x, q, hs):
-        z = dr_step(x, q, hs)
-        return z + 100.0 * hs.a if hs.dim == 3 else z
+    def step(x, q, a, b):
+        z = dr_step_rows(x, q, a, b)
+        return z + 100.0 * a if a.shape[1] == 3 else z
 
-    everywhere = check(trials=120, dims=DIMS, seed=8, step_fn=lambda x, q, hs:
-                       dr_step(x, q, hs) + 100.0 * hs.a)
+    everywhere = check(trials=120, dims=DIMS, seed=8, step_fn=lambda x, q, a, b:
+                       dr_step_rows(x, q, a, b) + 100.0 * a)
     assert [f["trial"] for f in everywhere.failures] == list(range(120))
     dim3 = [f["trial"] for f in everywhere.failures if f["dim"] == 3]
     report = check(trials=120, dims=DIMS, seed=8, step_fn=step)
