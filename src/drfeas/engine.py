@@ -252,10 +252,10 @@ def dr_step(x, q, hs: HalfSpace, eps_h: float = 1e-9) -> np.ndarray:
     return q + (float(a.dot(x)) + b - 2.0 * float(a.dot(q))) * a
 
 
-def dr_step_rows(x, q, a, b, eps_h: float = 1e-9) -> np.ndarray:
-    """``dr_step`` on each row of (k, n) float stacks x, q and unit normals
-    a, with offsets b of shape (k,); the inputs are not checked."""
-    keep = _dots(a, 2.0 * q - x) <= b + eps_h
+def dr_step_rows(x, q, a, b) -> np.ndarray:
+    """``dr_step`` (default eps_h) on each row of (k, n) float stacks x, q
+    and unit normals a, with offsets b of shape (k,); inputs unchecked."""
+    keep = _dots(a, 2.0 * q - x) <= b + 1e-9
     s = _dots(a, x) + b - 2.0 * _dots(a, q)
     return np.where(keep[:, None], q, q + s[:, None] * a)
 

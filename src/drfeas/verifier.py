@@ -2,14 +2,14 @@
 
 Each check samples random instances whose preconditions hold by
 construction, evaluates the operator, and asserts the corresponding
-structural identity or inequality.  Checks accept a ``step_fn`` so that a
-deliberately broken operator (see MUTANTS) can be injected to demonstrate
-the checks have power.
+structural identity or inequality.  Checks accept the operator (``rows_fn``
+or ``step_fn``) so that a deliberately broken operator (see MUTANTS) can
+be injected to demonstrate the checks have power.
 
 The one-step suites (prop1-prop4) draw the dimension of every trial
 first, then all instances of one dimension as arrays, and judge them as
 arrays.  They step a dimension's rows, and each of prop2's follow-ups, in
-one call ``step_fn(x, q, a, b)`` on (k, n) stacks and the k unit normals
+one call ``rows_fn(x, q, a, b)`` on (k, n) stacks and the k unit normals
 and offsets: ``dr_step_rows``, equal to ``dr_step`` bit for bit on every
 row, or a row mutant.  The lemma suite calls ``step_fn(x, q, hs)`` once
 per row, with ``dr_step`` as the operator under test: a benchmark rerun
@@ -114,19 +114,19 @@ def _mutant(keep_q, shift):
 
 def _row_mutant(keep_q, shift):
     """dr_step_rows with the same two replacements, on every row."""
-    def step(x, q, a, b, eps_h=1e-9):
-        keep = keep_q(_dots(a, 2.0 * q - x), b + eps_h)
+    def step(x, q, a, b):
+        keep = keep_q(_dots(a, 2.0 * q - x), b + 1e-9)
         s = shift(_dots(a, x), b, _dots(a, q))
         return np.where(keep[:, None], q, q + s[:, None] * a)
     return step
 
 
 MUTANTS = {
-    "prop1": ("flipped-case-condition", {"step_fn": _row_mutant(
+    "prop1": ("flipped-case-condition", {"rows_fn": _row_mutant(
         operator.gt, lambda ax, b, aq: ax + b - 2.0 * aq)}),
-    "prop2": ("dropped-offset-term", {"step_fn": _row_mutant(
+    "prop2": ("dropped-offset-term", {"rows_fn": _row_mutant(
         operator.le, lambda ax, b, aq: ax - 2.0 * aq)}),
-    "prop3": ("wrong-sign-shift", {"step_fn": _row_mutant(
+    "prop3": ("wrong-sign-shift", {"rows_fn": _row_mutant(
         operator.le, lambda ax, b, aq: -(ax + b - 2.0 * aq))}),
     "prop4": ("dropped-slack-term", {"drop_slack_term": True}),
     "lemmas": ("half-length-shift", {"step_fn": _mutant(
@@ -266,7 +266,7 @@ def _by_trial(report):
 # Half-space invariance: x in H implies every one-step image lies in H.
 
 def check_prop1(trials=10000, dims=(1, 2, 3, 4, 5), seed=0,
-                step_fn=dr_step_rows) -> PropertyReport:
+                rows_fn=dr_step_rows) -> PropertyReport:
     rng = np.random.default_rng(seed)
     report = PropertyReport("prop1-halfspace-invariance", trials, seed=seed)
     for n, idx in _groups(rng, trials, dims):
@@ -278,7 +278,7 @@ def check_prop1(trials=10000, dims=(1, 2, 3, 4, 5), seed=0,
         pts[dup, 1] = pts[dup, 0]  # duplicate collapses, keeps sampler varied
         rows, cols = np.nonzero(_nearest(pts, x)[0])
         q = pts[rows, cols]
-        z = step_fn(x[rows], q, a[rows], b[rows])
+        z = rows_fn(x[rows], q, a[rows], b[rows])
         dist = np.maximum(_values(a[rows], b[rows], z), 0.0)
         for r in np.flatnonzero(dist > TOL):
             i = rows[r]
@@ -297,7 +297,7 @@ _DQ_RANGES = np.array([(0.0, 3.0), (0.05, 0.45), (1.05, 2.0), (0.55, 0.95)])
 
 
 def check_prop2(trials=10000, dims=(1, 2, 3, 4, 5), seed=0,
-                step_fn=dr_step_rows) -> PropertyReport:
+                rows_fn=dr_step_rows) -> PropertyReport:
     rng = np.random.default_rng(seed)
     report = PropertyReport("prop2-outside-H-case-tree", trials, seed=seed)
     for n, idx in _groups(rng, trials, dims):
@@ -313,7 +313,7 @@ def check_prop2(trials=10000, dims=(1, 2, 3, 4, 5), seed=0,
         q = x + (dq - dx)[:, None] * a + _tangent_offsets(rng, a)
         pts = np.concatenate(
             [q[:, None], _fillers(rng, x, _norms(x - q))], axis=1)
-        z = step_fn(x, q, a, b)
+        z = rows_fn(x, q, a, b)
         aq = (a * q).sum(axis=1)
         expect = q + ((a * x).sum(axis=1) + b - 2.0 * aq)[:, None] * a
         dz = np.maximum(_values(a, b, z), 0.0)
@@ -322,7 +322,7 @@ def check_prop2(trials=10000, dims=(1, 2, 3, 4, 5), seed=0,
         ok &= np.where(case == 3, np.abs(dz - (dx - dq)) <= TOL, True)
         # iia: q is its own nearest point, so the follow-up applies.
         sel = np.flatnonzero(ok & (case == 1))
-        z2 = step_fn(q[sel], q[sel], a[sel], b[sel])
+        z2 = rows_fn(q[sel], q[sel], a[sel], b[sel])
         pl = q[sel] - (aq[sel] - b[sel])[:, None] * a[sel]
         ok[sel] = _norms(z2 - pl) <= TOL
         # iibII: from z, while q is still a nearest point, the next step
@@ -330,7 +330,7 @@ def check_prop2(trials=10000, dims=(1, 2, 3, 4, 5), seed=0,
         same_q = (_nearest(pts, z)[0]
                   & (_norms(pts - q[:, None]) <= 1e-12)).any(axis=1)
         sel = np.flatnonzero(ok & (case == 3) & same_q)
-        z3 = step_fn(z[sel], q[sel], a[sel], b[sel])
+        z3 = rows_fn(z[sel], q[sel], a[sel], b[sel])
         ok[sel] = _values(a[sel], b[sel], z3) <= TOL
         for i in np.flatnonzero(~ok):
             _fail(report, trial=idx[i], case=_CASES[case[i]], dim=n, a=a[i],
@@ -342,13 +342,13 @@ def check_prop2(trials=10000, dims=(1, 2, 3, 4, 5), seed=0,
 # In-H displacement identity.
 
 def check_prop3(trials=10000, dims=(1, 2, 3, 4, 5), seed=0,
-                step_fn=dr_step_rows) -> PropertyReport:
+                rows_fn=dr_step_rows) -> PropertyReport:
     rng = np.random.default_rng(seed)
     report = PropertyReport("prop3-inside-H-displacement", trials, seed=seed)
     for n, idx in _groups(rng, trials, dims):
         a, b = _halfspaces(rng, idx.size, n)
         x, q, _, _ = _inside(rng, a, b)
-        z = step_fn(x, q, a, b)
+        z = rows_fn(x, q, a, b)
         dlx, dlq, dlz = (np.abs(_values(a, b, v)) for v in (x, q, z))
         expect = q - (dlx + 2.0 * dlq)[:, None] * a
         ok = ((_norms(z - expect) <= TOL)
@@ -363,7 +363,7 @@ def check_prop3(trials=10000, dims=(1, 2, 3, 4, 5), seed=0,
 # Strict decrease of the auxiliary distance when the nearest point changes.
 
 def check_prop4(trials=10000, dims=(2, 3, 4, 5), seed=0,
-                step_fn=dr_step_rows, drop_slack_term=False) -> PropertyReport:
+                rows_fn=dr_step_rows, drop_slack_term=False) -> PropertyReport:
     """Inequality linking successive distinct auxiliary points.
 
     Non-vacuous instances (a new nearest point p != q appears after the
@@ -405,7 +405,7 @@ def check_prop4(trials=10000, dims=(2, 3, 4, 5), seed=0,
         same_q = _norms(pts - q[:, None]) <= 1e-12
         # crafted geometry degenerate: skip rather than fail
         live = np.flatnonzero((_nearest(pts, x)[0] & same_q).any(axis=1))
-        z = step_fn(x[live], q[live], a[live], b[live])
+        z = rows_fn(x[live], q[live], a[live], b[live])
         pts, same_q = pts[live], same_q[live]
         near, d2 = _nearest(pts, z)
         dh = np.maximum((pts * a[live, None]).sum(axis=2) - b[live, None], 0.0)

@@ -111,12 +111,6 @@ class TestDrStepRows:
         for part in (keep[:near], keep[near:]):
             assert 0.3 < part.mean() < 0.7
 
-    def test_eps_h_moves_the_threshold(self):
-        a, b = np.array([[0.0, 1.0]]), np.array([0.0])
-        x, q = np.array([[0.0, -1.0]]), np.array([[0.0, 0.0]])  # <a,2q-x> = 1
-        assert np.array_equal(dr_step_rows(x, q, a, b), [[0.0, -1.0]])
-        assert np.array_equal(dr_step_rows(x, q, a, b, eps_h=1.0), q)
-
 
 class TestGenericStepAgreement:
     @given(st.tuples(halfspaces2(), vec2()))

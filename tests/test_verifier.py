@@ -357,7 +357,7 @@ def test_row_mutants_equal_their_per_row_formula(suite_id):
         a, b = _halfspaces(rng, 2000, n)
         x, q = rng.uniform(-10.0, 10.0, (2, 2000, n))
         hss = [SimpleNamespace(a=ai, b=bi) for ai, bi in zip(a, b)]
-        z = MUTANTS[suite_id][1]["step_fn"](x, q, a, b)
+        z = MUTANTS[suite_id][1]["rows_fn"](x, q, a, b)
         expect = np.array([ROW_MUTANT_FORMULAS[suite_id](*row)
                            for row in zip(x, q, hss)])
         assert z.tobytes() == expect.tobytes()
@@ -373,7 +373,7 @@ def test_prop_suites_step_each_instance_once_on_its_half_space(check):
         calls.append((a, b))
         return dr_step_rows(x, q, a, b)
 
-    report = check(trials=200, dims=(2, 3), seed=4, step_fn=step)
+    report = check(trials=200, dims=(2, 3), seed=4, rows_fn=step)
     assert report.passed
     # one call per dimension group, and prop2's two follow-ups per group
     assert [a.shape[1] for a, _ in calls] == (
@@ -397,11 +397,11 @@ def test_failures_carry_the_original_trial_index(check):
         z = dr_step_rows(x, q, a, b)
         return z + 100.0 * a if a.shape[1] == 3 else z
 
-    everywhere = check(trials=120, dims=DIMS, seed=8, step_fn=lambda x, q, a, b:
+    everywhere = check(trials=120, dims=DIMS, seed=8, rows_fn=lambda x, q, a, b:
                        dr_step_rows(x, q, a, b) + 100.0 * a)
     assert [f["trial"] for f in everywhere.failures] == list(range(120))
     dim3 = [f["trial"] for f in everywhere.failures if f["dim"] == 3]
-    report = check(trials=120, dims=DIMS, seed=8, step_fn=step)
+    report = check(trials=120, dims=DIMS, seed=8, rows_fn=step)
     assert [f["trial"] for f in report.failures] == dim3 and dim3
     if check is check_prop2:
         assert all(f["case"] == ("i", "iia", "iibI", "iibII")[f["trial"] % 4]
