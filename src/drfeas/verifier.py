@@ -11,23 +11,22 @@ first, then all instances of one dimension as arrays, and judge them as
 arrays.  They step a dimension's rows, and each of prop2's follow-ups, in
 one call ``rows_fn(x, q, a, b)`` on (k, n) stacks and the k unit normals
 and offsets: ``dr_step_rows``, equal to ``dr_step`` bit for bit on every
-row, or a row mutant.  The lemma suite calls ``step_fn(x, q, hs)`` once
-per row, with ``dr_step`` as the operator under test: a benchmark rerun
-of one trial wraps exactly that signature, and a one-row call of the row
-form costs two to three times a ``dr_step`` call.  It works in
-blocks of trials and in three passes.  It draws every trial of a block in
-trial order, with the generator calls it has always made.  It steps the
-never-entering (even) trajectories in lockstep, one batch per dimension,
-calling ``step_fn`` once per live trajectory and step.  Then it steps the
-entering (odd) trajectories one at a time in trial order, each building its
+row, or a row mutant.  The lemma suite works in blocks of trials and in
+three passes.  It draws every trial of a block in trial order, with the
+generator calls it has always made.  It steps the never-entering (even)
+trajectories in lockstep, one batch per dimension, with one ``rows_fn``
+call per step on the live rows.  Then it steps the entering (odd)
+trajectories one at a time in trial order, calling ``step_fn(x, q, hs)``
+(``dr_step`` or its mutant) once per step, each building its
 FinitePointSet through this module's global name just before its first
 step.  So adding an odd trial T (``check_lemmas(T + 1)`` against
-``check_lemmas(T)``) only appends T's steps, and the last set built is T's,
-with T's start as the first step after it; a rerun of one trial relies on
-this.  The theorem suite draws one instance at a time, and judges whether
-a solved run's x settles at the step where its q repeats, with no step
-budget.  The lemma suite keeps its 2000-step budget: its stepping is the
-operator under test (``step_fn`` and the mutants).
+``check_lemmas(T)``) only appends T's ``step_fn`` calls, and the last set
+built is T's, with T's start as the first step after it; a benchmark rerun
+of one trial wraps ``step_fn`` and relies on this.  The theorem suite
+draws one instance at a time, and judges whether a solved run's x settles
+at the step where its q repeats, with no step budget.  The lemma suite
+keeps its 2000-step budget: its stepping is the operator under test
+(``rows_fn``, ``step_fn`` and the mutants).
 ``run_all_suites`` records each suite's wall time on its report.
 """
 
@@ -129,8 +128,9 @@ MUTANTS = {
     "prop3": ("wrong-sign-shift", {"rows_fn": _row_mutant(
         operator.le, lambda ax, b, aq: -(ax + b - 2.0 * aq))}),
     "prop4": ("dropped-slack-term", {"drop_slack_term": True}),
-    "lemmas": ("half-length-shift", {"step_fn": _mutant(
-        operator.le, lambda ax, b, aq: 0.5 * (ax + b - 2.0 * aq))}),
+    "lemmas": ("half-length-shift", {
+        fn: form(operator.le, lambda ax, b, aq: 0.5 * (ax + b - 2.0 * aq))
+        for fn, form in (("step_fn", _mutant), ("rows_fn", _row_mutant))}),
 }
 
 
@@ -267,6 +267,7 @@ def _by_trial(report):
 
 def check_prop1(trials=10000, dims=(1, 2, 3, 4, 5), seed=0,
                 rows_fn=dr_step_rows) -> PropertyReport:
+    trials, dims, seed = _checked(trials, dims, seed)
     rng = np.random.default_rng(seed)
     report = PropertyReport("prop1-halfspace-invariance", trials, seed=seed)
     for n, idx in _groups(rng, trials, dims):
@@ -298,6 +299,7 @@ _DQ_RANGES = np.array([(0.0, 3.0), (0.05, 0.45), (1.05, 2.0), (0.55, 0.95)])
 
 def check_prop2(trials=10000, dims=(1, 2, 3, 4, 5), seed=0,
                 rows_fn=dr_step_rows) -> PropertyReport:
+    trials, dims, seed = _checked(trials, dims, seed)
     rng = np.random.default_rng(seed)
     report = PropertyReport("prop2-outside-H-case-tree", trials, seed=seed)
     for n, idx in _groups(rng, trials, dims):
@@ -343,6 +345,7 @@ def check_prop2(trials=10000, dims=(1, 2, 3, 4, 5), seed=0,
 
 def check_prop3(trials=10000, dims=(1, 2, 3, 4, 5), seed=0,
                 rows_fn=dr_step_rows) -> PropertyReport:
+    trials, dims, seed = _checked(trials, dims, seed)
     rng = np.random.default_rng(seed)
     report = PropertyReport("prop3-inside-H-displacement", trials, seed=seed)
     for n, idx in _groups(rng, trials, dims):
@@ -372,6 +375,7 @@ def check_prop4(trials=10000, dims=(2, 3, 4, 5), seed=0,
     the d(z,Q) term from the right-hand side, a deliberately false variant
     used as this suite's mutant.
     """
+    trials, dims, seed = _checked(trials, dims, seed)
     rng = np.random.default_rng(seed)
     report = PropertyReport("prop4-auxiliary-strict-decrease", trials, seed=seed)
     for n, idx in _groups(rng, trials, dims):
@@ -442,7 +446,7 @@ def _halfspace(rng, n) -> HalfSpace:
 
 
 def check_lemmas(trials=10000, dims=(1, 2, 3, 4, 5), seed=0,
-                 step_fn=dr_step) -> PropertyReport:
+                 step_fn=dr_step, rows_fn=dr_step_rows) -> PropertyReport:
     """Monotonicity along whole trajectories.
 
     Never-entering trajectories (even trials): d(x_k,L) strictly
@@ -450,7 +454,10 @@ def check_lemmas(trials=10000, dims=(1, 2, 3, 4, 5), seed=0,
     one-step decrease equals d(q,H).  Once both x_k and q_k are inside H
     (odd trials): all later q_j stay inside, d(q_j,L) is nondecreasing
     with equality only at a repeat, and x_k is eventually constant.
+    ``rows_fn`` steps the never-entering trajectories, ``step_fn`` the
+    entering ones.
     """
+    trials, dims, seed = _checked(trials, dims, seed)
     rng = np.random.default_rng(seed)
     report = PropertyReport("lemmas-trajectory-monotonicity", trials, seed=seed)
     for start in range(0, trials, _BLOCK):
@@ -465,7 +472,7 @@ def check_lemmas(trials=10000, dims=(1, 2, 3, 4, 5), seed=0,
             else:
                 inside.append((t, n, *_inside_draws(rng, n)))
         for n, draws in sorted(outside.items()):
-            _outside_trajectories(report, n, *zip(*draws), step_fn)
+            _outside_trajectories(report, n, *zip(*draws), rows_fn)
         for t, n, *draws in inside:
             data = _inside_trajectory(report, *draws, step_fn)
             if data:
@@ -474,13 +481,13 @@ def check_lemmas(trials=10000, dims=(1, 2, 3, 4, 5), seed=0,
 
 
 def _first_nearest(pts, x):
-    """``FinitePointSet(pts).project_all(x)[0]``, bit for bit: dropping a
-    repeated row never drops its first copy."""
+    """The row index of ``FinitePointSet(pts).project_all(x)[0]`` in pts:
+    dropping a repeated row never drops its first copy."""
     d2 = ((pts - x) ** 2).sum(axis=-1)
-    return pts[(d2 <= d2.min() + TIE_TOL).argmax()]
+    return (d2 <= d2.min() + TIE_TOL).argmax()
 
 
-def _outside_trajectories(report, n, trials, g, s, c, step_fn):
+def _outside_trajectories(report, n, trials, g, s, c, rows_fn):
     """Ten lockstep steps of never-entering trajectories in dimension n.
 
     Trial i is the 1-D family Q = {0} and {2/3^j : j < 25}, x0 = 1 and
@@ -488,12 +495,14 @@ def _outside_trajectories(report, n, trials, g, s, c, step_fn):
     Q factor of g[i] and shifted by c[i].  A trial leaves the batch at its
     first failure.  Dimensions are batched apart: zero padding to a common
     one changes the summation order of the row sums from 8 columns on.
+    Each step of the live trials is one call ``rows_fn(x, q, a, b)``.
     """
     k, live = len(trials), np.ones(len(trials), bool)
     a = np.ascontiguousarray(np.linalg.qr(np.array(g))[0][:, :, 0])
     c = np.array(c)
-    hss = [HalfSpace(ai, float(ai @ ci)) for ai, ci in zip(a, c)]
-    ha, hb = np.array([hs.a for hs in hss]), np.array([hs.b for hs in hss])
+    # HalfSpace(a_i, <a_i, c_i>)'s unit normal and offset, bit for bit
+    norm = np.sqrt(_dots(a, a))
+    ha, hb = a / norm[:, None], _dots(a, c) / norm
     s = np.array(s)[:, None]
     x = s * a + c
     pts = np.concatenate([c[:, None], (s * (2.0 / 3.0 ** np.arange(25)))
@@ -520,8 +529,7 @@ def _outside_trajectories(report, n, trials, g, s, c, step_fn):
         if not live.any():
             return
         nxt = x.copy()
-        for i in np.flatnonzero(live):
-            nxt[i] = step_fn(x[i], q[i], hss[i])
+        nxt[live] = rows_fn(x[live], q[live], ha[live], hb[live])
         vnh = _dots(ha, nxt) - hb
         for i in np.flatnonzero(live & ~np.isfinite(vnh)):
             fail(i, "non-finite-step", x=x[i], q=q[i], next=nxt[i])
@@ -562,11 +570,13 @@ def _inside_trajectory(report, a, b, on_L, far, x, step_fn):
     # lands less deep than the inside regime goes onto L instead.
     far = [onto_L(p) if -0.05 < float(a.dot(p)) - b < 0.0 else p for p in far]
     pts = FinitePointSet(inside + far).points
+    vals = [float(a.dot(p)) - b for p in pts]  # <a,p> - b per point
     # not v > TOL is max(0.0, v) <= TOL; a NaN step is caught first
     vx = float(a.dot(x)) - b
     for _ in range(60):
-        q = _first_nearest(pts, x)
-        if not (vx > TOL or float(a.dot(q)) - b > TOL):
+        j = _first_nearest(pts, x)
+        q = pts[j]
+        if not (vx > TOL or vals[j] > TOL):
             break
         nxt = step_fn(x, q, hs)
         vx = float(a.dot(nxt)) - b
@@ -577,20 +587,22 @@ def _inside_trajectory(report, a, b, on_L, far, x, step_fn):
         report.vacuous += 1
         return None
     # Settling can take on the order of gap / d(q,L) steps, so the budget
-    # is generous; the claims are checked at every step along the way.
-    prev_dql, prev_q = None, None
+    # is generous; the claims are checked at every step along the way.  A
+    # repeated index is a repeated q, at distance 0 with an equal d(q,L).
+    prev_j = None
     for _ in range(2000):
-        q = _first_nearest(pts, x)
-        if float(a.dot(q)) - b > TOL:
+        j = _first_nearest(pts, x)
+        q = pts[j]
+        if vals[j] > TOL:
             return {"reason": "q-left-H", "x": x, "q": q}
-        dql = abs(float(a.dot(q)) - b)
-        if prev_dql is not None:
+        dql = abs(vals[j])
+        if prev_j is not None and j != prev_j:
             if dql < prev_dql - TOL:
                 return {"reason": "dqL-decreased", "x": x, "q": q}
-            d = q - prev_q
+            d = q - pts[prev_j]
             if (abs(dql - prev_dql) <= 1e-12) != (math.sqrt(d.dot(d)) <= 1e-12):
                 return {"reason": "equality-iff-repeat", "x": x, "q": q}
-        prev_dql, prev_q = dql, q
+        prev_dql, prev_j = dql, j
         nxt = step_fn(x, q, hs)
         d = nxt - x
         dd = d.dot(d)
@@ -648,6 +660,7 @@ def check_theorems_finite(trials=100, dims=(1, 2, 3, 4, 5),
     support equals the oracle's own min over Q of <a,p>.  Runs hitting
     the iteration cap are counted as vacuous (inconclusive).
     """
+    trials, dims, seed = _checked(trials, dims, seed)
     rng = np.random.default_rng(seed)
     report = PropertyReport("theorems-oracle-agreement", 2 * trials, seed=seed)
     cfg = SolverConfig(max_iter=10000)
@@ -721,7 +734,8 @@ SUITES = {
 
 
 def mutant_killed(suite_id: str, trials=300, seed=0) -> bool:
-    """Run a suite against its documented mutant; True if failures appear."""
+    """Run a suite against its documented mutant; True if failures appear.
+    The suite checks ``trials`` and ``seed``."""
     if suite_id not in MUTANTS:
         raise ValueError(f"no mutant for suite {suite_id!r}; the suites with "
                          f"one are {', '.join(MUTANTS)}")
@@ -751,6 +765,11 @@ def check_seed(seed) -> int:
     if seed < 0:
         raise ValueError(f"the seed must be at least 0, got {seed}")
     return seed
+
+
+def _checked(trials, dims, seed):
+    """A suite's arguments through check_trials, check_dims and check_seed."""
+    return check_trials(trials), check_dims(dims), check_seed(seed)
 
 
 def run_all_suites(trials=10000, dims=(1, 2, 3, 4, 5), seed=0,

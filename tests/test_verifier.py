@@ -214,6 +214,31 @@ def test_run_all_suites_rejects_a_bad_seed(seed):
         run_all_suites(trials=2, dims=(2,), seed=seed, oracle_trials=0)
 
 
+@pytest.mark.parametrize("suite", sorted(SUITES))
+@pytest.mark.parametrize("bad", [
+    {"seed": True}, {"seed": 1.5}, {"seed": -1}, {"dims": (1.7,)},
+    {"dims": ()}, {"trials": 2.5}, {"trials": True}, {"trials": -1}])
+def test_each_suite_checks_its_arguments(suite, bad):
+    # check_prop1(5, seed=True) reported "seed": true, check_prop2(3,
+    # dims=(1.7,)) ran and check_lemmas(2.5) raised numpy's TypeError
+    with pytest.raises(ValueError, match="must be"):
+        SUITES[suite](**{"trials": 3, "dims": (2,), **bad})
+
+
+@pytest.mark.parametrize("bad", [{"trials": True}, {"trials": 2.5},
+                                 {"seed": True}, {"seed": "3"}])
+def test_mutant_killed_checks_its_arguments(bad):
+    # mutant_killed("lemmas", trials=True) ran one trial
+    with pytest.raises(ValueError, match="must be"):
+        mutant_killed("lemmas", **bad)
+
+
+def test_suites_report_a_numpy_integer_seed_as_an_int():
+    for suite in SUITES.values():
+        report = suite(trials=2, dims=[2], seed=np.int64(4))
+        assert type(report.seed) is int and report.seed == 4
+
+
 def test_run_all_suites_takes_a_numpy_integer_seed():
     reports = run_all_suites(trials=2, dims=(2,), seed=np.int64(4),
                              oracle_trials=0)
@@ -281,9 +306,14 @@ def test_lemma_suite_reports_a_non_finite_step_as_such(seed):
     def step(x, q, hs):
         return np.full_like(x, np.nan) if x[0] > 3 else dr_step(x, q, hs)
 
-    report = check_lemmas(trials=300, seed=seed, step_fn=step)
-    assert report.failures
+    def step_rows(x, q, a, b):
+        return np.where(x[:, :1] > 3, np.nan, dr_step_rows(x, q, a, b))
+
+    report = check_lemmas(trials=300, seed=seed, step_fn=step,
+                          rows_fn=step_rows)
     assert {f["reason"] for f in report.failures} == {"non-finite-step"}
+    # both the never-entering batch (even) and entering trials (odd) fail
+    assert {f["trial"] % 2 for f in report.failures} == {0, 1}
 
 
 def test_lemma_mutant_report_is_pinned():
@@ -342,11 +372,12 @@ def test_row_normaliser_gives_the_half_space_bits(n):
     assert np.array([hs.b for hs in hss]).tobytes() == b.tobytes()
 
 
-# The per-row formula of each row mutant: the lemma suite's mutant form
+# The per-row formula of each row mutant, in the lemma suite's per-row form
 ROW_MUTANT_FORMULAS = {
     "prop1": _mutant(operator.gt, lambda ax, b, aq: ax + b - 2.0 * aq),
     "prop2": _mutant(operator.le, lambda ax, b, aq: ax - 2.0 * aq),
     "prop3": _mutant(operator.le, lambda ax, b, aq: -(ax + b - 2.0 * aq)),
+    "lemmas": _mutant(operator.le, lambda ax, b, aq: 0.5 * (ax + b - 2.0 * aq)),
 }
 
 
@@ -442,7 +473,7 @@ LEMMA_MUTANT_PINS = {  # seed: digest of the mutant's report at 300 trials
     2: "4ead5186ce66ee65",
     4: "f62b9727aa448ec4",
 }
-LEMMA_STEP_PINS = {  # seed: (step_fn calls at 300 trials, digest per trial)
+LEMMA_STEP_PINS = {  # seed: (steps at 300 trials, digest per trial)
     0: (2276, "0f95e3eff95c5db3"),
     1: (2128, "0462084ce9aeb7fa"),  # re-taken when d(q,L) read H's own (a, b)
     2: (2076, "339bed17281a2d3d"),
@@ -466,21 +497,30 @@ def test_lemma_mutant_reports_are_pinned_across_seeds(seed):
 
 
 def _steps_per_trial(seed):
-    """check_lemmas(300)'s step_fn calls, and for each trial (known by its
-    half-space, as its offset and dimension) its call count and the digest
-    of the x, q and result bytes of its calls in order."""
+    """check_lemmas(300)'s steps, each a step_fn call or a row of a rows_fn
+    call, and for each trial (known by its half-space, as its offset and
+    dimension) its step count and the digest of the x, q and result bytes
+    of its steps in order."""
     calls = {}
+
+    def record(x, q, a, b, z):
+        calls.setdefault((b.hex(), a.size), []).append(
+            np.concatenate([x, q, z]).tobytes())
 
     def step(x, q, hs):
         z = dr_step(x, q, hs)
-        calls.setdefault(id(hs), (hs, []))[1].append(
-            np.concatenate([x, q, z]).tobytes())
+        record(x, q, hs.a, hs.b, z)
         return z
 
-    check_lemmas(trials=300, seed=seed, step_fn=step)
-    rows = sorted((hs.b.hex(), hs.dim, len(seen),
-                   hashlib.sha256(b"".join(seen)).hexdigest())
-                  for hs, seen in calls.values())
+    def step_rows(x, q, a, b):
+        z = dr_step_rows(x, q, a, b)
+        for row in zip(x, q, a, b, z):
+            record(*row)
+        return z
+
+    check_lemmas(trials=300, seed=seed, step_fn=step, rows_fn=step_rows)
+    rows = sorted((b, dim, len(seen), hashlib.sha256(b"".join(seen)).hexdigest())
+                  for (b, dim), seen in calls.items())
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
     return sum(row[2] for row in rows), len(rows), digest
 
@@ -490,6 +530,32 @@ def test_lemma_suite_steps_each_trial_as_pinned(seed):
     total, trials, digest = _steps_per_trial(seed)
     assert trials == 300  # one half-space per trial
     assert (total, digest) == LEMMA_STEP_PINS[seed]
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_lemma_batch_steps_each_dimension_in_one_call_per_step(seed):
+    calls, entering = [], set()
+
+    def step(x, q, hs):
+        entering.add(hs.b)
+        return dr_step(x, q, hs)
+
+    def step_rows(x, q, a, b):
+        calls.append((a.shape[1], b))
+        return dr_step_rows(x, q, a, b)
+
+    report = check_lemmas(trials=40, dims=(2, 3), seed=seed, step_fn=step,
+                          rows_fn=step_rows)
+    assert report.passed
+    # ten lockstep steps of every never-entering trial, one dimension after
+    # the other, and none of them through step_fn
+    dims = [n for n, _ in calls]
+    assert dims == [2] * 10 + [3] * 10
+    offsets = [b for _, b in calls]
+    assert all(np.array_equal(b, offsets[0 if n == 2 else 10])
+               for n, b in calls)
+    assert len(offsets[0]) + len(offsets[10]) == 20
+    assert not entering & {float(b) for b in np.concatenate(offsets)}
 
 
 def _record_lemmas(monkeypatch, trials, seed):
