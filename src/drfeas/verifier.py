@@ -570,7 +570,7 @@ def _inside_trajectory(report, a, b, on_L, far, x, step_fn):
     # lands less deep than the inside regime goes onto L instead.
     far = [onto_L(p) if -0.05 < float(a.dot(p)) - b < 0.0 else p for p in far]
     pts = FinitePointSet(inside + far).points
-    vals = [float(a.dot(p)) - b for p in pts]  # <a,p> - b per point
+    vals = [float(a.dot(p)) - b for p in pts]
     # not v > TOL is max(0.0, v) <= TOL; a NaN step is caught first
     vx = float(a.dot(x)) - b
     for _ in range(60):
@@ -774,8 +774,8 @@ def _checked(trials, dims, seed):
 
 def run_all_suites(trials=10000, dims=(1, 2, 3, 4, 5), seed=0,
                    oracle_trials=100) -> list[PropertyReport]:
-    dims, seed = check_dims(dims), check_seed(seed)
-    trials, oracle_trials = check_trials(trials), check_trials(oracle_trials)
+    trials, dims, seed = _checked(trials, dims, seed)
+    oracle_trials = check_trials(oracle_trials)
     # prop4 has content only for n >= 2; with no such dims all its trials
     # are drawn from the given ones, and count as vacuous
     return [
