@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import HalfSpace, as_point
+from .geometry import HalfSpace
 from .engine import (dr_step, dr_step_rows, run_dr, SolverConfig, Solved,
                      Diverging, MaxIterations, _dots)
 from .sets import TIE_TOL, BinaryKnapsackSet, FinitePointSet, _integer
@@ -66,7 +66,7 @@ COORD_RANGE = 10.0
 
 @dataclass
 class PropertyReport:
-    """Outcome of one property suite."""
+    """Outcome of one property suite; failures hold the suite's values."""
 
     property_id: str
     trials: int
@@ -86,7 +86,8 @@ class PropertyReport:
             "seed": self.seed,
             "vacuous": self.vacuous,
             "passed": self.passed,
-            "failures": self.failures[:20],
+            "failures": [{k: _plain(v) for k, v in f.items()}
+                         for f in self.failures[:20]],
             "failure_count": len(self.failures),
         }
         if self.seconds is not None:
@@ -98,16 +99,15 @@ class PropertyReport:
 # ---------------------------------------------------------------------------
 # Deliberately broken operators.  Each suite must report failures when run
 # with its mutant, otherwise the suite is vacuous.  MUTANTS maps a suite to
-# (mutant name, the keyword arguments that inject it).
+# (mutant name, the operator keyword arguments that inject it).
 
 def _mutant(keep_q, shift):
-    """dr_step with its case test keep_q(<a,2q-x>, b + eps_h) and its shift
-    coefficient shift(<a,x>, b, <a,q>) along a replaced."""
-    def step(x, q, hs, eps_h=1e-9):
-        x, q, a, b = as_point(x), as_point(q), hs.a, hs.b
-        if keep_q(float(a @ (2.0 * q - x)), b + eps_h):
+    """dr_step with its case test keep_q(<a,2q-x>, b + 1e-9) and its shift
+    coefficient shift(<a,x>, b, <a,q>) along a replaced, on float arrays."""
+    def step(x, q, hs):
+        if keep_q(float(hs.a @ (2.0 * q - x)), hs.b + 1e-9):
             return q.copy()
-        return q + shift(float(a @ x), b, float(a @ q)) * a
+        return q + shift(float(hs.a @ x), hs.b, float(hs.a @ q)) * hs.a
     return step
 
 
@@ -120,14 +120,15 @@ def _row_mutant(keep_q, shift):
     return step
 
 
+_WRONG_SIGN = _row_mutant(operator.le, lambda ax, b, aq: -(ax + b - 2.0 * aq))
+
 MUTANTS = {
     "prop1": ("flipped-case-condition", {"rows_fn": _row_mutant(
         operator.gt, lambda ax, b, aq: ax + b - 2.0 * aq)}),
     "prop2": ("dropped-offset-term", {"rows_fn": _row_mutant(
         operator.le, lambda ax, b, aq: ax - 2.0 * aq)}),
-    "prop3": ("wrong-sign-shift", {"rows_fn": _row_mutant(
-        operator.le, lambda ax, b, aq: -(ax + b - 2.0 * aq))}),
-    "prop4": ("dropped-slack-term", {"drop_slack_term": True}),
+    "prop3": ("wrong-sign-shift", {"rows_fn": _WRONG_SIGN}),
+    "prop4": ("wrong-sign-shift", {"rows_fn": _WRONG_SIGN}),
     "lemmas": ("half-length-shift", {
         fn: form(operator.le, lambda ax, b, aq: 0.5 * (ax + b - 2.0 * aq))
         for fn, form in (("step_fn", _mutant), ("rows_fn", _row_mutant))}),
@@ -245,7 +246,7 @@ def _norms(v):
 
 
 def _fail(report, **data):
-    report.failures.append({k: _plain(v) for k, v in data.items()})
+    report.failures.append(data)
 
 
 def _plain(v):
@@ -366,14 +367,13 @@ def check_prop3(trials=10000, dims=(1, 2, 3, 4, 5), seed=0,
 # Strict decrease of the auxiliary distance when the nearest point changes.
 
 def check_prop4(trials=10000, dims=(2, 3, 4, 5), seed=0,
-                rows_fn=dr_step_rows, drop_slack_term=False) -> PropertyReport:
+                rows_fn=dr_step_rows) -> PropertyReport:
     """Inequality linking successive distinct auxiliary points.
 
     Non-vacuous instances (a new nearest point p != q appears after the
     step) are crafted directly; a fraction of trials is left uncrafted to
-    exercise and count the vacuous branch.  ``drop_slack_term`` removes
-    the d(z,Q) term from the right-hand side, a deliberately false variant
-    used as this suite's mutant.
+    exercise and count the vacuous branch.  Its mutant, like every
+    suite's, is a broken operator: the wrong-sign shift of prop3.
     """
     trials, dims, seed = _checked(trials, dims, seed)
     rng = np.random.default_rng(seed)
@@ -415,7 +415,7 @@ def check_prop4(trials=10000, dims=(2, 3, 4, 5), seed=0,
         dh = np.maximum((pts * a[live, None]).sum(axis=2) - b[live, None], 0.0)
         new = near & (dh > TOL) & ~same_q
         report.vacuous += int((~new.any(axis=1)).sum())
-        rhs = dh[:, 0] + (0.0 if drop_slack_term else np.sqrt(d2))
+        rhs = dh[:, 0] + np.sqrt(d2)
         lhs = dh + _norms(z - q[live])[:, None]
         bad = new & ((lhs > rhs[:, None] + TOL) | ~(dh < dh[:, :1]))
         for r, j in zip(*np.nonzero(bad)):

@@ -5,6 +5,7 @@ exercised at reduced trial counts so failures localize quickly.
 """
 
 import hashlib
+import inspect
 import json
 import operator
 from dataclasses import replace
@@ -26,6 +27,7 @@ from drfeas.verifier import (
     _mutant,
     _nearest,
     _norms,
+    _plain,
     _units,
     _x_settles_after,
     check_lemmas,
@@ -178,6 +180,15 @@ def test_documented_mutant_is_killed(suite_id):
     survived = [seed for seed in range(20)
                 if not mutant_killed(suite_id, trials=300, seed=seed)]
     assert not survived
+
+
+@pytest.mark.parametrize("suite_id", sorted(MUTANTS))
+def test_each_mutant_is_an_operator_its_suite_takes(suite_id):
+    # a mutant breaks the step the suite checks, never the claim it checks
+    _, inject = MUTANTS[suite_id]
+    accepted = inspect.signature(SUITES[suite_id]).parameters
+    assert inject and set(inject) <= {"rows_fn", "step_fn"} & set(accepted)
+    assert all(callable(fn) for fn in inject.values())
 
 
 def test_reports_serialize_to_json():
@@ -375,6 +386,7 @@ ROW_MUTANT_FORMULAS = {
     "prop1": _mutant(operator.gt, lambda ax, b, aq: ax + b - 2.0 * aq),
     "prop2": _mutant(operator.le, lambda ax, b, aq: ax - 2.0 * aq),
     "prop3": _mutant(operator.le, lambda ax, b, aq: -(ax + b - 2.0 * aq)),
+    "prop4": _mutant(operator.le, lambda ax, b, aq: -(ax + b - 2.0 * aq)),
     "lemmas": _mutant(operator.le, lambda ax, b, aq: 0.5 * (ax + b - 2.0 * aq)),
 }
 
@@ -435,6 +447,41 @@ def test_failures_carry_the_original_trial_index(check):
     if check is check_prop2:
         assert all(f["case"] == ("i", "iia", "iibI", "iibII")[f["trial"] % 4]
                    for f in report.failures)
+
+
+def test_failures_stay_the_suites_values_until_written_as_json():
+    # the +100a step fails every trial; the report keeps the arrays and
+    # numpy scalars the suite passed, and only its JSON form is plain
+    report = check_prop1(trials=120, dims=DIMS, seed=8, rows_fn=lambda x, q,
+                         a, b: dr_step_rows(x, q, a, b) + 100.0 * a)
+    assert len(report.failures) == 120
+    first = report.failures[0]
+    assert isinstance(first["a"], np.ndarray)
+    assert isinstance(first["trial"], np.integer)
+    payload = report.to_json_dict()
+    json.dumps(payload)
+    assert payload["failures"] == [{k: _plain(v) for k, v in f.items()}
+                                   for f in report.failures[:20]]
+    assert payload["failure_count"] == 120
+
+
+# Digests of the prop reports at 300 trials, taken before prop4's mutant
+# became an operator and failures became plain data only in to_json_dict.
+PROP_REPORT_PINS = {
+    0: ("13f6576404f1a8a5", "c7ec5843edf488c7", "acc1b2e762e0a15b",
+        "ae10cf5d6519ea41"),
+    3: ("d22a0a6cea5e0b9f", "98bfcb322fa21b6d", "385930bb61c75786",
+        "16b602afe6905eef"),
+    11: ("a69e79558340ccb5", "6ef9d09722f2397c", "43d8688087e40c39",
+         "f2360681388dfbab"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PROP_REPORT_PINS))
+def test_prop_reports_are_pinned(seed):
+    reports = [check(trials=300, dims=DIMS, seed=seed) for check in
+               (check_prop1, check_prop2, check_prop3, check_prop4)]
+    assert tuple(map(_digest, reports)) == PROP_REPORT_PINS[seed]
 
 
 def test_prop4_vacuity_stays_near_three_tenths():
