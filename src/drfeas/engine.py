@@ -111,8 +111,8 @@ class SolverConfig:
             raise ValueError(f"reflect_order must be one of {REFLECT_ORDERS}")
 
     def key(self) -> tuple:
-        # every field, then NORM_CAP: a two-set or AP run's fingerprint
-        # covers each setting
+        # every field, then NORM_CAP: a two-set run's fingerprint covers
+        # each setting
         return (*vars(self).values(), NORM_CAP)
 
 
@@ -569,6 +569,10 @@ class _Alternating(_Strategy):
     """x_{k+1} = P_A(q_k), watched over the half-steps x_0, q_0, x_1, ..."""
 
     tag, cap = "ap", math.inf
+
+    def __init__(self, proj_set: ProjectableSet, constraint, cfg: SolverConfig):
+        super().__init__(proj_set, constraint, cfg)
+        self.key = (cfg.max_iter, cfg.eps_h, cfg.eps_cycle)   # no order or cap
 
     def verdict(self, k, x, q, d_xH, d_qH, trace):
         hit = (self.cycles.add(x, 2 * k, tag="x")

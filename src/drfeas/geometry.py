@@ -91,6 +91,10 @@ class ReflectableConstraint(abc.ABC):
     drivers check each point once.
     """
 
+    # Subclass aliases such as ``project = ReflectableConstraint.project``
+    # exist for bench/spans.py, which finds what it wraps in cls.__dict__;
+    # they go once it looks attributes up by MRO.
+
     @property
     @abc.abstractmethod
     def dim(self) -> int: ...
@@ -142,6 +146,10 @@ class _Flat(ReflectableConstraint):
     def dim(self) -> int:
         return self.a.size
 
+    def value(self, x) -> float:
+        """Signed offset <a,x> - b (positive outside a half-space)."""
+        return self._value(as_point(x, self.dim))
+
     def _value(self, x: np.ndarray) -> float:
         return float(self.a.dot(x)) - self.b
 
@@ -154,10 +162,7 @@ class HalfSpace(_Flat):
     """The closed half-space {x : <a,x> <= b} with unit normal a."""
 
     _kind = "half-space"
-
-    def value(self, x) -> float:
-        """Signed offset <a,x> - b (positive outside)."""
-        return self._value(as_point(x, self.dim))
+    value = _Flat.value
 
     def _distance(self, x: np.ndarray) -> float:
         return max(0.0, self._value(x))
@@ -176,9 +181,7 @@ class Hyperplane(_Flat):
     """The hyperplane {x : <a,x> = b} with unit normal a."""
 
     _kind = "hyperplane"
-
-    def value(self, x) -> float:
-        return self._value(as_point(x, self.dim))
+    value = _Flat.value
 
     def _distance(self, x: np.ndarray) -> float:
         return abs(self._value(x))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,6 +89,19 @@ SET_TYPES = {
 }
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_numbers(value, name: str):
+    """ProblemFormatError unless ``value`` is a number or nested lists of them."""
+    if isinstance(value, (list, tuple)):
+        for v in value:
+            _check_numbers(v, name)
+    elif not _is_number(value):
+        raise ProblemFormatError(f"{name} must hold numbers, got {value!r}")
+
+
 def _build(spec, types: dict, what: str):
     """Check ``spec`` against its type's fields, then build it.
 
@@ -108,6 +122,9 @@ def _build(spec, types: dict, what: str):
     if missing:
         raise ProblemFormatError(
             f"{what} {kind}: missing field(s) {sorted(missing)}")
+    for f in fields:
+        if f in spec and f != "components":
+            _check_numbers(spec[f], f"{what} {kind}: {f}")
     try:
         return build(*(spec[f] for f in fields if f in spec))
     except ProblemFormatError:
@@ -159,14 +176,12 @@ class ProblemFile:
     def build(self):
         constraint = _build(self.constraint, CONSTRAINT_TYPES, "constraint")
         proj_set = _build(self.set, SET_TYPES, "set")
-        if not isinstance(self.x0, (list, tuple)) or not self.x0:
-            raise ProblemFormatError("x0 must be a nonempty coordinate list")
-        try:
-            x0 = np.asarray(self.x0, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ProblemFormatError(f"x0: {exc}") from exc
-        if x0.ndim != 1 or not np.all(np.isfinite(x0)):
-            raise ProblemFormatError("x0 must be a flat list of finite numbers")
+        if not (isinstance(self.x0, (list, tuple)) and self.x0
+                and all(map(_is_number, self.x0))):
+            raise ProblemFormatError("x0 must be a nonempty list of numbers")
+        x0 = np.asarray(self.x0, dtype=float)
+        if not np.all(np.isfinite(x0)):
+            raise ProblemFormatError("x0 must be a list of finite numbers")
         if constraint.dim != proj_set.dim:
             raise ProblemFormatError(
                 f"dimension mismatch: constraint is {constraint.dim}-D, "

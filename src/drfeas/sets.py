@@ -126,22 +126,32 @@ def _ahead(q: np.ndarray, points: np.ndarray, a: np.ndarray):
     return np.sum(w[g > 0] ** 2, axis=1), 2 * g[g > 0]
 
 
-def _finite_hold(points: np.ndarray, q: np.ndarray, a: np.ndarray) -> float:
-    """``ray_hold`` of the finite set of rows ``points``: min over p ahead,
-    g = <a, q - p> > 0, of (|q - p|^2 - tol)/(2g), p's crossing less tol."""
-    f, g2 = _ahead(q, points, a)
-    if not g2.size:
-        return np.inf
-    tol = _ray_tol((f / g2).min(), np.sqrt(q @ q) + np.sqrt(f), points.shape[1])
-    return max(0.0, float(((f - tol) / g2).min()))
-
-
 def _tie_filter(candidates: np.ndarray, d2: np.ndarray) -> list[np.ndarray]:
     """Rows of ``candidates`` whose squared distance is minimal within TIE_TOL."""
     return list(candidates[d2 <= float(d2.min()) + TIE_TOL])
 
 
-class FinitePointSet(ProjectableSet):
+class _FinitePoints(ProjectableSet):
+    """A finite set held as the rows of ``points``."""
+
+    @property
+    def dim(self) -> int:
+        return self.points.shape[1]
+
+    def min_along(self, a: np.ndarray) -> float:
+        return float((self.points @ a).min())
+
+    def ray_hold(self, q: np.ndarray, a: np.ndarray) -> float:
+        """Min over p ahead, g = <a, q - p> > 0, of (|q - p|^2 - tol)/(2g),
+        p's crossing less tol."""
+        f, g2 = _ahead(q, self.points, a)
+        if not g2.size:
+            return np.inf
+        tol = _ray_tol((f / g2).min(), np.sqrt(q @ q) + np.sqrt(f), self.dim)
+        return max(0.0, float(((f - tol) / g2).min()))
+
+
+class FinitePointSet(_FinitePoints):
     """An explicit finite set of points; projection by exhaustive comparison."""
 
     def __init__(self, points):
@@ -161,19 +171,9 @@ class FinitePointSet(ProjectableSet):
         self.points = pts[keep]
         self.points.setflags(write=False)
 
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
     def project_all(self, x) -> list[np.ndarray]:
         x = as_point(x, self.dim)
         return _tie_filter(self.points, ((self.points - x) ** 2).sum(axis=1))
-
-    def min_along(self, a: np.ndarray) -> float:
-        return float((self.points @ a).min())
-
-    def ray_hold(self, q: np.ndarray, a: np.ndarray) -> float:
-        return _finite_hold(self.points, q, a)
 
     def distance(self, x) -> float:
         x = as_point(x, self.dim)
@@ -403,12 +403,14 @@ class BinaryKnapsackSet(ProjectableSet):
         )
 
 
-class TriadicSet(ProjectableSet):
+class TriadicSet(_FinitePoints):
     """The 1-D set {2/3^k : 0 <= k <= depth} together with 0.
 
     The infinite tail is truncated at ``depth``; 2/3^60 is already below
     double-precision relevance for the first few dozen iterates.  The
-    depth is an integer from 1 to TRIADIC_DEPTH_CAP.
+    depth is an integer from 1 to TRIADIC_DEPTH_CAP.  Truncated, it is
+    finite (``points``), but ``project_all`` compares only the neighbours
+    of x, the nearest as rounded, so its ties are between those two.
     """
 
     def __init__(self, depth: int = 60):
@@ -419,10 +421,7 @@ class TriadicSet(ProjectableSet):
         vals = [0.0] + [2.0 / 3.0**k for k in range(self.depth, -1, -1)]
         self.values = np.asarray(vals)
         self.values.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return 1
+        self.points = self.values[:, None]      # a read-only view
 
     def project_all(self, x) -> list[np.ndarray]:
         x = as_point(x, 1)
@@ -431,13 +430,6 @@ class TriadicSet(ProjectableSet):
         cand = self.values[max(0, pos - 1): pos + 1]
         d2 = (cand - t) ** 2
         return _tie_filter(cand[:, None], d2)
-
-    def min_along(self, a: np.ndarray) -> float:
-        return float((self.values * a[0]).min())
-
-    def ray_hold(self, q: np.ndarray, a: np.ndarray) -> float:
-        """The finite set's: the nearest value, as rounded, is a neighbour."""
-        return _finite_hold(self.values[:, None], q, a)
 
     def distance(self, x) -> float:
         x = as_point(x, 1)
@@ -471,8 +463,7 @@ class Slab(ReflectableConstraint):
     def dim(self) -> int:
         return self.a.size
 
-    def project(self, x) -> np.ndarray:
-        return self._project(as_point(x, self.dim))
+    project = ReflectableConstraint.project
 
     def _project(self, x: np.ndarray) -> np.ndarray:
         t = float(self.a @ x)
@@ -519,8 +510,7 @@ class PlanarCone(ReflectableConstraint):
     def _coords(self, x: np.ndarray) -> np.ndarray:
         return self._basis_inv @ (x - self.apex)
 
-    def project(self, x) -> np.ndarray:
-        return self._project(as_point(x, 2))
+    project = ReflectableConstraint.project
 
     def _project(self, x: np.ndarray) -> np.ndarray:
         s, t = self._coords(x)
@@ -559,16 +549,14 @@ class DiagonalSet(ReflectableConstraint):
     def dim(self) -> int:
         return 2 * self.block_dim
 
-    def project(self, x) -> np.ndarray:
-        return self._project(as_point(x, self.dim))
+    project = ReflectableConstraint.project
 
     def _project(self, x: np.ndarray) -> np.ndarray:
         n = self.block_dim
         mean = 0.5 * (x[:n] + x[n:])
         return np.concatenate([mean, mean])
 
-    def reflect(self, x) -> np.ndarray:
-        return self._reflect(as_point(x, self.dim))
+    reflect = ReflectableConstraint.reflect
 
     def _reflect(self, x: np.ndarray) -> np.ndarray:
         # 2 P_D - I swaps the two blocks; do it exactly.
@@ -612,7 +600,7 @@ class ProductSet(ProjectableSet):
             if isinstance(comp, ProjectableSet):
                 per_block.append(comp.project_all(blk))
             else:
-                per_block.append([comp.project(blk)])
+                per_block.append([comp._project(blk)])  # blk is checked
         return [np.concatenate(combo) for combo in itertools.product(*per_block)]
 
     def min_along(self, a: np.ndarray) -> float:
@@ -623,14 +611,10 @@ class ProductSet(ProjectableSet):
 
     def distance(self, x) -> float:
         x = as_point(x, self.dim)
-        return float(
-            np.sqrt(
-                sum(
-                    comp.distance(blk) ** 2
-                    for comp, blk in zip(self.components, self._blocks(x))
-                )
-            )
-        )
+        return float(np.sqrt(sum(
+            (c.distance(blk) if isinstance(c, ProjectableSet)
+             else c._distance(blk)) ** 2
+            for c, blk in zip(self.components, self._blocks(x)))))
 
     def key(self) -> tuple:
         return ("ProductSet",) + tuple(c.key() for c in self.components)

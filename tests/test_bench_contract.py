@@ -15,8 +15,9 @@ import pytest
 import drfeas
 from drfeas import engine, verifier
 from drfeas.engine import Diverging, MaxIterations, SolverConfig
-from drfeas.geometry import HalfSpace
-from drfeas.sets import BinaryKnapsackSet, FinitePointSet
+from drfeas.geometry import HalfSpace, Hyperplane, ReflectableConstraint, _Flat
+from drfeas.sets import (BinaryKnapsackSet, DiagonalSet, FinitePointSet,
+                         PlanarCone, ProductSet, Slab)
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)), "bench")
 DIMS = (1, 2, 3, 4, 5)
@@ -50,6 +51,49 @@ def test_spans_instrument_and_uninstall():
     assert isinstance(outcome, Diverging)
     names = [tracer.names[i] for i in tracer.name]
     assert "engine.run_dr" in names and "sets.Finite.project_all" in names
+
+
+def test_method_aliases_are_wrapped_and_restored():
+    # the constraints' inherited checked methods are class-attribute
+    # aliases, which spans.instrument finds in cls.__dict__
+    spans = _spans()
+    aliases = [(Slab, "project", ReflectableConstraint.project),
+               (PlanarCone, "project", ReflectableConstraint.project),
+               (DiagonalSet, "project", ReflectableConstraint.project),
+               (DiagonalSet, "reflect", ReflectableConstraint.reflect),
+               (HalfSpace, "value", _Flat.value),
+               (Hyperplane, "value", _Flat.value)]
+    square = FinitePointSet([(0, 0), (1, 0), (1, 1), (0, 1)])
+    runs = [
+        (Slab([0.0, 1.0], -0.59, -0.06),
+         FinitePointSet([(0.01, -0.35), (-0.3, -0.78), (-0.43, 0.01)]),
+         [-1.0, 1.0], SolverConfig()),
+        (PlanarCone.from_boundary_points([-0.35, 0.5], [2.0, 1.7212],
+                                         [2.0, -0.5868]),
+         square, [-0.1693, 0.2624], SolverConfig()),
+        (DiagonalSet(2), ProductSet([HalfSpace([0.0, 1.0], 1.0), square]),
+         [0, 0.4, 0, 0.8], SolverConfig(eps_cycle=1e-12,
+                                        reflect_order="constraint-first")),
+    ]
+
+    def outcomes():
+        return [repr(engine.run_dr_generic(*run)[1]) for run in runs]
+
+    plain = outcomes()
+    tracer = spans.Tracer()
+    spans.instrument(tracer)
+    try:
+        traced = outcomes()
+        values = (HalfSpace([0.0, 2.0], 1.0).value([3.0, 1.5]),
+                  Hyperplane([0.0, 2.0], 1.0).value([3.0, 1.5]))
+    finally:
+        tracer.uninstall()
+    assert traced == plain and values == (1.0, 1.0)
+    names = [tracer.names[i] for i in tracer.name]
+    assert {"geometry.HalfSpace.value",
+            "geometry.Hyperplane.value"} <= set(names)
+    for cls, attr, base in aliases:
+        assert cls.__dict__[attr] is base, (cls, attr)
 
 
 def test_divergence_scan_takes_five_positional_arguments():

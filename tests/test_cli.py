@@ -224,6 +224,13 @@ class TestBadInput:
         ("triadic.json", "set", "depth", True),
         ("corner-cycle.json", "constraint", "block_dim", 1.7),
         ("corner-cycle.json", "constraint", "block_dim", True),
+        # booleans and strings are not numbers: the first five solved
+        ("sphere.json", "constraint", "b", True),
+        ("sphere.json", "set", "radius", True),
+        ("two-points.json", "constraint", "a", ["0", 1]),
+        ("two-points.json", "set", "points", [["0", "2"], [1, "-2"]]),
+        ("knapsack.json", "set", "c", [2.0, True, 3.0]),
+        ("corner-cycle.json", "constraint", "block_dim", "1"),
     ])
     def test_non_finite_parameter(self, name, part, field, value, tmp_path,
                                   capsys):

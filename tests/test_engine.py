@@ -317,6 +317,15 @@ class TestRunDr:
                                    SolverConfig(eps_cycle=eps))[0].fingerprint
                     for eps in (1e-300, 1e-3))
         assert one != two
+        # an AP run reads the cycle grid but not reflect_order: its
+        # fingerprint held reflect_order, so one run read as two
+        Q, hs = FinitePointSet([(0, 2), (1, -2)]), HalfSpace([-2, 3], 0)
+        first, second, grid = (
+            run_ap(Q, hs, [-2, 2], cfg)[0].fingerprint
+            for cfg in (SolverConfig(),
+                        SolverConfig(reflect_order="constraint-first"),
+                        SolverConfig(eps_cycle=1e-3)))
+        assert first == second != grid
 
     def test_max_iterations(self):
         Q = TriadicSet()

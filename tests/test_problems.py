@@ -158,6 +158,25 @@ class TestRejection:
         with pytest.raises((ProblemFormatError, TypeError)):
             ProblemFile.from_json_dict(data)
 
+    @pytest.mark.parametrize("x0", [[True, 1], ["0", "3"], [1.0, [2.0]],
+                                    [1.0, float("nan")], "12", []])
+    def test_x0_must_be_a_flat_list_of_numbers(self, x0):
+        # [true, 1] and ["0", "3"] were read as [1, 1] and [0, 3]
+        data = minimal()
+        data["x0"] = x0
+        with pytest.raises(ProblemFormatError, match="x0"):
+            ProblemFile.from_json_dict(data)
+
+    @pytest.mark.parametrize("part, field, value", [
+        ("constraint", "b", True), ("constraint", "a", ["0", 1]),
+        ("set", "points", [["0", "-1"]]), ("set", "points", [[0.0, None]]),
+    ])
+    def test_parameters_must_be_numbers(self, part, field, value):
+        data = minimal()
+        data[part][field] = value
+        with pytest.raises(ProblemFormatError, match=f"{part} .*{field}"):
+            ProblemFile.from_json_dict(data)
+
 
 class TestRoundTrip:
     def test_parse_serialize_parse_is_identity(self):
