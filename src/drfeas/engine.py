@@ -246,7 +246,13 @@ def dr_step(x, q, hs: HalfSpace, eps_h: float = 1e-9) -> np.ndarray:
     (``tests/test_engine.py::TestDrStepRows``); this scalar body stays
     because a one-row call of the row form costs two to three times as much.
     """
-    x, q, a, b = as_point(x, hs.dim), as_point(q, hs.dim), hs.a, hs.b
+    return _dr_step(as_point(x, hs.dim), as_point(q, hs.dim), hs, eps_h)
+
+
+def _dr_step(x, q, hs: HalfSpace, eps_h: float = 1e-9) -> np.ndarray:
+    """``dr_step`` on contiguous float arrays x and q of hs's dimension,
+    unchecked: for callers that built them."""
+    a, b = hs.a, hs.b
     if float(a.dot(2.0 * q - x)) <= b + eps_h:
         return q.copy()
     return q + (float(a.dot(x)) + b - 2.0 * float(a.dot(q))) * a

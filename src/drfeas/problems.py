@@ -15,6 +15,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import numbers
+import reprlib
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,7 +92,9 @@ SET_TYPES = {
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """A real other than a bool; a JSON integer must also fit a float."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and not (isinstance(value, int) and abs(value) > sys.float_info.max))
 
 
 def _check_numbers(value, name: str):
@@ -99,7 +103,8 @@ def _check_numbers(value, name: str):
         for v in value:
             _check_numbers(v, name)
     elif not _is_number(value):
-        raise ProblemFormatError(f"{name} must hold numbers, got {value!r}")
+        raise ProblemFormatError(
+            f"{name} must hold numbers a float can hold, got {reprlib.repr(value)}")
 
 
 def _build(spec, types: dict, what: str):

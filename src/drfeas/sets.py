@@ -110,20 +110,14 @@ def _integer(value, name: str) -> int:
 
 def _bit_rows(idx: np.ndarray, m: int) -> np.ndarray:
     """0/1 rows of the m-bit integers idx, first coordinate most significant."""
-    return ((idx[:, None] >> np.arange(m - 1, -1, -1)) & 1).astype(float)
+    bits = np.unpackbits(idx.astype(">u4").view(np.uint8).reshape(-1, 4), axis=1)
+    return bits[:, 32 - m:].astype(float)
 
 
 def _ray_tol(lam: float, s, d: int):
     """2 TIE_TOL plus a bound on the rounding of the squared distances
     compared at q - lam*a, and of lam, for points with |q| + |q - p| <= s."""
     return 2 * TIE_TOL + (4 * d + 12) * _EPS * (lam + s) ** 2
-
-
-def _ahead(q: np.ndarray, points: np.ndarray, a: np.ndarray):
-    """|q - p|^2 and 2<a, q - p> of the points p with <a, q - p> > 0."""
-    w = q - points
-    g = w @ a
-    return np.sum(w[g > 0] ** 2, axis=1), 2 * g[g > 0]
 
 
 def _tie_filter(candidates: np.ndarray, d2: np.ndarray) -> list[np.ndarray]:
@@ -144,7 +138,9 @@ class _FinitePoints(ProjectableSet):
     def ray_hold(self, q: np.ndarray, a: np.ndarray) -> float:
         """Min over p ahead, g = <a, q - p> > 0, of (|q - p|^2 - tol)/(2g),
         p's crossing less tol."""
-        f, g2 = _ahead(q, self.points, a)
+        w = q - self.points
+        g = w @ a
+        f, g2 = np.sum(w[g > 0] ** 2, axis=1), 2 * g[g > 0]
         if not g2.size:
             return np.inf
         tol = _ray_tol((f / g2).min(), np.sqrt(q @ q) + np.sqrt(f), self.dim)
@@ -249,8 +245,8 @@ class BinaryKnapsackSet(ProjectableSet):
     where a search takes 2-16 ms and construction about 0.1 s (Intel
     Xeon, 2 CPUs, numpy 2.4); at m = 14 a search takes about 85 us and a
     rounded answer about 20 us, against 4-5 ms for the full scan.  There
-    ``ray_hold`` takes about 20 us from sorted flip gains, and 70-260 us
-    when the relaxation's corner is infeasible and it searches.
+    ``ray_hold`` takes about 10 us from the best single flip, and 60-80 us
+    when it searches the split tables; 0.3-1.6 ms at m = 32.
     """
 
     def __init__(self, c, threshold: float):
@@ -281,9 +277,10 @@ class BinaryKnapsackSet(ProjectableSet):
         # within this slack either may decide feasibility.
         slack = 4 * (m + 2) * _EPS * (float(self.c.sum()) + self.threshold)
         need = self.threshold - self._head @ self.c[:head_dim]
-        # Per first half: where its maybe-feasible second halves start in
-        # the sorted order.
-        self._reach = np.searchsorted(w_tail, need - slack)
+        # Per first half: where its maybe-feasible and its surely feasible
+        # second halves start in the sorted order.
+        self._reach = np.searchsorted(w_tail, need - slack).astype(np.int32)
+        self._sure = np.searchsorted(w_tail, need + slack, "right").astype(np.int32)
         self._low: tuple = (None, None)
 
     @property
@@ -308,36 +305,69 @@ class BinaryKnapsackSet(ProjectableSet):
 
     def ray_hold(self, q: np.ndarray, a: np.ndarray) -> float:
         """The least crossing |y - q|^2 / (2<a, q - y>) over feasible y.
-        Flipping k coordinates of the corner q gains the sum of their
-        w_i = a_i(2q_i - 1), so min_k k/(2 S_k), S_k the sum of the k largest
-        w_i > 0, is least over all corners, and the hold if its corner is
-        feasible.  w_i = +-a_i exactly and S_k sums positive terms, so it is
-        within (m + 1) eps relative, under the shrink's (16m + 48) eps; a
-        hold never above the true one leaves every run as it was.  Else
-        Dinkelbach (1967) from the corners attaining ``min_along(a)``; they
-        are 1 apart, so the tolerance is relative."""
-        m, s = self.dim, 2.0 * np.sqrt(self.dim)
+        Flipping k coordinates of q gains the sum of their w_i = a_i(2q_i - 1),
+        at most k max w_i, so the best single flip's crossing, 1/(2 max w_i),
+        is the hold if its corner is feasible; else ``_split_hold`` searches.
+        Shrunk by (16m + 48) eps below the true hold, it changes no run."""
+        m, s = self.dim, 2.0 * math.sqrt(self.dim)
         # Past this cap the rounding bound is a quarter of a corner's gap.
-        cap = np.sqrt(0.25 / ((4 * m + 12) * _EPS)) - s
+        cap = math.sqrt(0.25 / ((4 * m + 12) * _EPS)) - s
         w = a * (2.0 * q - 1.0)
-        up = np.argsort(-w)[: np.count_nonzero(w > 0)]
-        if not up.size:
+        i = int(w.argmax())
+        if not w[i] > 0:
             return np.inf
-        r = np.arange(1, up.size + 1) / (2.0 * np.cumsum(w[up]))
-        y, flip = q.copy(), up[: r.argmin() + 1]
-        y[flip] = 1.0 - y[flip]
+        y = q.copy()
+        y[i] = 1.0 - y[i]
         if np.sum(y[None] * self.c, axis=1)[0] >= self.threshold:
-            lam = min(cap, float(r.min()))
+            lam = 0.5 / float(w[i])
         else:
-            f, g2 = _ahead(q, self._lowest(a), a)
-            if not g2.size:
-                return np.inf
-            lam, r = np.inf, min(cap, (f / g2).min())
-            while r < lam:
-                lam = float(r)
-                f, g2 = _ahead(q, np.array(self.project_all(q - lam * a)), a)
-                r = (f / g2).min(initial=np.inf)
+            top = m if self._tail_dim <= 8 else 2  # small halves: one round
+            lam = self._split_hold(q, a, top)
+            if top < m:  # more rounds while a count's bound is below lam
+                gain = np.cumsum(np.sort(w)[::-1])  # S_k: no k flips gain more
+                bound = np.arange(1, m + 1)[gain > 0] / (2.0 * gain[gain > 0])
+                while (bound[top:] < lam).any():
+                    top = int(np.flatnonzero(bound < lam)[-1]) + 1
+                    lam = self._split_hold(q, a, top)
+            if lam == np.inf:
+                return lam
+        lam = min(cap, lam)
         return max(0.0, lam * (1.0 - _ray_tol(lam, s, m)))
+
+    def _split_hold(self, q: np.ndarray, a: np.ndarray, top: int) -> float:
+        """The least |y - q|^2 / (2G), G = <a, q - y>, over feasible corners
+        y != q with at most ``top`` flips of q per half; inf if no G per flip
+        is beyond rounding.  A suffix maximum per flip count of the second
+        halves' gains, in weight order and read where a first half's surely
+        feasible ones start, is its best gain; row sums decide the slack."""
+        m, td, hd = self.dim, self._tail_dim, self.dim - self._tail_dim
+        idx = int(q @ 2.0 ** np.arange(m - 1, -1, -1))  # q's bit string
+        ch = np.bitwise_count(np.arange(1 << hd) ^ (idx >> td))
+        ct = np.bitwise_count(self._tail_idx ^ (idx & ((1 << td) - 1)))
+        heads, tails = np.flatnonzero(ch <= top), np.flatnonzero(ct <= top)
+        gh, ch = float(q[:hd] @ a[:hd]) - (self._head @ a[:hd])[heads], ch[heads]
+        gt, ct = float(q[hd:] @ a[hd:]) - (self._tail @ a[hd:])[tails], ct[tails]
+        best = np.full((tails.size + 1, min(top, td) + 1), -np.inf)
+        best[np.arange(tails.size), ct] = gt
+        np.maximum.accumulate(best[::-1], axis=0, out=best[::-1])
+        start = np.searchsorted(tails, self._sure[heads])
+        k = ch[:, None] + np.arange(best.shape[1])
+        g = gh[:, None] + best[start]
+        g[ch.argmin(), 0] = -np.inf  # y = q
+        per_flip = max(0.0, (g / k).max())
+        band = np.flatnonzero(self._reach[heads] < self._sure[heads])
+        if band.size:  # first halves whose band may gain more per flip
+            low = np.searchsorted(tails, self._reach[heads[band]])
+            more = (gh[band, None] + best[low] > per_flip * k[band]).any(axis=1)
+            for i, lo in zip(band[more], low[more]):
+                j = np.arange(lo, start[i])
+                kj, gj = ch[i] + ct[j], gh[i] + gt[j]
+                ok = (kj > 0) & (gj > per_flip * kj)
+                y = _bit_rows((heads[i] << td) | self._tail_idx[tails[j[ok]]], m)
+                ok[ok] = np.sum(y * self.c, axis=1) >= self.threshold
+                per_flip = max(per_flip, (gj[ok] / kj[ok]).max(initial=0.0))
+        tol = (m + 2) * _EPS * math.sqrt(m)  # split sums of +-a_i, |a| = 1
+        return 0.5 / float(per_flip) if per_flip > tol else np.inf
 
     def _cheapest(self, g: np.ndarray) -> np.ndarray:
         """Feasible corners within rounding of min sum(g * y), in bit order.

@@ -17,7 +17,8 @@ generator calls it has always made.  It steps the never-entering (even)
 trajectories in lockstep, one batch per dimension, with one ``rows_fn``
 call per step on the live rows.  Then it steps the entering (odd)
 trajectories one at a time in trial order, calling ``step_fn(x, q, hs)``
-(``dr_step`` or its mutant) once per step, each building its
+(``engine._dr_step``: ``dr_step`` without input checks on the points the
+suite built, or its mutant) once per step, each building its
 FinitePointSet through this module's global name just before its first
 step.  So adding an odd trial T (``check_lemmas(T + 1)`` against
 ``check_lemmas(T)``) only appends T's ``step_fn`` calls, and the last set
@@ -41,7 +42,7 @@ import numpy as np
 
 from .geometry import HalfSpace
 from .engine import (dr_step, dr_step_rows, run_dr, SolverConfig, Solved,
-                     Diverging, MaxIterations, _dots)
+                     Diverging, MaxIterations, _dots, _dr_step)
 from .sets import TIE_TOL, BinaryKnapsackSet, FinitePointSet, _integer
 
 __all__ = [
@@ -446,7 +447,7 @@ def _halfspace(rng, n) -> HalfSpace:
 
 
 def check_lemmas(trials=10000, dims=(1, 2, 3, 4, 5), seed=0,
-                 step_fn=dr_step, rows_fn=dr_step_rows) -> PropertyReport:
+                 step_fn=_dr_step, rows_fn=dr_step_rows) -> PropertyReport:
     """Monotonicity along whole trajectories.
 
     Never-entering trajectories (even trials): d(x_k,L) strictly

@@ -1,9 +1,12 @@
 """Mutants of ``run_dr``'s held steps, each with the tests that kill it.
 
 Each row is one deliberate fault (mutation analysis, DeMillo, Lipton &
-Sayward 1978) in ``_HalfSpaceSplit``'s held-q and closed-form code in
-``src/drfeas/engine.py``: its exact old text, which must occur once in
-the file, the text that replaces it, and the tests that fail on it.
+Sayward 1978) in the code that decides how long ``run_dr`` holds q:
+``_HalfSpaceSplit``'s held-q and closed-form code in
+``src/drfeas/engine.py``, and ``BinaryKnapsackSet.ray_hold`` and its
+split search in ``src/drfeas/sets.py``.  A row holds the file, the exact
+old text, which must occur once in it, the text that replaces it, and
+the tests that fail on it.
 
     python tests/mutants.py              # each mutant against its tests
     python tests/mutants.py --all [ID]   # against the whole suite
@@ -31,6 +34,7 @@ from typing import NamedTuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ENGINE = "src/drfeas/engine.py"
+SETS = "src/drfeas/sets.py"
 BOUNDS = ("tests/test_engine.py::TestClosedFormSegments::"
           "test_a_segment_ends_at_each_bound")
 CROSSING = ("tests/test_engine.py::TestSegmentReuse::"
@@ -41,6 +45,7 @@ MARGIN = ("tests/test_engine.py::TestSegmentMargins::"
           "test_no_segment_starts_inside_a_margin")
 GOLDEN_TRACE = ("tests/test_cli.py::TestGoldenOutput::"
                 "test_bundled_trace_is_byte_identical[infeasible.json]")
+HOLD = "tests/test_sets.py::TestRayHold::"
 
 
 class Mutant(NamedTuple):
@@ -109,6 +114,35 @@ MUTANTS = (
     Mutant("no-lower-cap-root", ENGINE,
            " or not lam >= aq - w:", ":",
            (f"{MARGIN}[cap]",)),
+    # the knapsack hold's split search
+    Mutant("count-0-kept", SETS,
+           "g[ch.argmin(), 0] = -np.inf  # y = q", "pass  # y = q",
+           (f"{HOLD}test_knapsack_against_all_corners",
+            f"{HOLD}test_knapsack_workload_holds_never_project")),
+    Mutant("band-read-from-reach", SETS,
+           "start = np.searchsorted(tails, self._sure[heads])",
+           "start = np.searchsorted(tails, self._reach[heads])",
+           (f"{HOLD}test_knapsack_relaxation_feasible_by_row_sums",
+            f"{HOLD}test_knapsack_degenerate_weights_against_all_corners",
+            f"{HOLD}test_knapsack_split_search_against_dinkelbach")),
+    Mutant("zero-gain-kept", SETS,
+           "tol = (m + 2) * _EPS * math.sqrt(m)", "tol = 0.0",
+           (f"{HOLD}test_knapsack_exact_ties_do_not_cross",)),
+    Mutant("round-bound-le", SETS,
+           "while (bound[top:] < lam).any():\n"
+           "                    top = int(np.flatnonzero(bound < lam)[-1]) + 1",
+           "while (bound[top:] <= lam).any():\n"
+           "                    top = int(np.flatnonzero(bound <= lam)[-1]) + 1",
+           (f"{HOLD}test_knapsack_search_stops_at_the_bound",)),
+    Mutant("no-hold-shrink", SETS,
+           "return max(0.0, lam * (1.0 - _ray_tol(lam, s, m)))",
+           "return max(0.0, lam)",
+           (f"{HOLD}test_knapsack_against_all_corners",
+            f"{HOLD}test_knapsack_relaxation_feasible_by_row_sums")),
+    Mutant("relaxation-always-searches", SETS,
+           "if np.sum(y[None] * self.c, axis=1)[0] >= self.threshold:",
+           "if False:",
+           (f"{HOLD}test_knapsack_against_all_corners",)),
 )
 
 

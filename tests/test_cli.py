@@ -231,6 +231,12 @@ class TestBadInput:
         ("two-points.json", "set", "points", [["0", "2"], [1, "-2"]]),
         ("knapsack.json", "set", "c", [2.0, True, 3.0]),
         ("corner-cycle.json", "constraint", "block_dim", "1"),
+        # integers too large for a float: an OverflowError traceback
+        pytest.param("two-points.json", "constraint", "b", 10 ** 400,
+                     id="two-points.json-constraint-b-10**400"),
+        pytest.param("two-points.json", "set", "points",
+                     [[0.0, 2.0], [10 ** 400, -2.0]],
+                     id="two-points.json-set-points-10**400"),
     ])
     def test_non_finite_parameter(self, name, part, field, value, tmp_path,
                                   capsys):

@@ -159,7 +159,8 @@ class TestRejection:
             ProblemFile.from_json_dict(data)
 
     @pytest.mark.parametrize("x0", [[True, 1], ["0", "3"], [1.0, [2.0]],
-                                    [1.0, float("nan")], "12", []])
+                                    [1.0, float("nan")], "12", [],
+                                    [10 ** 400, 1.0]])
     def test_x0_must_be_a_flat_list_of_numbers(self, x0):
         # [true, 1] and ["0", "3"] were read as [1, 1] and [0, 3]
         data = minimal()

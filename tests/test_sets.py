@@ -22,6 +22,7 @@ from drfeas.sets import (
     Slab,
     Sphere,
     TriadicSet,
+    _ray_tol,
 )
 
 COORD = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
@@ -524,6 +525,67 @@ def _crossing(points, q, a, tie=TIE_TOL):
     return float(((np.sum(w[ahead] ** 2, axis=1) - tie) / (2 * g[ahead])).min())
 
 
+def _dinkelbach_hold(ks, q, a):
+    """The least crossing |y - q|^2 / (2<a, q - y>) over ks's corners y by
+    Dinkelbach (1967): from the corners attaining ``min_along(a)``, project
+    at q - lam*a until no projection crosses sooner.  No cap, no shrink."""
+    def least(points):
+        w = q - np.asarray(points)
+        g = w @ a
+        return (np.sum(w[g > 0] ** 2, axis=1) / (2 * g[g > 0])).min(initial=np.inf)
+
+    lam, r = np.inf, least(ks._cheapest(a))
+    while r < lam:
+        lam = float(r)
+        r = least(ks.project_all(q - lam * a))
+    return lam
+
+
+def _workload_holds(seed, monkeypatch):
+    """ray_hold's answers on the solve-knapsack workload's run_dr cases,
+    and the points ``project_all`` was asked for inside those calls."""
+    import importlib.util
+    import os
+
+    from drfeas.engine import run_dr
+
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                        "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    hold, project_all = BinaryKnapsackSet.ray_hold, BinaryKnapsackSet.project_all
+    holds, inside = [], []
+
+    def recorded(ks, q, a):
+        inside.append(None)
+        holds.append(hold(ks, q, a))
+        inside.remove(None)
+        return holds[-1]
+
+    projected = []
+    monkeypatch.setattr(BinaryKnapsackSet, "ray_hold", recorded)
+    monkeypatch.setattr(BinaryKnapsackSet, "project_all", lambda ks, x: (
+        inside and projected.append(x)) or project_all(ks, x))
+    inputs = workloads.generate("solve-knapsack", seed)
+    for hs, Q, x0, cfg in workloads.build(inputs)["cases"]:
+        run_dr(Q, hs, x0, cfg)
+    return holds, projected
+
+
+# The 27 holds of solve-knapsack's run_dr cases at seed 3, as the
+# Dinkelbach search over projections answered them.
+KNAPSACK_WORKLOAD_HOLDS = (
+    1.090220867182613, 3.0071071044539384, 3.582971860964181,
+    3.8063670207562357, 3.0783397820555596, 3.6662002777051144,
+    6.265294227751071, 6.536290481644708, 3.075093085278383,
+    3.9446729266660636, 5.004288404025533, 11.050276526450633,
+    36.422661638483646, 1.7404443142523356, 67.8627332722777, np.inf,
+    2.4861854496091613, 7.169578334325724, 9.598973207095597, np.inf,
+    4.554637824542572, 5.62128061989775, 16.515239010420288, np.inf,
+    1.7024916243619814, 15.323622595444013, np.inf)
+
+
 def _held_from_first_unique(Q, q, a, lams):
     """Once ``project_all`` at q - lam*a returns [q] alone, it does so at
     every larger lam of ``lams``."""
@@ -590,11 +652,11 @@ class TestRayHold:
     def test_knapsack_against_all_corners(self, monkeypatch):
         # instances 3-8 of each m have zeros in a and c, and half of them a
         # threshold on a corner's row-sum weight; the relaxation's corner
-        # (q with its best flips) is feasible on some calls and not on
-        # others, and only the search asks for _lowest
-        lowest, searched = BinaryKnapsackSet._lowest, []
-        monkeypatch.setattr(BinaryKnapsackSet, "_lowest",
-                            lambda ks, a: searched.append(1) or lowest(ks, a))
+        # (q with its best flip) is feasible on some calls and not on
+        # others, and only then does the split search run
+        search, searched = BinaryKnapsackSet._split_hold, []
+        monkeypatch.setattr(BinaryKnapsackSet, "_split_hold", lambda ks, q, a, top: (
+            searched.append(1) or search(ks, q, a, top)))
         rng = np.random.default_rng(14)
         calls, searches = 0, 0
         for m in range(1, 11):
@@ -698,6 +760,94 @@ class TestRayHold:
         for hs, Q, x0, cfg in workloads.build(inputs)["cases"]:
             run_dr(Q, hs, x0, cfg)
         assert len(holds) == 27 and len(calls) <= 9
+
+    @pytest.mark.parametrize("seed", [3, 20261017])
+    def test_knapsack_workload_holds_never_project(self, seed, monkeypatch):
+        # the seed draws only the cases' coordinate order and scales, so
+        # both seeds hold as long as the search over projections did
+        holds, projected = _workload_holds(seed, monkeypatch)
+        assert projected == [] and len(holds) == len(KNAPSACK_WORKLOAD_HOLDS)
+        for lam, ref in zip(holds, KNAPSACK_WORKLOAD_HOLDS):
+            assert lam == ref if ref == np.inf else lam == pytest.approx(ref, rel=1e-12)
+
+    def test_knapsack_degenerate_weights_against_all_corners(self, monkeypatch):
+        # unit and repeated weights on an integer threshold: every corner
+        # of the threshold's weight is in the split search's slack band and
+        # in Q; one ulp above it, such corners are in the band and out of Q
+        search, searched = BinaryKnapsackSet._split_hold, []
+        monkeypatch.setattr(BinaryKnapsackSet, "_split_hold", lambda ks, q, a, top: (
+            searched.append(1) or search(ks, q, a, top)))
+        rng = np.random.default_rng(18)
+        for m in range(2, 13):
+            for c in (np.ones(m), rng.integers(1, 4, m).astype(float)):
+                t = float(rng.integers(1, c.sum()))
+                for threshold in (t, float(np.nextafter(t, np.inf))):
+                    ks = BinaryKnapsackSet(c, threshold)
+                    corners = _row_sum_corners(ks.c, ks.threshold)
+                    a = rng.normal(size=m)
+                    a /= np.linalg.norm(a)
+                    low = ks.min_along(a)
+                    for q in corners[rng.permutation(len(corners))[:8]]:
+                        self._check(ks, corners, q, a, float(np.sum(q * a)) <= low)
+        assert len(searched) > 50
+
+    @pytest.mark.parametrize("m", [20, 32])
+    def test_knapsack_split_search_against_dinkelbach(self, m, monkeypatch):
+        # past 16 coordinates the search runs in rounds over the corners of
+        # few flips per half; random weights, and unit weights on and one
+        # ulp above an integer threshold
+        search, searched = BinaryKnapsackSet._split_hold, []
+        monkeypatch.setattr(BinaryKnapsackSet, "_split_hold", lambda ks, q, a, top: (
+            searched.append(top) or search(ks, q, a, top)))
+        rng = np.random.default_rng(m)
+        c = rng.uniform(0.5, 3.0, m)
+        sets = [(c, float(rng.uniform(0.3, 0.6) * c.sum())),
+                (np.ones(m), m // 2), (np.ones(m), float(np.nextafter(m // 2, np.inf)))]
+        for c, threshold in sets:
+            ks = BinaryKnapsackSet(c, threshold)
+            for _ in range(4):
+                q = ks.project_all(rng.uniform(-1.0, 2.0, m))[0]
+                # taking a coordinate out of q gains, so that may leave Q
+                a = rng.normal(size=m)
+                a[q == 1.0] = np.abs(a[q == 1.0])
+                a /= np.linalg.norm(a)
+                lam, ref = ks.ray_hold(q, a), _dinkelbach_hold(ks, q, a)
+                shrunk = ref * (1.0 - _ray_tol(ref, 2.0 * np.sqrt(m), m))
+                assert lam == ref if ref == np.inf else lam == pytest.approx(shrunk, rel=1e-12)
+        assert 2 in searched and max(searched) > 2
+
+    def test_knapsack_exact_ties_do_not_cross(self):
+        # a normal of small integers k/|k| ties corners exactly, but the
+        # split gains of q's tied corners round to a few ulps either side
+        # of 0; at the least k.y over Q, q has no crossing
+        rng = np.random.default_rng(0)
+        for _ in range(500):
+            m = int(rng.integers(3, 9))
+            k = rng.integers(-3, 4, m).astype(float)
+            if not k.any():
+                continue
+            c = rng.integers(1, 4, m).astype(float)
+            threshold = float(rng.integers(1, c.sum() + 1))
+            corners = _row_sum_corners(c, threshold)
+            q = corners[int(np.argmin(corners @ k))]
+            ks = BinaryKnapsackSet(c, threshold)
+            assert ks.ray_hold(q, k / np.linalg.norm(k)) == np.inf
+
+    def test_knapsack_search_stops_at_the_bound(self, monkeypatch):
+        # every gain is a multiple of 1/4, so the first round's best corner
+        # crosses at exactly the bound k/(2 S_k) = 2 of every flip count k:
+        # no other count can cross sooner, and no second round runs
+        search, tops = BinaryKnapsackSet._split_hold, []
+        monkeypatch.setattr(BinaryKnapsackSet, "_split_hold", lambda ks, q, a, top: (
+            tops.append(top) or search(ks, q, a, top)))
+        m = 20
+        c = np.ones(m)
+        c[0] = 10.0
+        ks = BinaryKnapsackSet(c, float(c.sum() - 5.0))  # no flip of c[0]
+        a = np.where(np.arange(m) < 16, 0.25, 0.0)
+        lam = ks.ray_hold(np.ones(m), a)
+        assert tops == [2]
+        assert lam == 2.0 * (1.0 - _ray_tol(2.0, 2.0 * np.sqrt(m), m))
 
     def test_triadic_against_brute_force(self):
         # values 2/3^k lie within sqrt(TIE_TOL) of their neighbours, where
