@@ -541,6 +541,14 @@ def _dinkelbach_hold(ks, q, a):
     return lam
 
 
+def _split_rounds(monkeypatch):
+    """The ``top`` of each ``_split_hold`` round the knapsack hold runs."""
+    search, tops = BinaryKnapsackSet._split_hold, []
+    monkeypatch.setattr(BinaryKnapsackSet, "_split_hold", lambda ks, q, a, top: (
+        tops.append(top) or search(ks, q, a, top)))
+    return tops
+
+
 def _workload_holds(seed, monkeypatch):
     """ray_hold's answers on the solve-knapsack workload's run_dr cases,
     and the points ``project_all`` was asked for inside those calls."""
@@ -654,9 +662,7 @@ class TestRayHold:
         # threshold on a corner's row-sum weight; the relaxation's corner
         # (q with its best flip) is feasible on some calls and not on
         # others, and only then does the split search run
-        search, searched = BinaryKnapsackSet._split_hold, []
-        monkeypatch.setattr(BinaryKnapsackSet, "_split_hold", lambda ks, q, a, top: (
-            searched.append(1) or search(ks, q, a, top)))
+        searched = _split_rounds(monkeypatch)
         rng = np.random.default_rng(14)
         calls, searches = 0, 0
         for m in range(1, 11):
@@ -766,17 +772,14 @@ class TestRayHold:
         # the seed draws only the cases' coordinate order and scales, so
         # both seeds hold as long as the search over projections did
         holds, projected = _workload_holds(seed, monkeypatch)
-        assert projected == [] and len(holds) == len(KNAPSACK_WORKLOAD_HOLDS)
-        for lam, ref in zip(holds, KNAPSACK_WORKLOAD_HOLDS):
-            assert lam == ref if ref == np.inf else lam == pytest.approx(ref, rel=1e-12)
+        assert projected == []
+        assert holds == pytest.approx(list(KNAPSACK_WORKLOAD_HOLDS), rel=1e-12)
 
     def test_knapsack_degenerate_weights_against_all_corners(self, monkeypatch):
         # unit and repeated weights on an integer threshold: every corner
         # of the threshold's weight is in the split search's slack band and
         # in Q; one ulp above it, such corners are in the band and out of Q
-        search, searched = BinaryKnapsackSet._split_hold, []
-        monkeypatch.setattr(BinaryKnapsackSet, "_split_hold", lambda ks, q, a, top: (
-            searched.append(1) or search(ks, q, a, top)))
+        searched = _split_rounds(monkeypatch)
         rng = np.random.default_rng(18)
         for m in range(2, 13):
             for c in (np.ones(m), rng.integers(1, 4, m).astype(float)):
@@ -796,9 +799,7 @@ class TestRayHold:
         # past 16 coordinates the search runs in rounds over the corners of
         # few flips per half; random weights, and unit weights on and one
         # ulp above an integer threshold
-        search, searched = BinaryKnapsackSet._split_hold, []
-        monkeypatch.setattr(BinaryKnapsackSet, "_split_hold", lambda ks, q, a, top: (
-            searched.append(top) or search(ks, q, a, top)))
+        searched = _split_rounds(monkeypatch)
         rng = np.random.default_rng(m)
         c = rng.uniform(0.5, 3.0, m)
         sets = [(c, float(rng.uniform(0.3, 0.6) * c.sum())),
@@ -837,9 +838,7 @@ class TestRayHold:
         # every gain is a multiple of 1/4, so the first round's best corner
         # crosses at exactly the bound k/(2 S_k) = 2 of every flip count k:
         # no other count can cross sooner, and no second round runs
-        search, tops = BinaryKnapsackSet._split_hold, []
-        monkeypatch.setattr(BinaryKnapsackSet, "_split_hold", lambda ks, q, a, top: (
-            tops.append(top) or search(ks, q, a, top)))
+        tops = _split_rounds(monkeypatch)
         m = 20
         c = np.ones(m)
         c[0] = 10.0
