@@ -220,6 +220,8 @@ def _load(path: str) -> tuple[ProblemFile, tuple]:
             f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise ProblemFormatError(f"{path}: malformed JSON: {exc}") from exc
     try:
         return ProblemFile._parse(data)
     except ProblemFormatError as exc:

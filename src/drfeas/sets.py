@@ -110,8 +110,7 @@ def _integer(value, name: str) -> int:
 
 def _bit_rows(idx: np.ndarray, m: int) -> np.ndarray:
     """0/1 rows of the m-bit integers idx, first coordinate most significant."""
-    bits = np.unpackbits(idx.astype(">u4").view(np.uint8).reshape(-1, 4), axis=1)
-    return bits[:, 32 - m:].astype(float)
+    return ((idx[:, None] >> np.arange(m - 1, -1, -1)) & 1).astype(float)
 
 
 def _ray_tol(lam: float, s, d: int):
@@ -245,8 +244,8 @@ class BinaryKnapsackSet(ProjectableSet):
     where a search takes 2-16 ms and construction about 0.1 s (Intel
     Xeon, 2 CPUs, numpy 2.4); at m = 14 a search takes about 85 us and a
     rounded answer about 20 us, against 4-5 ms for the full scan.  There
-    ``ray_hold`` takes about 10 us from the best single flip, and 60-80 us
-    when it searches the split tables; 0.3-1.6 ms at m = 32.
+    ``ray_hold`` takes about 10 us from the best single flip, and 60-90 us
+    when it searches the split tables; 1-2.5 ms at m = 32.
     """
 
     def __init__(self, c, threshold: float):
@@ -268,9 +267,10 @@ class BinaryKnapsackSet(ProjectableSet):
         self._tail_dim = m // 2
         head_dim = m - self._tail_dim
         self._head = _bit_rows(np.arange(1 << head_dim), head_dim)
+        self._ones = (self._head @ np.ones(head_dim)).astype(np.int8)  # bits set
         tail = _bit_rows(np.arange(1 << self._tail_dim), self._tail_dim)
         w_tail = tail @ self.c[head_dim:]
-        self._tail_idx = np.argsort(w_tail, kind="stable")
+        self._tail_idx = np.argsort(w_tail, kind="stable").astype(np.int32)
         self._tail = tail[self._tail_idx]
         w_tail = w_tail[self._tail_idx]
         # Split sums and row sums of a corner's weight round differently;
@@ -305,11 +305,13 @@ class BinaryKnapsackSet(ProjectableSet):
 
     def ray_hold(self, q: np.ndarray, a: np.ndarray) -> float:
         """The least crossing |y - q|^2 / (2<a, q - y>) over feasible y.
-        Flipping k coordinates of q gains the sum of their w_i = a_i(2q_i - 1),
-        at most k max w_i, so the best single flip's crossing, 1/(2 max w_i),
-        is the hold if its corner is feasible; else ``_split_hold`` searches.
-        Shrunk by (16m + 48) eps below the true hold, it changes no run."""
-        m, s = self.dim, 2.0 * math.sqrt(self.dim)
+        k flips of q gain at most S_k, the sum of the k largest w_i =
+        a_i(2q_i - 1): the best single flip's crossing, 1/(2 max w_i), is the
+        hold if its corner is feasible.  Else ``_split_hold`` searches, from
+        m = 16 in rounds: 2 flips per half, then each count whose k/(2 S_k)
+        is below the answer, unless no maybe-feasible corner gains.  Shrunk
+        by (16m + 48) eps below the true hold, it changes no run."""
+        m, s, hd = self.dim, 2.0 * math.sqrt(self.dim), self.dim - self._tail_dim
         # Past this cap the rounding bound is a quarter of a corner's gap.
         cap = math.sqrt(0.25 / ((4 * m + 12) * _EPS)) - s
         w = a * (2.0 * q - 1.0)
@@ -320,33 +322,37 @@ class BinaryKnapsackSet(ProjectableSet):
         y[i] = 1.0 - y[i]
         if np.sum(y[None] * self.c, axis=1)[0] >= self.threshold:
             lam = 0.5 / float(w[i])
-        else:
-            top = m if self._tail_dim <= 8 else 2  # small halves: one round
-            lam = self._split_hold(q, a, top)
+        else:  # gains <a, q - y> per half, in the sums every round reads
+            tol = (m + 2) * _EPS * math.sqrt(m)  # split sums of +-a_i, |a| = 1
+            gh = float(q[:hd] @ a[:hd]) - self._head @ a[:hd]
+            gt = float(q[hd:] @ a[hd:]) - self._tail @ a[hd:]
+            top = m if self._tail_dim <= 7 else 2  # m <= 15: one round is faster
+            lam = self._split_hold(q, gh, gt, top, tol)
             if top < m:  # more rounds while a count's bound is below lam
+                if lam == np.inf and (gh + np.maximum.accumulate(np.append(
+                        gt, -np.inf)[::-1])[::-1][self._reach]).max() <= tol:
+                    return lam  # no maybe-feasible corner gains
                 gain = np.cumsum(np.sort(w)[::-1])  # S_k: no k flips gain more
                 bound = np.arange(1, m + 1)[gain > 0] / (2.0 * gain[gain > 0])
                 while (bound[top:] < lam).any():
                     top = int(np.flatnonzero(bound < lam)[-1]) + 1
-                    lam = self._split_hold(q, a, top)
+                    lam = self._split_hold(q, gh, gt, top, tol)
             if lam == np.inf:
                 return lam
         lam = min(cap, lam)
         return max(0.0, lam * (1.0 - _ray_tol(lam, s, m)))
 
-    def _split_hold(self, q: np.ndarray, a: np.ndarray, top: int) -> float:
-        """The least |y - q|^2 / (2G), G = <a, q - y>, over feasible corners
-        y != q with at most ``top`` flips of q per half; inf if no G per flip
-        is beyond rounding.  A suffix maximum per flip count of the second
-        halves' gains, in weight order and read where a first half's surely
-        feasible ones start, is its best gain; row sums decide the slack."""
+    def _split_hold(self, q, gh, gt, top: int, tol) -> float:
+        """The least |y - q|^2 / (2G), G = gh + gt of y's halves (tails in
+        weight order), over feasible y != q of at most ``top`` flips of q per
+        half; inf if no G per flip is above tol.  Per flip count, suffix maxima
+        of tail gains read at ``_sure``; row sums decide the slack band."""
         m, td, hd = self.dim, self._tail_dim, self.dim - self._tail_dim
         idx = int(q @ 2.0 ** np.arange(m - 1, -1, -1))  # q's bit string
-        ch = np.bitwise_count(np.arange(1 << hd) ^ (idx >> td))
-        ct = np.bitwise_count(self._tail_idx ^ (idx & ((1 << td) - 1)))
+        ch = self._ones[np.arange(1 << hd) ^ (idx >> td)]
+        ct = self._ones[self._tail_idx ^ (idx & ((1 << td) - 1))]
         heads, tails = np.flatnonzero(ch <= top), np.flatnonzero(ct <= top)
-        gh, ch = float(q[:hd] @ a[:hd]) - (self._head @ a[:hd])[heads], ch[heads]
-        gt, ct = float(q[hd:] @ a[hd:]) - (self._tail @ a[hd:])[tails], ct[tails]
+        gh, ch, gt, ct = gh[heads], ch[heads], gt[tails], ct[tails]
         best = np.full((tails.size + 1, min(top, td) + 1), -np.inf)
         best[np.arange(tails.size), ct] = gt
         np.maximum.accumulate(best[::-1], axis=0, out=best[::-1])
@@ -366,7 +372,6 @@ class BinaryKnapsackSet(ProjectableSet):
                 y = _bit_rows((heads[i] << td) | self._tail_idx[tails[j[ok]]], m)
                 ok[ok] = np.sum(y * self.c, axis=1) >= self.threshold
                 per_flip = max(per_flip, (gj[ok] / kj[ok]).max(initial=0.0))
-        tol = (m + 2) * _EPS * math.sqrt(m)  # split sums of +-a_i, |a| = 1
         return 0.5 / float(per_flip) if per_flip > tol else np.inf
 
     def _cheapest(self, g: np.ndarray) -> np.ndarray:

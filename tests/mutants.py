@@ -134,6 +134,10 @@ MUTANTS = (
            "while (bound[top:] <= lam).any():\n"
            "                    top = int(np.flatnonzero(bound <= lam)[-1]) + 1",
            (f"{HOLD}test_knapsack_search_stops_at_the_bound",)),
+    Mutant("no-gain-check-skipped", SETS,
+           "gt, -np.inf)[::-1])[::-1][self._reach]).max() <= tol:",
+           "gt, -np.inf)[::-1])[::-1][self._reach]).max() < -np.inf:",
+           (f"{HOLD}test_knapsack_no_crossing_takes_one_round",)),
     Mutant("no-hold-shrink", SETS,
            "return max(0.0, lam * (1.0 - _ray_tol(lam, s, m)))",
            "return max(0.0, lam)",

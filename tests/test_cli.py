@@ -246,6 +246,15 @@ class TestBadInput:
         assert main(["solve", write_problem(tmp_path, data)]) == 1
         assert self.assert_one_error_line(capsys) == ""
 
+    def test_integer_past_the_digit_limit(self, tmp_path, capsys):
+        # json.loads raises a plain ValueError for an integer of more than
+        # 4300 digits, which used to escape as a traceback
+        text = open(problem("two-points.json")).read()
+        path = tmp_path / "problem.json"
+        path.write_text(text.replace('"b": -1.0', '"b": 1' + "0" * 5000))
+        assert main(["solve", str(path)]) == 1
+        assert self.assert_one_error_line(capsys) == ""
+
     def test_problem_path_is_a_directory(self, capsys):
         # used to print an IsADirectoryError traceback
         assert main(["solve", PROBLEM_DIR]) == 1

@@ -544,8 +544,8 @@ def _dinkelbach_hold(ks, q, a):
 def _split_rounds(monkeypatch):
     """The ``top`` of each ``_split_hold`` round the knapsack hold runs."""
     search, tops = BinaryKnapsackSet._split_hold, []
-    monkeypatch.setattr(BinaryKnapsackSet, "_split_hold", lambda ks, q, a, top: (
-        tops.append(top) or search(ks, q, a, top)))
+    monkeypatch.setattr(BinaryKnapsackSet, "_split_hold", lambda ks, q, gh, gt, top, tol: (
+        tops.append(top) or search(ks, q, gh, gt, top, tol)))
     return tops
 
 
@@ -796,9 +796,9 @@ class TestRayHold:
 
     @pytest.mark.parametrize("m", [20, 32])
     def test_knapsack_split_search_against_dinkelbach(self, m, monkeypatch):
-        # past 16 coordinates the search runs in rounds over the corners of
-        # few flips per half; random weights, and unit weights on and one
-        # ulp above an integer threshold
+        # the search runs in rounds over the corners of few flips per half;
+        # random weights, and unit weights on and one ulp above an integer
+        # threshold
         searched = _split_rounds(monkeypatch)
         rng = np.random.default_rng(m)
         c = rng.uniform(0.5, 3.0, m)
@@ -816,6 +816,22 @@ class TestRayHold:
                 shrunk = ref * (1.0 - _ray_tol(ref, 2.0 * np.sqrt(m), m))
                 assert lam == ref if ref == np.inf else lam == pytest.approx(shrunk, rel=1e-12)
         assert 2 in searched and max(searched) > 2
+
+    @pytest.mark.parametrize("m", [20, 32])
+    def test_knapsack_no_crossing_takes_one_round(self, m, monkeypatch):
+        # q attains the least <a, y> over Q, so no corner crosses; with a > 0
+        # taking a coordinate out of q gains, so the search runs, its first
+        # round finds no crossing, and no count-free gain sends it through
+        # every flip count
+        tops = _split_rounds(monkeypatch)
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            c = rng.uniform(0.5, 3.0, m)
+            ks = BinaryKnapsackSet(c, float(rng.uniform(0.3, 0.6) * c.sum()))
+            a = np.abs(rng.normal(size=m))
+            a /= np.linalg.norm(a)
+            assert ks.ray_hold(ks._cheapest(a)[0], a) == np.inf
+        assert tops == [2, 2, 2, 2]
 
     def test_knapsack_exact_ties_do_not_cross(self):
         # a normal of small integers k/|k| ties corners exactly, but the
