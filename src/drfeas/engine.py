@@ -24,23 +24,23 @@ The program reads a run from these columns.  ``Trace.records``, the
 tuple of ``IterateRecord`` objects, and the run's fingerprint are built
 when first read and cached.
 
-Points are checked once, when a driver starts: x0, and that the set and
-the constraint share a dimension.  In the loop the one point check is the
-set's ``project_all``, which also rejects an iterate that has overflowed.
-``run_dr`` skips it inside a constant-q segment: once a unique q repeats,
-it reuses q while x = q - lam*a has 0 <= lam < the set's ``ray_hold``, a
-test false for NaN and inf (finite, triadic and knapsack sets hold).
-lam is the value the step computed, -s of x = q + s*a, and is unknown
-after an inside-case step, whose next step projects.  Each held step is
-the outside case and lam grows by d(q,H), so from ``_SEGMENT_MIN`` steps
-on the segment is appended at once, lam rounded once per row
-(``_HalfSpaceSplit._segment``).  Its decisions are those the
+Points are checked once, when a driver starts: x0, and that the set and the
+constraint share a dimension.  In the loop the one point check is the set's
+``project_all``, which also rejects an iterate that has overflowed.
+``run_dr`` skips it inside a constant-q segment: from the step after a
+unique q's outside-case step, it reuses q while x = q - lam*a has 0 <= lam
+< the set's ``ray_hold``, a test false for NaN and inf (finite, triadic and
+knapsack sets hold).  lam is the value the step computed, -s of x = q + s*a,
+and is unknown after an inside-case step, whose next step projects.  Each
+held step is the outside case and lam grows by d(q,H), so from
+``_SEGMENT_MIN`` steps on the segment is appended at once, lam rounded once
+per row (``_HalfSpaceSplit._segment``).  Its decisions are those the
 per-step tests take on its rows, none of them within the rounding margin
-c*(3|q| + lam), c = 8(n+2)*2**-53.  Against a run that projects every
-step, x, d_xH and d_xL differ by rounding, at row k by at most c times
-the sum over rows i <= k of |q_i| + |x_i| + |b|; the decisions, and so
-the q and d_qH columns, could differ only where a test falls within that
-rounding of its threshold, and are equal on every run the tests compare.
+c*(3|q| + lam), c = 8(n+2)*2**-53.  Against a run that projects every step,
+x, d_xH and d_xL differ by rounding, at row k by at most c times the sum
+over rows i <= k of |q_i| + |x_i| + |b|; the decisions, and so the q and
+d_qH columns, could differ only where a test falls within that rounding of
+its threshold, and are equal on every run the tests compare.
 ``SolverConfig`` checks its own values (``drfeas.problems.SETTINGS`` names
 them for users).  DR runs end as MaxIterations once |x| > ``NORM_CAP``.
 """
@@ -440,9 +440,9 @@ class _Strategy:
 
 class _HalfSpaceSplit(_Strategy):
     """The case-split step against a half-space, with the march rule in
-    place of the cycle detector.  A unique q found again by the projection
-    is held while lam, the value its step computed for x = q - lam*a, has
-    0 <= lam < the set's ``ray_hold``."""
+    place of the cycle detector.  A unique q is held from the step after
+    its outside-case step while lam, the value its step computed for x =
+    q - lam*a, has 0 <= lam < the set's ``ray_hold``."""
 
     tag = "dr"
 
@@ -457,6 +457,8 @@ class _HalfSpaceSplit(_Strategy):
     def nearest(self, x):
         a = self.constraint.a
         self.ax = float(a.dot(x))
+        if self.hold is None and self.q is not None and self.lam >= 0.0:
+            self.hold = self.proj_set.ray_hold(self.q, a)   # x on q's ray
         # False for NaN and inf: after an inside-case or an overflowed step
         # x reaches project_all.
         if self.hold is not None and 0.0 <= self.lam < self.hold:
@@ -464,7 +466,7 @@ class _HalfSpaceSplit(_Strategy):
         ties = self.proj_set.project_all(x)
         q, unique = ties[0], len(ties) == 1
         if unique and self.q is not None and q.tobytes() == self.q.tobytes():
-            if self.hold is None:           # x is on the ray of q now
+            if self.hold is None:   # lam was unknown (x = q) or below 0
                 self.hold = self.proj_set.ray_hold(self.q, a)
             return self.q, x
         self.q, self.hold = q if unique else None, None

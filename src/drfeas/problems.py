@@ -93,8 +93,9 @@ SET_TYPES = {
 
 def _is_number(value) -> bool:
     """A real other than a bool; a JSON integer must also fit a float."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and not (isinstance(value, int) and abs(value) > sys.float_info.max))
+    return type(value) is float or (
+        isinstance(value, numbers.Real) and not isinstance(value, bool)
+        and not (isinstance(value, int) and abs(value) > sys.float_info.max))
 
 
 def _check_numbers(value, name: str):

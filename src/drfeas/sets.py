@@ -83,9 +83,8 @@ class ProjectableSet(abc.ABC):
 
     def ray_hold(self, q: np.ndarray, a: np.ndarray) -> float:
         """lam* such that, for 0 <= lam < lam*, ``project_all`` at q - lam*a
-        returns [q] alone, given that it did at a lam >= 0.  q is a point it
-        returned and a a unit vector; ties and rounding are allowed for.
-        Finite, triadic and knapsack sets override the default, 0."""
+        returns [q] alone, for any q it returns alone and unit a, ties and
+        rounding allowed for.  Finite, triadic and knapsack sets override 0."""
         return 0.0
 
     def distance(self, x) -> float:
@@ -134,16 +133,24 @@ class _FinitePoints(ProjectableSet):
     def min_along(self, a: np.ndarray) -> float:
         return float((self.points @ a).min())
 
+    def _ties_behind(self, a: np.ndarray) -> bool:
+        return True     # project_all compares every point with q
+
     def ray_hold(self, q: np.ndarray, a: np.ndarray) -> float:
         """Min over p ahead, g = <a, q - p> > 0, of (|q - p|^2 - tol)/(2g),
-        p's crossing less tol."""
+        p's crossing less tol; 0 if a twin p != q, |q - p|^2 <= tol, may tie
+        q from behind, g <= 0 (``_ties_behind``)."""
         w = q - self.points
-        g = w @ a
-        f, g2 = np.sum(w[g > 0] ** 2, axis=1), 2 * g[g > 0]
+        g, f = w @ a, (w * w).sum(1)
+        ahead = g > 0
+        f2, g2 = f[ahead], 2 * g[ahead]
+        lam = (f2 / g2).min() if g2.size else 0.0
+        tol = _ray_tol(lam, math.sqrt(q @ q) + np.sqrt(f), self.dim)
+        if self._ties_behind(a) and np.count_nonzero(f <= tol) > 1:
+            return 0.0
         if not g2.size:
             return np.inf
-        tol = _ray_tol((f / g2).min(), np.sqrt(q @ q) + np.sqrt(f), self.dim)
-        return max(0.0, float(((f - tol) / g2).min()))
+        return max(0.0, float(((f2 - tol[ahead]) / g2).min()))
 
 
 class FinitePointSet(_FinitePoints):
@@ -241,11 +248,11 @@ class BinaryKnapsackSet(ProjectableSet):
     way whatever other rows are summed with it; a BLAS product does not.
     A feasible rounded corner, every |x_i - 1/2| beyond rounding, is
     returned at once, without the search.  m is at most KNAPSACK_CAP = 32,
-    where a search takes 2-16 ms and construction about 0.1 s (Intel
-    Xeon, 2 CPUs, numpy 2.4); at m = 14 a search takes about 85 us and a
-    rounded answer about 20 us, against 4-5 ms for the full scan.  There
-    ``ray_hold`` takes about 10 us from the best single flip, and 60-90 us
-    when it searches the split tables; 1-2.5 ms at m = 32.
+    where a search takes about 1 ms and construction 27-38 ms (Intel Xeon,
+    2 CPUs, numpy 2.4.6, best of 3 calls); at m = 14 a search takes 34-44
+    us and a rounded answer 9-13 us, against 2.5 ms for the full scan.
+    There ``ray_hold`` takes 7-10 us from the best single flip and 52-55 us
+    when it searches the split tables; 0.9-6.7 ms at m = 32.
     """
 
     def __init__(self, c, threshold: float):
@@ -310,7 +317,8 @@ class BinaryKnapsackSet(ProjectableSet):
         hold if its corner is feasible.  Else ``_split_hold`` searches, from
         m = 16 in rounds: 2 flips per half, then each count whose k/(2 S_k)
         is below the answer, unless no maybe-feasible corner gains.  Shrunk
-        by (16m + 48) eps below the true hold, it changes no run."""
+        by (16m + 48) eps below the true hold, it changes no run.  Corners
+        are at least 1 apart, so none ties q from behind."""
         m, s, hd = self.dim, 2.0 * math.sqrt(self.dim), self.dim - self._tail_dim
         # Past this cap the rounding bound is a quarter of a corner's gap.
         cap = math.sqrt(0.25 / ((4 * m + 12) * _EPS)) - s
@@ -445,7 +453,9 @@ class TriadicSet(_FinitePoints):
     double-precision relevance for the first few dozen iterates.  The
     depth is an integer from 1 to TRIADIC_DEPTH_CAP.  Truncated, it is
     finite (``points``), but ``project_all`` compares only the neighbours
-    of x, the nearest as rounded, so its ties are between those two.
+    of x, the nearest as rounded, so its ties are between those two.  On
+    q's ray x = q - lam*a they are q and the next point ahead, but at x = q
+    q and the point below it, whose tie ``ray_hold`` guards (``_ties_behind``).
     """
 
     def __init__(self, depth: int = 60):
@@ -465,6 +475,9 @@ class TriadicSet(_FinitePoints):
         cand = self.values[max(0, pos - 1): pos + 1]
         d2 = (cand - t) ** 2
         return _tie_filter(cand[:, None], d2)
+
+    def _ties_behind(self, a: np.ndarray) -> bool:
+        return a[0] < 0     # at x = q only: see the class docstring
 
     def distance(self, x) -> float:
         x = as_point(x, 1)

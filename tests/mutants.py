@@ -3,10 +3,11 @@
 Each row is one deliberate fault (mutation analysis, DeMillo, Lipton &
 Sayward 1978) in the code that decides how long ``run_dr`` holds q:
 ``_HalfSpaceSplit``'s held-q and closed-form code in
-``src/drfeas/engine.py``, and ``BinaryKnapsackSet.ray_hold`` and its
-split search in ``src/drfeas/sets.py``.  A row holds the file, the exact
-old text, which must occur once in it, the text that replaces it, and
-the tests that fail on it.
+``src/drfeas/engine.py``, and the finite sets' twin guard and
+``BinaryKnapsackSet.ray_hold`` with its split search in
+``src/drfeas/sets.py``.  A row holds the file, the exact old text, which
+must occur once in it, the text that replaces it, and the tests that
+fail on it.
 
     python tests/mutants.py              # each mutant against its tests
     python tests/mutants.py --all [ID]   # against the whole suite
@@ -93,6 +94,12 @@ MUTANTS = (
            ("tests/test_engine.py::TestRunDr::"
             "test_no_certificate_for_transient_march", INSIDE_CASE)),
     # the hold on the computed lambda
+    Mutant("no-early-hold", ENGINE,
+           "if self.hold is None and self.q is not None and self.lam >= 0.0:",
+           "if False:",
+           ("tests/test_engine.py::TestSegmentReuse::"
+            "test_step_zero_and_handovers_are_projected",
+            f"{HOLD}test_knapsack_workload_holds_never_project")),
     Mutant("hold-test-le", ENGINE,
            "0.0 <= self.lam < self.hold", "0.0 <= self.lam <= self.hold",
            (CROSSING,)),
@@ -114,6 +121,17 @@ MUTANTS = (
     Mutant("no-lower-cap-root", ENGINE,
            " or not lam >= aq - w:", ":",
            (f"{MARGIN}[cap]",)),
+    # a twin of q that project_all compares, ahead of q or behind it
+    Mutant("no-twin-guard", SETS,
+           "if self._ties_behind(a) and np.count_nonzero(f <= tol) > 1:",
+           "if False:",
+           ("tests/test_engine.py::TestSegmentReuse::"
+            "test_a_twin_not_ahead_is_projected",
+            f"{HOLD}test_finite_exact_and_near_ties",
+            f"{HOLD}test_triadic_against_brute_force")),
+    Mutant("triadic-twin-below-ignored", SETS,
+           "return a[0] < 0", "return False",
+           (f"{HOLD}test_triadic_against_brute_force",)),
     # the knapsack hold's split search
     Mutant("count-0-kept", SETS,
            "g[ch.argmin(), 0] = -np.inf  # y = q", "pass  # y = q",

@@ -524,7 +524,7 @@ class TestSegmentReuse:
     def test_step_zero_and_handovers_are_projected(self):
         # x0 lies off the ray of every point; q hands over from (2, 3) to
         # (0, 1) at step 1, then marches: only the first steps of the two
-        # segments and the step that finds q repeated are projected
+        # segments are projected, each q held from its second step on
         Q = _RecordingSet([(0, 1), (2, 3), (4, 6)])
         x0 = [2.5, 3.7]
         trace, outcome = run_dr(Q, self.HS, x0)
@@ -534,10 +534,10 @@ class TestSegmentReuse:
         for k in range(1, len(trace)):
             if not np.array_equal(trace.q[k], trace.q[k - 1]):
                 assert trace.x[k].tobytes() in asked
-        assert len(Q.asked) == 3
+        assert len(Q.asked) == 2
         Q.ray_hold = lambda q, a: 0.0
         plain = run_dr(Q, self.HS, x0)
-        assert len(Q.asked) == 3 + 28
+        assert len(Q.asked) == 2 + 28
         assert np.array_equal(plain[0].x, trace.x)
         assert np.array_equal(plain[0].q, trace.q)
         assert repr(plain[1]) == repr(outcome)
@@ -562,8 +562,8 @@ class TestSegmentReuse:
         Q.asked.clear()
         Q.ray_hold = lambda q, a: 1500.0
         run_dr(Q, self.HS, [0.0, 1.0], cfg)
-        assert Q.asked[2].tolist() == [0.0, 1.0 - 1500]
-        assert len(Q.asked) == 2 + 1603 - 1500
+        assert Q.asked[1].tolist() == [0.0, 1.0 - 1500]
+        assert len(Q.asked) == 1 + 1603 - 1500
         # an oblique march whose step to x5 computes lam = -s one ulp below
         # <a, q - x5>: the hold decides on that lam, so a hold one ulp above
         # it holds q at step 5 and a hold at or below it projects there;
@@ -585,16 +585,30 @@ class TestSegmentReuse:
                 assert (getattr(held[0], col).tobytes()
                         == getattr(plain[0], col).tobytes()), (hold, col)
             assert repr(held[1]) == repr(plain[1])
-            # projected: steps 0, 1 and 5 on, or steps 0, 1 and 6 on
+            # projected: steps 0 and 5 on, or steps 0 and 6 on
             first = 5 if projected else 6
-            assert Q.asked[2].tobytes() == plain[0].x[first].tobytes()
-            assert len(Q.asked) == 2 + len(plain[0]) - first
+            assert Q.asked[1].tobytes() == plain[0].x[first].tobytes()
+            assert len(Q.asked) == 1 + len(plain[0]) - first
+
+    def test_a_twin_not_ahead_is_projected(self, same_decisions):
+        # (-5e-7, 1), listed first and within 1e-6 of q = (0, 1), is level
+        # with q on q's ray, so project_all ties the two there and selects
+        # the twin; q, found alone from x0, must not be held past step 0
+        Q = _RecordingSet([(-5e-7, 1), (0, 1)])
+        held = run_dr(Q, self.HS, [1.0, 1.5])
+        assert held[0].q[0].tolist() == [0, 1] != held[0].q[1].tolist()
+        Q.ray_hold = lambda q, a: 0.0
+        plain = run_dr(Q, self.HS, [1.0, 1.5])
+        same_decisions(self.HS.b, held, plain)
+        for col in ("x", "q", "d_xH", "d_qH", "d_xL"):
+            assert (getattr(held[0], col).tobytes()
+                    == getattr(plain[0], col).tobytes()), col
 
     def test_an_inside_case_step_leaves_lam_unknown(self):
         # x' = q computes no lam, so the next step projects, also where the
         # lam before it lies inside the hold.  A run takes the inside case
         # with q held only at lam < 0, so the steps are driven by hand:
-        # steps 0 and 1 find q = (0, 1) and hold it with lam = 2, and
+        # step 0 finds q = (0, 1), step 1 holds it and leaves lam = 2, and
         # x = (0, 3) has <a, 2q - x> = -1
         Q = _RecordingSet([(0, 1), (80, -1)])
         step = engine._HalfSpaceSplit(Q, self.HS, SolverConfig())
@@ -607,9 +621,9 @@ class TestSegmentReuse:
         x = take(1, take(0, np.array([0.0, 1.0])))
         assert x.tolist() == [0.0, -1.0] and 0.0 <= step.lam < step.hold
         x = take(2, np.array([0.0, 3.0]))
-        assert x.tolist() == [0.0, 1.0] and len(Q.asked) == 2
+        assert x.tolist() == [0.0, 1.0] and len(Q.asked) == 1
         step.nearest(x)
-        assert len(Q.asked) == 3 and Q.asked[2].tolist() == [0.0, 1.0]
+        assert len(Q.asked) == 2 and Q.asked[1].tolist() == [0.0, 1.0]
 
 
 def _instance(rng, kind: str, scale: float):

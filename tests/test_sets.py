@@ -513,13 +513,15 @@ class TestMinAlong:
             assert abs(ks.min_along(a) - low) <= 1e-12
 
 
-def _crossing(points, q, a, tie=TIE_TOL):
+def _crossing(points, q, a, tie=TIE_TOL, k=None):
     """Brute force: the least lam at which a point ahead of q (<a, q - p>
     > 0) enters a tie band of ``tie`` (``project_all``'s by default) at
-    q - lam*a; inf if none is ahead."""
+    q - lam*a; inf if none is ahead.  For a = k/|k| with k and the points
+    integers, ahead is the sign of the exact gain <k, q - p>: a float gain
+    of an exact tie rounds to a few ulps either side of 0."""
     w = q - np.asarray(points, dtype=float)
     g = w @ a
-    ahead = g > 0
+    ahead = (g if k is None else w @ k) > 0
     if not ahead.any():
         return np.inf
     return float(((np.sum(w[ahead] ** 2, axis=1) - tie) / (2 * g[ahead])).min())
@@ -551,7 +553,8 @@ def _split_rounds(monkeypatch):
 
 def _workload_holds(seed, monkeypatch):
     """ray_hold's answers on the solve-knapsack workload's run_dr cases,
-    and the points ``project_all`` was asked for inside those calls."""
+    the points ``project_all`` was asked for inside those calls, and each
+    call's (set, q, a)."""
     import importlib.util
     import os
 
@@ -563,9 +566,10 @@ def _workload_holds(seed, monkeypatch):
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     hold, project_all = BinaryKnapsackSet.ray_hold, BinaryKnapsackSet.project_all
-    holds, inside = [], []
+    holds, inside, asked = [], [], []
 
     def recorded(ks, q, a):
+        asked.append((ks, q.copy(), a))
         inside.append(None)
         holds.append(hold(ks, q, a))
         inside.remove(None)
@@ -578,11 +582,12 @@ def _workload_holds(seed, monkeypatch):
     inputs = workloads.generate("solve-knapsack", seed)
     for hs, Q, x0, cfg in workloads.build(inputs)["cases"]:
         run_dr(Q, hs, x0, cfg)
-    return holds, projected
+    return holds, projected, asked
 
 
-# The 27 holds of solve-knapsack's run_dr cases at seed 3, as the
-# Dinkelbach search over projections answered them.
+# 27 of the 33 holds of solve-knapsack's run_dr cases at seed 3, as the
+# Dinkelbach search over projections answered them when run_dr asked for a
+# hold only once a projection had found q again.
 KNAPSACK_WORKLOAD_HOLDS = (
     1.090220867182613, 3.0071071044539384, 3.582971860964181,
     3.8063670207562357, 3.0783397820555596, 3.6662002777051144,
@@ -592,16 +597,17 @@ KNAPSACK_WORKLOAD_HOLDS = (
     2.4861854496091613, 7.169578334325724, 9.598973207095597, np.inf,
     4.554637824542572, 5.62128061989775, 16.515239010420288, np.inf,
     1.7024916243619814, 15.323622595444013, np.inf)
+# The other 6, asked since run_dr asks on q's second step: each q is
+# handed over there, its hold below that step's lam.
+KNAPSACK_EARLY_HOLDS = (4, 9, 18, 23, 24, 25)
 
 
-def _held_from_first_unique(Q, q, a, lams):
-    """Once ``project_all`` at q - lam*a returns [q] alone, it does so at
-    every larger lam of ``lams``."""
-    unique = False
-    for lam in sorted(lams):
-        ties = Q.project_all(q - lam * a)
-        unique = unique or (len(ties) == 1 and np.array_equal(ties[0], q))
-        if unique:
+def _held_below(Q, q, a, hold, lams):
+    """``project_all`` at q - lam*a returns [q] alone at each lam of
+    ``lams`` below ``hold``, lam = 0 included."""
+    for lam in lams:
+        if lam < hold:
+            ties = Q.project_all(q - lam * a)
             assert len(ties) == 1 and np.array_equal(ties[0], q), lam
 
 
@@ -610,20 +616,25 @@ class TestRayHold:
 
     FRACTIONS = (0.0, 1e-3, 0.1, 0.5, 0.9, 0.99, 1 - 1e-6, 1 - 1e-12)
 
-    def _check(self, Q, points, q, a, attains, rel=1e-6, tie=TIE_TOL):
-        # ``tie``: the tie band the hold must reach within rel
+    def _check(self, Q, points, q, a, attains, rel=1e-6, tie=TIE_TOL, k=None):
+        # ``tie``: the tie band the hold must reach within rel; ``k``: the
+        # integers of a = k/|k|.  A twin that ties q at x = q leaves no lam
+        # to hold q at, ahead or not.
         lam = Q.ray_hold(q, a)
-        cross = _crossing(points, q, a)
+        if len(Q.project_all(q)) > 1:
+            assert lam == 0.0
+            return
+        cross = _crossing(points, q, a, k=k)
         assert (lam == np.inf) == attains == (cross == np.inf)
         assert 0.0 <= lam <= max(0.0, cross)
         if np.isfinite(cross) and cross > 0:
-            assert lam >= _crossing(points, q, a, tie) * (1 - rel)
+            assert lam >= _crossing(points, q, a, tie, k) * (1 - rel)
             # the last lam below the hold too: run_dr holds q there, at x
             # rounded as q - lam*a
-            _held_from_first_unique(Q, q, a, [t * lam for t in self.FRACTIONS]
-                                    + [np.nextafter(lam, 0.0)])
+            _held_below(Q, q, a, lam, [t * lam for t in self.FRACTIONS]
+                        + [np.nextafter(lam, 0.0)])
         elif lam == np.inf:
-            _held_from_first_unique(Q, q, a, [0.0, 1e-3, 1.0, 1e3, 1e6])
+            _held_below(Q, q, a, lam, [0.0, 1e-3, 1.0, 1e3, 1e6])
 
     def test_finite_against_brute_force(self):
         rng = np.random.default_rng(12)
@@ -637,6 +648,8 @@ class TestRayHold:
                 self._check(Q, Q.points, q, a, along[i] == Q.min_along(a))
 
     def test_finite_exact_and_near_ties(self):
+        # each point of ``near`` has a twin within 1e-6, which ties it from
+        # lam = 0 on, also where the twin is not ahead: the hold is then 0
         rng = np.random.default_rng(13)
         near = FinitePointSet([(0, 0), (3e-7, 0), (0, 5e-7)])
         cases = [(near, a) for a in ([1.0, 0.0], [-1.0, 0.0], [0.0, -1.0],
@@ -651,11 +664,14 @@ class TestRayHold:
             along = Q.points @ a
             for i, q in enumerate(Q.points):
                 lam = Q.ray_hold(q, a)
-                assert (lam == np.inf) == (along[i] == Q.min_along(a))
-                assert 0.0 <= lam <= max(0.0, _crossing(Q.points, q, a))
-                _held_from_first_unique(Q, q, a, [t * min(lam, 1e3)
-                                                  for t in self.FRACTIONS]
-                                        + [np.nextafter(min(lam, 1e3), 0.0)])
+                if len(Q.project_all(q)) > 1:
+                    assert lam == 0.0
+                else:
+                    assert (lam == np.inf) == (along[i] == Q.min_along(a))
+                    assert 0.0 <= lam <= max(0.0, _crossing(Q.points, q, a))
+                top = min(lam, 1e3)
+                _held_below(Q, q, a, lam, [t * top for t in self.FRACTIONS]
+                            + [np.nextafter(top, 0.0)])
 
     def test_knapsack_against_all_corners(self, monkeypatch):
         # instances 3-8 of each m have zeros in a and c, and half of them a
@@ -736,8 +752,8 @@ class TestRayHold:
         assert calls == [] and held == 46
 
     def test_knapsack_workload_holds_rarely_project(self, monkeypatch):
-        # the 8 run_dr cases of solve-knapsack at seed 3 ask for 27 holds;
-        # Dinkelbach alone projected 47 times inside them
+        # the 8 run_dr cases of solve-knapsack at seed 3 ask for 33 holds;
+        # Dinkelbach alone projected 47 times inside 27 of them
         import importlib.util
         import os
 
@@ -765,15 +781,22 @@ class TestRayHold:
         inputs = workloads.generate("solve-knapsack", 3)
         for hs, Q, x0, cfg in workloads.build(inputs)["cases"]:
             run_dr(Q, hs, x0, cfg)
-        assert len(holds) == 27 and len(calls) <= 9
+        assert len(holds) == 33 and len(calls) <= 9
 
     @pytest.mark.parametrize("seed", [3, 20261017])
     def test_knapsack_workload_holds_never_project(self, seed, monkeypatch):
         # the seed draws only the cases' coordinate order and scales, so
         # both seeds hold as long as the search over projections did
-        holds, projected = _workload_holds(seed, monkeypatch)
-        assert projected == []
-        assert holds == pytest.approx(list(KNAPSACK_WORKLOAD_HOLDS), rel=1e-12)
+        holds, projected, asked = _workload_holds(seed, monkeypatch)
+        assert projected == [] and len(holds) == 33
+        early = KNAPSACK_EARLY_HOLDS
+        assert [h for i, h in enumerate(holds) if i not in early] == (
+            pytest.approx(list(KNAPSACK_WORKLOAD_HOLDS), rel=1e-12))
+        for i in early:
+            ks, q, a = asked[i]
+            ref, m = _dinkelbach_hold(ks, q, a), ks.dim
+            shrunk = ref * (1.0 - _ray_tol(ref, 2.0 * np.sqrt(m), m))
+            assert holds[i] == pytest.approx(shrunk, rel=1e-12)
 
     def test_knapsack_degenerate_weights_against_all_corners(self, monkeypatch):
         # unit and repeated weights on an integer threshold: every corner
@@ -836,7 +859,9 @@ class TestRayHold:
     def test_knapsack_exact_ties_do_not_cross(self):
         # a normal of small integers k/|k| ties corners exactly, but the
         # split gains of q's tied corners round to a few ulps either side
-        # of 0; at the least k.y over Q, q has no crossing
+        # of 0; at the least k.y over Q, q has no crossing.  Over the 823
+        # such q here the brute force's float gain of a tie rounds above 0
+        # once, so it reads ahead from the integer gains
         rng = np.random.default_rng(0)
         for _ in range(500):
             m = int(rng.integers(3, 9))
@@ -846,9 +871,9 @@ class TestRayHold:
             c = rng.integers(1, 4, m).astype(float)
             threshold = float(rng.integers(1, c.sum() + 1))
             corners = _row_sum_corners(c, threshold)
-            q = corners[int(np.argmin(corners @ k))]
             ks = BinaryKnapsackSet(c, threshold)
-            assert ks.ray_hold(q, k / np.linalg.norm(k)) == np.inf
+            for q in corners[corners @ k == (corners @ k).min()]:
+                self._check(ks, corners, q, k / np.linalg.norm(k), True, k=k)
 
     def test_knapsack_search_stops_at_the_bound(self, monkeypatch):
         # every gain is a multiple of 1/4, so the first round's best corner
@@ -866,7 +891,9 @@ class TestRayHold:
 
     def test_triadic_against_brute_force(self):
         # values 2/3^k lie within sqrt(TIE_TOL) of their neighbours, where
-        # the hold's band of 2 TIE_TOL, not TIE_TOL, decides its length
+        # the hold's band of 2 TIE_TOL, not TIE_TOL, decides its length;
+        # from 2/3^13 down, x = q ties q with the point below it, which is
+        # behind q if a = -1
         for depth in (1, 5, 20, 60):
             Q = TriadicSet(depth)
             for a in (np.array([1.0]), np.array([-1.0])):
