@@ -27,12 +27,12 @@ when first read and cached.
 Points are checked once, when a driver starts: x0, and that the set and the
 constraint share a dimension.  In the loop the one point check is the set's
 ``project_all``, which also rejects an iterate that has overflowed.
-``run_dr`` skips it inside a constant-q segment: from the step after a
-unique q's outside-case step, it reuses q while x = q - lam*a has 0 <= lam
-< the set's ``ray_hold``, a test false for NaN and inf (finite, triadic and
-knapsack sets hold).  lam is the value the step computed, -s of x = q + s*a,
-and is unknown after an inside-case step, whose next step projects.  Each
-held step is the outside case and lam grows by d(q,H), so from
+``run_dr`` skips it inside a constant-q segment.  Every step leaves x on
+q's ray x = q - lam*a at a known lam: -s of x = q + s*a after the outside
+case, 0 after the inside case (x = q).  The set's ``ray_hold`` is asked once
+per unique q, on the step after q's own, and q is reused while 0 <= lam <
+the hold, a test false for NaN (finite, triadic and knapsack sets hold).
+Each held step is the outside case and lam grows by d(q,H), so from
 ``_SEGMENT_MIN`` steps on the segment is appended at once, lam rounded once
 per row (``_HalfSpaceSplit._segment``).  Its decisions are those the
 per-step tests take on its rows, none of them within the rounding margin
@@ -440,9 +440,10 @@ class _Strategy:
 
 class _HalfSpaceSplit(_Strategy):
     """The case-split step against a half-space, with the march rule in
-    place of the cycle detector.  A unique q is held from the step after
-    its outside-case step while lam, the value its step computed for x =
-    q - lam*a, has 0 <= lam < the set's ``ray_hold``."""
+    place of the cycle detector.  Each step leaves x = q - lam*a with lam
+    known: -s after the outside case, 0 after the inside case.  The hold
+    is asked once per unique q, after q's own step, and q is held while 0
+    <= lam < the set's ``ray_hold``."""
 
     tag = "dr"
 
@@ -450,26 +451,22 @@ class _HalfSpaceSplit(_Strategy):
         self.proj_set, self.constraint, self.cfg = proj_set, hs, cfg
         self.key = (cfg.max_iter, cfg.eps_h, NORM_CAP)
         self.length, self.support = 0, None
-        self.q = self.hold = None   # the last q if unique; its ray_hold
-        self.lam = math.nan         # unknown after an inside-case step
+        self.q, self.hold = None, 0.0   # the last q if unique; its ray_hold
+        self.lam = 0.0                  # of x = q - lam*a, after every step
         self.c, self.top = _ROUNDING * (hs.dim + 2), hs.b + cfg.eps_h
 
     def nearest(self, x):
         a = self.constraint.a
         self.ax = float(a.dot(x))
-        if self.hold is None and self.q is not None and self.lam >= 0.0:
-            self.hold = self.proj_set.ray_hold(self.q, a)   # x on q's ray
-        # False for NaN and inf: after an inside-case or an overflowed step
-        # x reaches project_all.
-        if self.hold is not None and 0.0 <= self.lam < self.hold:
+        if self.hold is None:   # None: q's own step put x on its ray
+            self.hold = self.proj_set.ray_hold(self.q, a)
+        if 0.0 <= self.lam < self.hold:     # false if x overflowed
             return self.q, x
         ties = self.proj_set.project_all(x)
         q, unique = ties[0], len(ties) == 1
         if unique and self.q is not None and q.tobytes() == self.q.tobytes():
-            if self.hold is None:   # lam was unknown (x = q) or below 0
-                self.hold = self.proj_set.ray_hold(self.q, a)
             return self.q, x
-        self.q, self.hold = q if unique else None, None
+        self.q, self.hold = (q, None) if unique else (None, 0.0)
         self.aq, self.row = float(a.dot(q)), q.tolist()
         return q, x
 
@@ -496,11 +493,11 @@ class _HalfSpaceSplit(_Strategy):
         # dr_step's, with <a,x> and <a,q> as computed for the distances
         a = self.constraint.a
         if float(a.dot(2.0 * q - x)) <= self.top:
-            self.lam = math.nan
+            self.lam = 0.0              # x' = q
             return k + 1, q.copy()
         s = self.ax + self.constraint.b - 2.0 * self.aq
         self.lam = -s                   # x' = q - lam*a on q's ray
-        if self.hold is None:
+        if not self.hold:               # unknown or 0: one step
             return k + 1, q + s * a
         return self._segment(k + 1, q + s * a, trace)
 

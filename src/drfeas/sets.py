@@ -84,7 +84,9 @@ class ProjectableSet(abc.ABC):
     def ray_hold(self, q: np.ndarray, a: np.ndarray) -> float:
         """lam* such that, for 0 <= lam < lam*, ``project_all`` at q - lam*a
         returns [q] alone, for any q it returns alone and unit a, ties and
-        rounding allowed for.  Finite, triadic and knapsack sets override 0."""
+        rounding allowed for: lam* is no longer than the lam where rounding
+        could tie a point behind q.  Finite, triadic and knapsack sets
+        override 0."""
         return 0.0
 
     def distance(self, x) -> float:
@@ -118,6 +120,11 @@ def _ray_tol(lam: float, s, d: int):
     return 2 * TIE_TOL + (4 * d + 12) * _EPS * (lam + s) ** 2
 
 
+def _ray_reach(f, s, d: int):
+    """The lam at which ``_ray_tol(lam, s, d)`` reaches f: its inverse."""
+    return np.sqrt((f - 2 * TIE_TOL) / ((4 * d + 12) * _EPS)) - s
+
+
 def _tie_filter(candidates: np.ndarray, d2: np.ndarray) -> list[np.ndarray]:
     """Rows of ``candidates`` whose squared distance is minimal within TIE_TOL."""
     return list(candidates[d2 <= float(d2.min()) + TIE_TOL])
@@ -139,18 +146,24 @@ class _FinitePoints(ProjectableSet):
     def ray_hold(self, q: np.ndarray, a: np.ndarray) -> float:
         """Min over p ahead, g = <a, q - p> > 0, of (|q - p|^2 - tol)/(2g),
         p's crossing less tol; 0 if a twin p != q, |q - p|^2 <= tol, may tie
-        q from behind, g <= 0 (``_ties_behind``)."""
+        q from behind, g <= 0 (``_ties_behind``).  With none ahead, the least
+        lam where tol's rounding could tie a p != q behind; inf if none is
+        compared."""
         w = q - self.points
         g, f = w @ a, (w * w).sum(1)
         ahead = g > 0
         f2, g2 = f[ahead], 2 * g[ahead]
         lam = (f2 / g2).min() if g2.size else 0.0
-        tol = _ray_tol(lam, math.sqrt(q @ q) + np.sqrt(f), self.dim)
-        if self._ties_behind(a) and np.count_nonzero(f <= tol) > 1:
+        s = math.sqrt(q @ q) + np.sqrt(f)
+        tol, behind = _ray_tol(lam, s, self.dim), self._ties_behind(a)
+        if behind and np.count_nonzero(f <= tol) > 1:
             return 0.0
-        if not g2.size:
+        if g2.size:
+            return max(0.0, float(((f2 - tol[ahead]) / g2).min()))
+        other = f > 0   # p != q, each beyond its twin band
+        if not (behind and other.any()):
             return np.inf
-        return max(0.0, float(((f2 - tol[ahead]) / g2).min()))
+        return float(_ray_reach(f[other], s[other], self.dim).min())
 
 
 class FinitePointSet(_FinitePoints):
@@ -302,51 +315,46 @@ class BinaryKnapsackSet(ProjectableSet):
         return _tie_filter(corners, np.sum((corners - x) ** 2, axis=1))
 
     def min_along(self, a: np.ndarray) -> float:
-        return float(np.sum(self._lowest(a) * a, axis=1).min())
-
-    def _lowest(self, a: np.ndarray) -> np.ndarray:
-        """``_cheapest(a)``, kept for the last a asked."""
+        """Kept for the last a asked."""
         if self._low[0] != a.tobytes():
-            self._low = (a.tobytes(), self._cheapest(a))
+            low = float(np.sum(self._cheapest(a) * a, axis=1).min())
+            self._low = (a.tobytes(), low)
         return self._low[1]
 
     def ray_hold(self, q: np.ndarray, a: np.ndarray) -> float:
-        """The least crossing |y - q|^2 / (2<a, q - y>) over feasible y.
-        k flips of q gain at most S_k, the sum of the k largest w_i =
+        """The least crossing |y - q|^2 / (2<a, q - y>) over feasible y,
+        asked once per unique q (lam = 0 after an inside-case step).  k
+        flips of q gain at most S_k, the sum of the k largest w_i =
         a_i(2q_i - 1): the best single flip's crossing, 1/(2 max w_i), is the
-        hold if its corner is feasible.  Else ``_split_hold`` searches, from
-        m = 16 in rounds: 2 flips per half, then each count whose k/(2 S_k)
-        is below the answer, unless no maybe-feasible corner gains.  Shrunk
-        by (16m + 48) eps below the true hold, it changes no run.  Corners
-        are at least 1 apart, so none ties q from behind."""
+        hold if its corner is feasible.  Else none crosses if q attains the
+        support ``min_along(a)``, or ``_split_hold`` searches, from m = 16 in
+        rounds: 2 flips per half, then each count whose k/(2 S_k) is below
+        the answer.  Corners are at least 1 apart, so capped where rounding
+        reaches a quarter of that, none ties q from behind; shrunk by (16m +
+        48) eps below the true hold, it changes no run."""
         m, s, hd = self.dim, 2.0 * math.sqrt(self.dim), self.dim - self._tail_dim
         # Past this cap the rounding bound is a quarter of a corner's gap.
-        cap = math.sqrt(0.25 / ((4 * m + 12) * _EPS)) - s
+        cap = _ray_reach(0.25 + 2 * TIE_TOL, s, m)
         w = a * (2.0 * q - 1.0)
         i = int(w.argmax())
-        if not w[i] > 0:
-            return np.inf
         y = q.copy()
         y[i] = 1.0 - y[i]
-        if np.sum(y[None] * self.c, axis=1)[0] >= self.threshold:
+        tol = (m + 2) * _EPS * math.sqrt(m)  # split sums of +-a_i, |a| = 1
+        if w[i] > 0 and np.sum(y[None] * self.c, axis=1)[0] >= self.threshold:
             lam = 0.5 / float(w[i])
+        elif float(q @ a) - self.min_along(a) <= tol:
+            lam = np.inf  # q attains the support: no corner gains
         else:  # gains <a, q - y> per half, in the sums every round reads
-            tol = (m + 2) * _EPS * math.sqrt(m)  # split sums of +-a_i, |a| = 1
             gh = float(q[:hd] @ a[:hd]) - self._head @ a[:hd]
             gt = float(q[hd:] @ a[hd:]) - self._tail @ a[hd:]
             top = m if self._tail_dim <= 7 else 2  # m <= 15: one round is faster
             lam = self._split_hold(q, gh, gt, top, tol)
             if top < m:  # more rounds while a count's bound is below lam
-                if lam == np.inf and (gh + np.maximum.accumulate(np.append(
-                        gt, -np.inf)[::-1])[::-1][self._reach]).max() <= tol:
-                    return lam  # no maybe-feasible corner gains
                 gain = np.cumsum(np.sort(w)[::-1])  # S_k: no k flips gain more
                 bound = np.arange(1, m + 1)[gain > 0] / (2.0 * gain[gain > 0])
                 while (bound[top:] < lam).any():
                     top = int(np.flatnonzero(bound < lam)[-1]) + 1
                     lam = self._split_hold(q, gh, gt, top, tol)
-            if lam == np.inf:
-                return lam
         lam = min(cap, lam)
         return max(0.0, lam * (1.0 - _ray_tol(lam, s, m)))
 
@@ -456,6 +464,7 @@ class TriadicSet(_FinitePoints):
     of x, the nearest as rounded, so its ties are between those two.  On
     q's ray x = q - lam*a they are q and the next point ahead, but at x = q
     q and the point below it, whose tie ``ray_hold`` guards (``_ties_behind``).
+    With a > 0 that point is ahead: no point behind q is ever compared.
     """
 
     def __init__(self, depth: int = 60):

@@ -374,7 +374,10 @@ def check_prop4(trials=10000, dims=(2, 3, 4, 5), seed=0,
     Non-vacuous instances (a new nearest point p != q appears after the
     step) are crafted directly; a fraction of trials is left uncrafted to
     exercise and count the vacuous branch.  Its mutant, like every
-    suite's, is a broken operator: the wrong-sign shift of prop3.
+    suite's, is a broken operator: the wrong-sign shift of prop3.  Every
+    crafted instance has x in H and q outside it, so prop4 barely sees a
+    flipped case, a half-length step or a dropped offset: prop1-prop3
+    own those faults.
     """
     trials, dims, seed = _checked(trials, dims, seed)
     rng = np.random.default_rng(seed)

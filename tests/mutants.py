@@ -3,9 +3,9 @@
 Each row is one deliberate fault (mutation analysis, DeMillo, Lipton &
 Sayward 1978) in the code that decides how long ``run_dr`` holds q:
 ``_HalfSpaceSplit``'s held-q and closed-form code in
-``src/drfeas/engine.py``, and the finite sets' twin guard and
-``BinaryKnapsackSet.ray_hold`` with its split search in
-``src/drfeas/sets.py``.  A row holds the file, the exact old text, which
+``src/drfeas/engine.py``, and the finite sets' twin guard, the bound of
+a hold with no point ahead and ``BinaryKnapsackSet.ray_hold`` with its
+split search in ``src/drfeas/sets.py``.  A row holds the file, the exact old text, which
 must occur once in it, the text that replaces it, and the tests that
 fail on it.
 
@@ -41,7 +41,9 @@ BOUNDS = ("tests/test_engine.py::TestClosedFormSegments::"
 CROSSING = ("tests/test_engine.py::TestSegmentReuse::"
             "test_reuse_stops_before_the_crossing")
 INSIDE_CASE = ("tests/test_engine.py::TestSegmentReuse::"
-               "test_an_inside_case_step_leaves_lam_unknown")
+               "test_x_equal_to_q_is_held_at_lam_zero")
+BEHIND = ("tests/test_engine.py::TestSegmentReuse::"
+          "test_a_point_behind_q_ties_it_by_rounding")
 MARGIN = ("tests/test_engine.py::TestSegmentMargins::"
           "test_no_segment_starts_inside_a_margin")
 GOLDEN_TRACE = ("tests/test_cli.py::TestGoldenOutput::"
@@ -92,20 +94,19 @@ MUTANTS = (
            "if m is None:\n"
            "            m = self.proj_set.min_along(self.constraint.a)",
            ("tests/test_engine.py::TestRunDr::"
-            "test_no_certificate_for_transient_march", INSIDE_CASE)),
+            "test_no_certificate_for_transient_march",)),
     # the hold on the computed lambda
     Mutant("no-early-hold", ENGINE,
-           "if self.hold is None and self.q is not None and self.lam >= 0.0:",
-           "if False:",
+           "self.hold = self.proj_set.ray_hold(self.q, a)",
+           "self.hold = 0.0",
            ("tests/test_engine.py::TestSegmentReuse::"
-            "test_step_zero_and_handovers_are_projected",
+            "test_step_zero_and_handovers_are_projected", INSIDE_CASE,
             f"{HOLD}test_knapsack_workload_holds_never_project")),
     Mutant("hold-test-le", ENGINE,
            "0.0 <= self.lam < self.hold", "0.0 <= self.lam <= self.hold",
            (CROSSING,)),
     Mutant("stale-lam-after-inside-step", ENGINE,
-           "self.lam = math.nan\n            return k + 1, q.copy()",
-           "return k + 1, q.copy()",
+           "self.lam = 0.0              # x' = q", "pass",
            (INSIDE_CASE,)),
     Mutant("segment-keeps-first-lam", ENGINE,
            "self.lam = float(lams[n])", "pass",
@@ -123,15 +124,27 @@ MUTANTS = (
            (f"{MARGIN}[cap]",)),
     # a twin of q that project_all compares, ahead of q or behind it
     Mutant("no-twin-guard", SETS,
-           "if self._ties_behind(a) and np.count_nonzero(f <= tol) > 1:",
+           "if behind and np.count_nonzero(f <= tol) > 1:",
            "if False:",
-           ("tests/test_engine.py::TestSegmentReuse::"
-            "test_a_twin_not_ahead_is_projected",
-            f"{HOLD}test_finite_exact_and_near_ties",
+           (f"{HOLD}test_finite_exact_and_near_ties",
             f"{HOLD}test_triadic_against_brute_force")),
     Mutant("triadic-twin-below-ignored", SETS,
            "return a[0] < 0", "return False",
            (f"{HOLD}test_triadic_against_brute_force",)),
+    # with no point ahead of q, the hold ends where rounding could tie a
+    # point behind it
+    Mutant("finite-behind-unbounded", SETS,
+           "return float(_ray_reach(f[other], s[other], self.dim).min())",
+           "return np.inf",
+           (f"{BEHIND}[finite-march]", f"{BEHIND}[finite-second-step]",
+            f"{HOLD}test_finite_against_brute_force",
+            f"{HOLD}test_triadic_against_brute_force")),
+    Mutant("knapsack-no-crossing-uncapped", SETS,
+           "lam = np.inf  # q attains the support: no corner gains",
+           "return np.inf",
+           (f"{BEHIND}[knapsack]",
+            f"{HOLD}test_knapsack_no_crossing_takes_no_round",
+            f"{HOLD}test_knapsack_workload_holds_never_project")),
     # the knapsack hold's split search
     Mutant("count-0-kept", SETS,
            "g[ch.argmin(), 0] = -np.inf  # y = q", "pass  # y = q",
@@ -145,7 +158,8 @@ MUTANTS = (
             f"{HOLD}test_knapsack_split_search_against_dinkelbach")),
     Mutant("zero-gain-kept", SETS,
            "tol = (m + 2) * _EPS * math.sqrt(m)", "tol = 0.0",
-           (f"{HOLD}test_knapsack_exact_ties_do_not_cross",)),
+           (f"{HOLD}test_knapsack_against_all_corners",
+            f"{HOLD}test_knapsack_no_crossing_takes_no_round")),
     Mutant("round-bound-le", SETS,
            "while (bound[top:] < lam).any():\n"
            "                    top = int(np.flatnonzero(bound < lam)[-1]) + 1",
@@ -153,16 +167,17 @@ MUTANTS = (
            "                    top = int(np.flatnonzero(bound <= lam)[-1]) + 1",
            (f"{HOLD}test_knapsack_search_stops_at_the_bound",)),
     Mutant("no-gain-check-skipped", SETS,
-           "gt, -np.inf)[::-1])[::-1][self._reach]).max() <= tol:",
-           "gt, -np.inf)[::-1])[::-1][self._reach]).max() < -np.inf:",
-           (f"{HOLD}test_knapsack_no_crossing_takes_one_round",)),
+           "elif float(q @ a) - self.min_along(a) <= tol:", "elif False:",
+           (f"{HOLD}test_knapsack_no_crossing_takes_no_round",
+            f"{HOLD}test_knapsack_against_all_corners")),
     Mutant("no-hold-shrink", SETS,
            "return max(0.0, lam * (1.0 - _ray_tol(lam, s, m)))",
            "return max(0.0, lam)",
            (f"{HOLD}test_knapsack_against_all_corners",
             f"{HOLD}test_knapsack_relaxation_feasible_by_row_sums")),
     Mutant("relaxation-always-searches", SETS,
-           "if np.sum(y[None] * self.c, axis=1)[0] >= self.threshold:",
+           "if w[i] > 0 and np.sum(y[None] * self.c, axis=1)[0] >= "
+           "self.threshold:",
            "if False:",
            (f"{HOLD}test_knapsack_against_all_corners",)),
 )

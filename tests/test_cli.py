@@ -246,6 +246,34 @@ class TestBadInput:
         assert main(["solve", write_problem(tmp_path, data)]) == 1
         assert self.assert_one_error_line(capsys) == ""
 
+    @pytest.mark.parametrize("part, value", [
+        ("config", [1]),
+        ("set", [[0.0, 2.0]]),
+        ("constraint", {"a": [0.0, 1.0], "b": 0.0}),
+        ("set", {"type": "product", "components": []}),
+        ("set", {"type": "product", "components": [{"type": "wavelet"}]}),
+        ("set", {"type": "knapsack", "c": [1.0, -1.0], "threshold": 0.5}),
+        ("constraint", {"type": "cone", "apex": [0.0, 0.0],
+                        "p1": [0.0, 0.0], "p2": [1.0, 0.0]}),
+        ("constraint", {"type": "diagonal", "block_dim": 0}),
+        ("set", {"type": "finite", "points": [[0.0, float("nan")]]}),
+        ("x0", None),
+        (None, None),
+    ], ids=["config", "set-type", "constraint-type", "product-empty",
+            "product-component-type", "knapsack-weights", "cone-directions",
+            "block-dim", "finite-nan", "missing-x0", "not-an-object"])
+    def test_rejected_problem(self, part, value, tmp_path, capsys):
+        # part None: the file is a list; value None: the part is left out
+        data = json.loads(open(problem("two-points.json")).read())
+        if part is None:
+            data = [data]
+        elif value is None:
+            del data[part]
+        else:
+            data[part] = value
+        assert main(["solve", write_problem(tmp_path, data)]) == 1
+        assert self.assert_one_error_line(capsys) == ""
+
     def test_integer_past_the_digit_limit(self, tmp_path, capsys):
         # json.loads raises a plain ValueError for an integer of more than
         # 4300 digits, which used to escape as a traceback

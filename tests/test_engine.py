@@ -604,26 +604,36 @@ class TestSegmentReuse:
             assert (getattr(held[0], col).tobytes()
                     == getattr(plain[0], col).tobytes()), col
 
-    def test_an_inside_case_step_leaves_lam_unknown(self):
-        # x' = q computes no lam, so the next step projects, also where the
-        # lam before it lies inside the hold.  A run takes the inside case
-        # with q held only at lam < 0, so the steps are driven by hand:
-        # step 0 finds q = (0, 1), step 1 holds it and leaves lam = 2, and
-        # x = (0, 3) has <a, 2q - x> = -1
-        Q = _RecordingSet([(0, 1), (80, -1)])
-        step = engine._HalfSpaceSplit(Q, self.HS, SolverConfig())
+    @pytest.mark.parametrize("make, hs, x0", [
+        (lambda: FinitePointSet([(1e-4, 0), (0, 0)]),
+         HalfSpace([0.0, 1.0], -1e5), [-1.0, 99999.0]),
+        (lambda: FinitePointSet([(1e-4, 0), (0, 0)]),
+         HalfSpace([0.0, 1.0], -1e5), [-1.0, 0.5]),
+        (lambda: BinaryKnapsackSet([1.0, 1.0], 0.0),
+         HalfSpace([1.0, 0.0], -1e9), [0.1, 0.9]),
+    ], ids=["finite-march", "finite-second-step", "knapsack"])
+    def test_a_point_behind_q_ties_it_by_rounding(self, make, hs, x0,
+                                                  same_decisions):
+        # no point is ahead of q, but one behind it ties q once lam^2
+        # swamps |q - p|^2 in rounding, and project_all then selects it
+        # where it comes first: the hold must end before that lam
+        Q = make()
+        held = run_dr(Q, hs, x0)
+        Q.ray_hold = lambda q, a: 0.0
+        same_decisions(hs.b, held, run_dr(Q, hs, x0))
 
-        def take(k, x):
-            q, src = step.nearest(x)
-            step.distances(x, q)
-            return step.advance(k, x, q, src, None)[1]
-
-        x = take(1, take(0, np.array([0.0, 1.0])))
-        assert x.tolist() == [0.0, -1.0] and 0.0 <= step.lam < step.hold
-        x = take(2, np.array([0.0, 3.0]))
-        assert x.tolist() == [0.0, 1.0] and len(Q.asked) == 1
-        step.nearest(x)
-        assert len(Q.asked) == 2 and Q.asked[1].tolist() == [0.0, 1.0]
+    def test_x_equal_to_q_is_held_at_lam_zero(self, same_decisions):
+        # step 0 finds q = (0, 10) from x0 = (0, 12) and leaves lam = 8,
+        # past q's hold of 4.5; step 1 projects x1 = (0, 2), finds (0, 1)
+        # and takes the inside case, x2 = q: on q's ray at lam = 0, below
+        # the hold of 3.25 that (3, -1) sets, so step 2 holds q unprojected
+        Q = _RecordingSet([(0, 10), (0, 1), (3, -1)])
+        held = run_dr(Q, self.HS, [0.0, 12.0])
+        assert isinstance(held[1], Solved) and len(held[0]) == 7
+        assert held[0].x[2].tolist() == [0.0, 1.0]
+        assert [x.tolist() for x in Q.asked] == [[0, 12], [0, 2], [0, -3]]
+        Q.ray_hold = lambda q, a: 0.0
+        same_decisions(self.HS.b, held, run_dr(Q, self.HS, [0.0, 12.0]))
 
 
 def _instance(rng, kind: str, scale: float):

@@ -178,6 +178,42 @@ class TestRejection:
         with pytest.raises(ProblemFormatError, match=f"{part} .*{field}"):
             ProblemFile.from_json_dict(data)
 
+    @pytest.mark.parametrize("part, value, match", [
+        ("config", [1], "config must be an object"),
+        ("set", [[0.0, -1.0]], "set must be an object with a type"),
+        ("constraint", {"a": [0.0, 1.0], "b": 0.0},
+         "constraint must be an object with a type"),
+        ("set", {"type": "product", "components": []},
+         "product components must be a nonempty list"),
+        # raised inside the product's builder, and passed on as it is
+        ("set", {"type": "product", "components": [{"type": "wavelet"}]},
+         "^unknown set type 'wavelet'$"),
+        ("set", {"type": "knapsack", "c": [1.0, -1.0], "threshold": 0.5},
+         "weights must be nonnegative"),
+        ("constraint", {"type": "cone", "apex": [0.0, 0.0],
+                        "p1": [0.0, 0.0], "p2": [1.0, 0.0]},
+         "directions must be nonzero"),
+        ("constraint", {"type": "diagonal", "block_dim": 0},
+         "block dimension must be positive"),
+        ("set", {"type": "finite", "points": [[0.0, float("nan")]]},
+         "non-finite coordinates"),
+        ("x0", None, "missing top-level field 'x0'"),
+        (None, None, "problem file must be a JSON object"),
+    ], ids=["config", "set-type", "constraint-type", "product-empty",
+            "product-component-type", "knapsack-weights", "cone-directions",
+            "block-dim", "finite-nan", "missing-x0", "not-an-object"])
+    def test_rejected_spec(self, part, value, match):
+        # part None: the file is a list; value None: the part is left out
+        data = minimal()
+        if part is None:
+            data = [data]
+        elif value is None:
+            del data[part]
+        else:
+            data[part] = value
+        with pytest.raises(ProblemFormatError, match=match):
+            ProblemFile.from_json_dict(data)
+
 
 class TestRoundTrip:
     def test_parse_serialize_parse_is_identity(self):

@@ -585,21 +585,49 @@ def _workload_holds(seed, monkeypatch):
     return holds, projected, asked
 
 
+# The hold of a q with no crossing at m = 14: the cap, where rounding could
+# tie a corner behind q (``_assert_behind_hold``).
+NO_CROSSING_14 = 3051798.8142029564
 # 27 of the 33 holds of solve-knapsack's run_dr cases at seed 3, as the
 # Dinkelbach search over projections answered them when run_dr asked for a
-# hold only once a projection had found q again.
+# hold only once a projection had found q again; its 4 infinite answers,
+# no crossing, are capped.
 KNAPSACK_WORKLOAD_HOLDS = (
     1.090220867182613, 3.0071071044539384, 3.582971860964181,
     3.8063670207562357, 3.0783397820555596, 3.6662002777051144,
     6.265294227751071, 6.536290481644708, 3.075093085278383,
     3.9446729266660636, 5.004288404025533, 11.050276526450633,
-    36.422661638483646, 1.7404443142523356, 67.8627332722777, np.inf,
-    2.4861854496091613, 7.169578334325724, 9.598973207095597, np.inf,
-    4.554637824542572, 5.62128061989775, 16.515239010420288, np.inf,
-    1.7024916243619814, 15.323622595444013, np.inf)
+    36.422661638483646, 1.7404443142523356, 67.8627332722777, NO_CROSSING_14,
+    2.4861854496091613, 7.169578334325724, 9.598973207095597, NO_CROSSING_14,
+    4.554637824542572, 5.62128061989775, 16.515239010420288, NO_CROSSING_14,
+    1.7024916243619814, 15.323622595444013, NO_CROSSING_14)
 # The other 6, asked since run_dr asks on q's second step: each q is
 # handed over there, its hold below that step's lam.
 KNAPSACK_EARLY_HOLDS = (4, 9, 18, 23, 24, 25)
+
+
+def _assert_behind_hold(Q, q, a, lam):
+    """``lam`` is the hold of a q that no point crosses: it ends where
+    rounding could first tie a point behind q that ``project_all``
+    compares.  A finite set's ends where ``_ray_tol`` reaches the least
+    |q - p|^2 over p != q; inf with no such p, or for a triadic set with
+    a > 0, which compares only q and the point ahead.  A knapsack's
+    corners are at least 1 apart: its hold is the cap where the rounding
+    term reaches 1/4, shrunk by its tolerance as every hold is."""
+    if isinstance(Q, BinaryKnapsackSet):
+        s = 2.0 * np.sqrt(Q.dim)
+        cap = lam / (0.75 - 2 * TIE_TOL)
+        rounding = _ray_tol(cap, s, Q.dim) - 2 * TIE_TOL
+        assert rounding == pytest.approx(0.25, rel=1e-9)
+        return
+    w = q - Q.points
+    f = np.sum(w * w, axis=1)
+    f = f[f > 0]
+    if not f.size or (isinstance(Q, TriadicSet) and a[0] > 0):
+        assert lam == np.inf
+        return
+    band = _ray_tol(lam, np.sqrt(q @ q) + np.sqrt(f), Q.dim)
+    assert (band / f).max() == pytest.approx(1.0, rel=1e-9)
 
 
 def _held_below(Q, q, a, hold, lams):
@@ -625,16 +653,18 @@ class TestRayHold:
             assert lam == 0.0
             return
         cross = _crossing(points, q, a, k=k)
-        assert (lam == np.inf) == attains == (cross == np.inf)
+        assert attains == (cross == np.inf)
         assert 0.0 <= lam <= max(0.0, cross)
         if np.isfinite(cross) and cross > 0:
             assert lam >= _crossing(points, q, a, tie, k) * (1 - rel)
-            # the last lam below the hold too: run_dr holds q there, at x
-            # rounded as q - lam*a
+        elif cross == np.inf:
+            _assert_behind_hold(Q, q, a, lam)
+        if lam == np.inf:
+            _held_below(Q, q, a, lam, [0.0, 1e-3, 1.0, 1e3, 1e6])
+        else:   # the last lam below the hold too: run_dr holds q there, at
+            # x rounded as q - lam*a
             _held_below(Q, q, a, lam, [t * lam for t in self.FRACTIONS]
                         + [np.nextafter(lam, 0.0)])
-        elif lam == np.inf:
-            _held_below(Q, q, a, lam, [0.0, 1e-3, 1.0, 1e3, 1e6])
 
     def test_finite_against_brute_force(self):
         rng = np.random.default_rng(12)
@@ -667,8 +697,11 @@ class TestRayHold:
                 if len(Q.project_all(q)) > 1:
                     assert lam == 0.0
                 else:
-                    assert (lam == np.inf) == (along[i] == Q.min_along(a))
-                    assert 0.0 <= lam <= max(0.0, _crossing(Q.points, q, a))
+                    cross = _crossing(Q.points, q, a)
+                    assert (cross == np.inf) == (along[i] == Q.min_along(a))
+                    assert 0.0 <= lam <= max(0.0, cross)
+                    if cross == np.inf:
+                        _assert_behind_hold(Q, q, a, lam)
                 top = min(lam, 1e3)
                 _held_below(Q, q, a, lam, [t * top for t in self.FRACTIONS]
                             + [np.nextafter(top, 0.0)])
@@ -702,9 +735,9 @@ class TestRayHold:
                     self._check(ks, corners, q, a, float(np.sum(q * a)) <= low)
                     calls += 1
                     searches += len(searched) > before
-        # 719 calls: 161 ran the search, and 558 had a feasible relaxation
-        # corner or no positive gain
-        assert (calls, searches) == (719, 161)
+        # 719 calls: 131 ran the search, and 588 had a feasible relaxation
+        # corner or a q attaining the support
+        assert (calls, searches) == (719, 131)
 
     def test_knapsack_relaxation_feasible_by_row_sums(self):
         # the relaxation's corner 11000011 weighs 8.440000000000001 by
@@ -841,11 +874,10 @@ class TestRayHold:
         assert 2 in searched and max(searched) > 2
 
     @pytest.mark.parametrize("m", [20, 32])
-    def test_knapsack_no_crossing_takes_one_round(self, m, monkeypatch):
+    def test_knapsack_no_crossing_takes_no_round(self, m, monkeypatch):
         # q attains the least <a, y> over Q, so no corner crosses; with a > 0
-        # taking a coordinate out of q gains, so the search runs, its first
-        # round finds no crossing, and no count-free gain sends it through
-        # every flip count
+        # taking a coordinate out of q gains, so the single flip's corner
+        # leaves Q, and the support, not a search, says that none gains
         tops = _split_rounds(monkeypatch)
         rng = np.random.default_rng(5)
         for _ in range(4):
@@ -853,8 +885,9 @@ class TestRayHold:
             ks = BinaryKnapsackSet(c, float(rng.uniform(0.3, 0.6) * c.sum()))
             a = np.abs(rng.normal(size=m))
             a /= np.linalg.norm(a)
-            assert ks.ray_hold(ks._cheapest(a)[0], a) == np.inf
-        assert tops == [2, 2, 2, 2]
+            q = ks._cheapest(a)[0]
+            _assert_behind_hold(ks, q, a, ks.ray_hold(q, a))
+        assert tops == []
 
     def test_knapsack_exact_ties_do_not_cross(self):
         # a normal of small integers k/|k| ties corners exactly, but the
