@@ -198,6 +198,37 @@ def test_knapsack_workload_runs_are_pinned(decided):
     assert columns.hexdigest() == KNAPSACK_COLUMNS_SHA256
 
 
+# sha256 of all 1172 driver runs (run_dr, run_dr_generic and run_ap) of
+# the solve-small and solve-knapsack workloads at seeds 3 and 20261017:
+# per run its x, q, d_xH, d_qH and d_xL columns, outcome repr and
+# fingerprint.  A change that leaves the runs alone leaves it alone.
+WORKLOAD_COLUMNS_SHA256 = (
+    "8c0d0859c6b2a64b2bdeb0f7b1e3882d5c3392f630830e578ade3f94bc8857ad")
+
+
+def test_every_workload_run_is_pinned():
+    workloads = _bench_module("workloads")
+    drivers = {"dr": engine.run_dr,
+               "generic": lambda Q, hs, x0, cfg:
+                   engine.run_dr_generic(hs, Q, x0, cfg),
+               "ap": engine.run_ap}
+    digest, runs = hashlib.sha256(), 0
+    for name in ("solve-small", "solve-knapsack"):
+        for seed in (3, 20261017):
+            inputs = workloads.generate(name, seed)
+            built = workloads.build(inputs)
+            for case, (hs, Q, x0, cfg) in zip(inputs["cases"],
+                                              built["cases"]):
+                trace, outcome = drivers[case["driver"]](Q, hs, x0, cfg)
+                for col in ("x", "q", "d_xH", "d_qH", "d_xL"):
+                    digest.update(getattr(trace, col).tobytes())
+                digest.update(repr(outcome).encode())
+                digest.update(trace.fingerprint.encode())
+                runs += 1
+    assert runs == 1172
+    assert digest.hexdigest() == WORKLOAD_COLUMNS_SHA256
+
+
 def _bench_run(monkeypatch):
     # bench/run.py imports its siblings by name and sets thread variables
     # in os.environ; both are undone after the test
