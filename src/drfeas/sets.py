@@ -75,7 +75,8 @@ class ProjectableSet(abc.ABC):
 
     @abc.abstractmethod
     def project_all(self, x) -> list[np.ndarray]:
-        """All nearest points to x, in a deterministic order."""
+        """All nearest points to x, in a deterministic order, each a fresh
+        array."""
 
     @abc.abstractmethod
     def min_along(self, a: np.ndarray) -> float:
@@ -126,8 +127,13 @@ def _ray_reach(f, s, d: int):
 
 
 def _tie_filter(candidates: np.ndarray, d2: np.ndarray) -> list[np.ndarray]:
-    """Rows of ``candidates`` whose squared distance is minimal within TIE_TOL."""
-    return list(candidates[d2 <= float(d2.min()) + TIE_TOL])
+    """Rows of ``candidates`` whose squared distance is minimal within
+    TIE_TOL, in order, each a fresh array; a unique answer skips the gather."""
+    i = d2.argmin()
+    near = d2 <= d2[i] + TIE_TOL
+    if np.count_nonzero(near) == 1:
+        return [candidates[i].copy()]
+    return list(candidates[near])
 
 
 class _FinitePoints(ProjectableSet):
@@ -187,8 +193,8 @@ class FinitePointSet(_FinitePoints):
         self.points.setflags(write=False)
 
     def project_all(self, x) -> list[np.ndarray]:
-        x = as_point(x, self.dim)
-        return _tie_filter(self.points, ((self.points - x) ** 2).sum(axis=1))
+        w = self.points - as_point(x, self.dim)
+        return _tie_filter(self.points, np.add.reduce(w * w, 1))
 
     def distance(self, x) -> float:
         x = as_point(x, self.dim)
@@ -348,20 +354,20 @@ class BinaryKnapsackSet(ProjectableSet):
             gh = float(q[:hd] @ a[:hd]) - self._head @ a[:hd]
             gt = float(q[hd:] @ a[hd:]) - self._tail @ a[hd:]
             top = m if self._tail_dim <= 7 else 2  # m <= 15: one round is faster
-            lam = self._split_hold(q, gh, gt, top, tol)
+            lam = self._split_hold(q, gh, gt, top)
             if top < m:  # more rounds while a count's bound is below lam
                 gain = np.cumsum(np.sort(w)[::-1])  # S_k: no k flips gain more
                 bound = np.arange(1, m + 1)[gain > 0] / (2.0 * gain[gain > 0])
                 while (bound[top:] < lam).any():
                     top = int(np.flatnonzero(bound < lam)[-1]) + 1
-                    lam = self._split_hold(q, gh, gt, top, tol)
+                    lam = self._split_hold(q, gh, gt, top)
         lam = min(cap, lam)
         return max(0.0, lam * (1.0 - _ray_tol(lam, s, m)))
 
-    def _split_hold(self, q, gh, gt, top: int, tol) -> float:
+    def _split_hold(self, q, gh, gt, top: int) -> float:
         """The least |y - q|^2 / (2G), G = gh + gt of y's halves (tails in
         weight order), over feasible y != q of at most ``top`` flips of q per
-        half; inf if no G per flip is above tol.  Per flip count, suffix maxima
+        half; inf if no G per flip is positive.  Per flip count, suffix maxima
         of tail gains read at ``_sure``; row sums decide the slack band."""
         m, td, hd = self.dim, self._tail_dim, self.dim - self._tail_dim
         idx = int(q @ 2.0 ** np.arange(m - 1, -1, -1))  # q's bit string
@@ -388,7 +394,7 @@ class BinaryKnapsackSet(ProjectableSet):
                 y = _bit_rows((heads[i] << td) | self._tail_idx[tails[j[ok]]], m)
                 ok[ok] = np.sum(y * self.c, axis=1) >= self.threshold
                 per_flip = max(per_flip, (gj[ok] / kj[ok]).max(initial=0.0))
-        return 0.5 / float(per_flip) if per_flip > tol else np.inf
+        return 0.5 / float(per_flip) if per_flip > 0.0 else np.inf
 
     def _cheapest(self, g: np.ndarray) -> np.ndarray:
         """Feasible corners within rounding of min sum(g * y), in bit order.
@@ -480,10 +486,10 @@ class TriadicSet(_FinitePoints):
     def project_all(self, x) -> list[np.ndarray]:
         x = as_point(x, 1)
         t = float(x[0])
-        pos = int(np.searchsorted(self.values, t))
+        pos = int(self.values.searchsorted(t))
         cand = self.values[max(0, pos - 1): pos + 1]
-        d2 = (cand - t) ** 2
-        return _tie_filter(cand[:, None], d2)
+        w = cand - t
+        return _tie_filter(cand[:, None], w * w)
 
     def _ties_behind(self, a: np.ndarray) -> bool:
         return a[0] < 0     # at x = q only: see the class docstring

@@ -5,9 +5,10 @@ Sayward 1978) in the code that decides how long ``run_dr`` holds q:
 ``_HalfSpaceSplit``'s held-q and closed-form code in
 ``src/drfeas/engine.py``, and the finite sets' twin guard, the bound of
 a hold with no point ahead and ``BinaryKnapsackSet.ray_hold`` with its
-split search in ``src/drfeas/sets.py``.  A row holds the file, the exact old text, which
-must occur once in it, the text that replaces it, and the tests that
-fail on it.
+split search in ``src/drfeas/sets.py``; or in ``_tie_filter``, which
+picks the nearest points of every finite set.  A row holds the file,
+the exact old text, which must occur once in it, the text that replaces
+it, and the tests that fail on it.
 
     python tests/mutants.py              # each mutant against its tests
     python tests/mutants.py --all [ID]   # against the whole suite
@@ -49,6 +50,8 @@ MARGIN = ("tests/test_engine.py::TestSegmentMargins::"
 GOLDEN_TRACE = ("tests/test_cli.py::TestGoldenOutput::"
                 "test_bundled_trace_is_byte_identical[infeasible.json]")
 HOLD = "tests/test_sets.py::TestRayHold::"
+SCAN = ("tests/test_sets.py::TestFinitePointSet::"
+        "test_projection_is_the_reference_scan")
 
 
 class Mutant(NamedTuple):
@@ -180,6 +183,18 @@ MUTANTS = (
            "self.threshold:",
            "if False:",
            (f"{HOLD}test_knapsack_against_all_corners",)),
+    # _tie_filter: a unique nearest point builds no tie list
+    Mutant("unique-path-on-ties", SETS,
+           "if np.count_nonzero(near) == 1:", "if True:",
+           (SCAN, "tests/test_sets.py::TestTriadicSet::test_midpoint_tie",
+            "tests/test_sets.py::TestProductSet::test_tie_sets_multiply")),
+    Mutant("unique-row-shared", SETS,
+           "return [candidates[i].copy()]", "return [candidates[i]]",
+           (SCAN, "tests/test_sets.py::TestFinitePointSet::"
+                  "test_projection_is_brute_force_argmin")),
+    Mutant("exact-only-ties", SETS,
+           "near = d2 <= d2[i] + TIE_TOL", "near = d2 <= d2[i]",
+           (SCAN,)),
 )
 
 

@@ -57,6 +57,19 @@ def test_contains_is_distance_within_tol(obj, member):
             assert obj.contains(x, tol) == (d <= tol)
 
 
+def _assert_scan(ties, candidates, x, owners=()):
+    """``ties`` is the reference scan of ``candidates`` at x, bit for bit
+    and in order, and each row is a writable array of its own."""
+    d2 = ((candidates - x) ** 2).sum(axis=1)
+    ref = list(candidates[d2 <= float(d2.min()) + TIE_TOL])
+    assert [(p.dtype, p.shape, p.tobytes()) for p in ties] == [
+        (r.dtype, r.shape, r.tobytes()) for r in ref]
+    for p in ties:
+        assert p.flags.writeable
+        assert not any(np.shares_memory(p, o) for o in owners)
+    return ties
+
+
 class TestFinitePointSet:
     def test_single_nearest(self):
         Q = FinitePointSet([(0, 0), (3, 0), (0, 4)])
@@ -75,6 +88,25 @@ class TestFinitePointSet:
         ties = Q.project_all([0.0, 0.0])
         assert len(ties) == 1
 
+    def test_projection_is_the_reference_scan(self):
+        # random points, integer-lattice points with exact ties at
+        # half-integer x, and near-twins that tie within TIE_TOL
+        rng = np.random.default_rng(0)
+        cases = [(FinitePointSet(rng.normal(size=(6, d))),
+                  rng.normal(size=(50, d))) for d in (1, 2, 3)]
+        cases.append((FinitePointSet(list(itertools.product(range(3), repeat=2))),
+                      rng.integers(-1, 6, (50, 2)) / 2.0))
+        twins = FinitePointSet([(0, 0), (3e-7, 0), (0, 5e-7)])
+        cases.append((twins, [[1e-8, 0.0]]))
+        counts = set()
+        for Q, xs in cases:
+            for x in xs:
+                x = np.asarray(x, float)
+                counts.add(len(_assert_scan(Q.project_all(x), Q.points, x,
+                                            (Q.points,))))
+        assert counts == {1, 2, 3, 4}
+        assert len(twins.project_all([1e-8, 0.0])) == 3
+
     def test_deduplication(self):
         Q = FinitePointSet([(1, 1), (1, 1), (2, 2)])
         assert Q.points.shape == (2, 2)
@@ -91,7 +123,7 @@ class TestFinitePointSet:
     def test_projection_is_brute_force_argmin(self, pts, x):
         Q = FinitePointSet(pts)
         x = np.array(x)
-        ties = Q.project_all(x)
+        ties = _assert_scan(Q.project_all(x), Q.points, x, (Q.points,))
         dists = [np.linalg.norm(np.array(p) - x) for p in Q.points]
         best = min(dists)
         for p in ties:
@@ -159,14 +191,12 @@ class TestBinaryKnapsack:
                 assert np.sum((p - x) ** 2) == pytest.approx(best, abs=1e-9)
 
     def test_tie_order_is_bit_string_order(self):
-        # both feasible corners are equidistant from the midpoint
+        # all three feasible corners are equidistant from the midpoint
         ks = BinaryKnapsackSet(np.array([1.0, 1.0]), 1.0)
-        ties = ks.project_all([0.5, 0.5])
-        as_tuples = [tuple(t) for t in ties]
-        assert as_tuples == [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0)] or as_tuples == [
-            (0.0, 1.0),
-            (1.0, 0.0),
-        ]
+        x = np.array([0.5, 0.5])
+        ties = _assert_scan(ks.project_all(x),
+                            _row_sum_corners(ks.c, ks.threshold), x, (ks.c,))
+        assert [tuple(t) for t in ties] == [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
 
     def test_empty_set_rejected(self):
         with pytest.raises(EmptySetError):
@@ -313,10 +343,13 @@ class TestTriadicSet:
         assert p[0] == 0.0
 
     def test_midpoint_tie(self):
+        # between every two neighbours: both, as a scan of the pair finds them
         T = TriadicSet()
-        mid = (2.0 + 2.0 / 3.0) / 2.0
-        ties = T.project_all([mid])
-        assert len(ties) == 2
+        for k in range(T.values.size - 1):
+            pair = T.points[k: k + 2]
+            x = np.array([(pair[0, 0] + pair[1, 0]) / 2.0])
+            ties = _assert_scan(T.project_all(x), pair, x, (T.values,))
+            assert len(ties) == 2
 
     def test_matches_full_scan(self):
         T = TriadicSet(depth=20)
@@ -423,7 +456,10 @@ class TestProductSet:
         P = ProductSet(
             [FinitePointSet([(-1,), (1,)]), FinitePointSet([(-2,), (2,)])]
         )
-        ties = P.project_all([0.0, 0.0])
+        x = np.zeros(2)
+        grid = np.array(list(itertools.product((-1.0, 1.0), (-2.0, 2.0))))
+        ties = _assert_scan(P.project_all(x), grid, x,
+                            [c.points for c in P.components])
         assert len(ties) == 4
         assert {tuple(t) for t in ties} == {
             (-1, -2), (-1, 2), (1, -2), (1, 2)
@@ -546,8 +582,8 @@ def _dinkelbach_hold(ks, q, a):
 def _split_rounds(monkeypatch):
     """The ``top`` of each ``_split_hold`` round the knapsack hold runs."""
     search, tops = BinaryKnapsackSet._split_hold, []
-    monkeypatch.setattr(BinaryKnapsackSet, "_split_hold", lambda ks, q, gh, gt, top, tol: (
-        tops.append(top) or search(ks, q, gh, gt, top, tol)))
+    monkeypatch.setattr(BinaryKnapsackSet, "_split_hold", lambda ks, q, gh, gt, top: (
+        tops.append(top) or search(ks, q, gh, gt, top)))
     return tops
 
 

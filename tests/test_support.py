@@ -18,7 +18,7 @@ SOURCES = sorted(glob.glob(os.path.join(ROOT, "src", "drfeas", "*.py")))
 # The NumPy release that added each np.* name src/ uses, as written there:
 # a submodule function or a ufunc method is keyed with its dotted path.
 NUMPY_ADDED = {
-    "abs": "1.0", "all": "1.0", "any": "1.0",
+    "abs": "1.0", "add.reduce": "1.0", "all": "1.0", "any": "1.0",
     "arange": "1.0", "argsort": "1.0", "array": "1.0", "array_equal": "1.0",
     "asarray": "1.0", "ascontiguousarray": "1.0", "atleast_2d": "1.0",
     "column_stack": "1.0", "concatenate": "1.0", "count_nonzero": "1.6",
