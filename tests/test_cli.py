@@ -257,11 +257,15 @@ class TestBadInput:
                         "p1": [0.0, 0.0], "p2": [1.0, 0.0]}),
         ("constraint", {"type": "diagonal", "block_dim": 0}),
         ("set", {"type": "finite", "points": [[0.0, float("nan")]]}),
+        # solved to MaxIterations as if 2-D, and as the single point (0, 2)
+        ("set", {"type": "finite", "points": [[[0.0, 2.0], [1.0, -2.0]]]}),
+        ("set", {"type": "finite", "points": [0.0, 2.0]}),
         ("x0", None),
         (None, None),
     ], ids=["config", "set-type", "constraint-type", "product-empty",
             "product-component-type", "knapsack-weights", "cone-directions",
-            "block-dim", "finite-nan", "missing-x0", "not-an-object"])
+            "block-dim", "finite-nan", "finite-nested", "finite-flat",
+            "missing-x0", "not-an-object"])
     def test_rejected_problem(self, part, value, tmp_path, capsys):
         # part None: the file is a list; value None: the part is left out
         data = json.loads(open(problem("two-points.json")).read())

@@ -197,11 +197,16 @@ class TestRejection:
          "block dimension must be positive"),
         ("set", {"type": "finite", "points": [[0.0, float("nan")]]},
          "non-finite coordinates"),
+        # an IndexError traceback, and a silent single point (0, 2)
+        ("set", {"type": "finite", "points": [[[0.0, 2.0]], [[1.0, -2.0]]]},
+         "list of points"),
+        ("set", {"type": "finite", "points": [0.0, 2.0]}, "list of points"),
         ("x0", None, "missing top-level field 'x0'"),
         (None, None, "problem file must be a JSON object"),
     ], ids=["config", "set-type", "constraint-type", "product-empty",
             "product-component-type", "knapsack-weights", "cone-directions",
-            "block-dim", "finite-nan", "missing-x0", "not-an-object"])
+            "block-dim", "finite-nan", "finite-nested", "finite-flat",
+            "missing-x0", "not-an-object"])
     def test_rejected_spec(self, part, value, match):
         # part None: the file is a list; value None: the part is left out
         data = minimal()
