@@ -237,52 +237,26 @@ def ex_pierra_cycles() -> ExperimentResult:
     convergence the plain two-set splitting enjoys; the rational cycle
     values are checked exactly.
     """
-    cfg_c = SolverConfig(eps_cycle=1e-12, reflect_order="constraint-first")
-    cfg_s = SolverConfig(eps_cycle=1e-12, reflect_order="set-first")
-    hs = HalfSpace(np.array([0.0, 1.0]), 1.0)
     corners = FinitePointSet([(0, 0), (0, 1), (1, 0), (1, 1)])
-    product = ProductSet([hs, corners])
-    diag = DiagonalSet(2)
-
+    product = ProductSet([HalfSpace(np.array([0.0, 1.0]), 1.0), corners])
+    # name, constraint, set, reflected first, x0, first index (None: any)
+    # and x1, x2.  Scalar doubleton blocks: the problem lives in the plane.
+    variants = [
+        ("diag_first", DiagonalSet(2), product, "constraint-first",
+         [0, 2 / 5, 0, 4 / 5], 0, [(0, 3 / 5, 0, 1 / 5), (0, 2 / 5, 0, 4 / 5)]),
+        ("product_first", DiagonalSet(2), product, "set-first",
+         [0, 4 / 5, 0, 2 / 5], None, [(0, 1 / 5, 0, 3 / 5), (0, 4 / 5, 0, 2 / 5)]),
+        ("doubleton", DiagonalSet(1), corners, "constraint-first",
+         [-0.5, 1.0], None, [(1 / 4, 3 / 4), (3 / 4, 1 / 4)]),
+    ]
     checks = {}
-    # reflect the diagonal first
-    tr_d, out_d = run_dr_generic(
-        diag, product, [0, 2 / 5, 0, 4 / 5], cfg_c
-    )
-    checks["diag_first_cycle"] = (
-        isinstance(out_d, CycleDetected)
-        and out_d.period == 2
-        and out_d.first_index == 0
-    )
-    checks["diag_first_values"] = _close(
-        tr_d.x[1], (0, 3 / 5, 0, 1 / 5), TIGHT
-    ) and _close(tr_d.x[2], (0, 2 / 5, 0, 4 / 5), TIGHT)
-
-    # reflect the product set first
-    tr_p, out_p = run_dr_generic(
-        diag, product, [0, 4 / 5, 0, 2 / 5], cfg_s
-    )
-    checks["product_first_cycle"] = (
-        isinstance(out_p, CycleDetected) and out_p.period == 2
-    )
-    checks["product_first_values"] = _close(
-        tr_p.x[1], (0, 1 / 5, 0, 3 / 5), TIGHT
-    ) and _close(tr_p.x[2], (0, 4 / 5, 0, 2 / 5), TIGHT)
-
-    # scalar doubleton blocks: the whole problem lives in the plane
-    tr_2, out_2 = run_dr_generic(
-        DiagonalSet(1),
-        FinitePointSet([(0, 0), (0, 1), (1, 0), (1, 1)]),
-        [-0.5, 1.0],
-        cfg_c,
-    )
-    checks["doubleton_cycle"] = (
-        isinstance(out_2, CycleDetected) and out_2.period == 2
-    )
-    checks["doubleton_values"] = _close(
-        tr_2.x[1], (1 / 4, 3 / 4), TIGHT
-    ) and _close(tr_2.x[2], (3 / 4, 1 / 4), TIGHT)
-
+    for name, constraint, Q, order, x0, first, orbit in variants:
+        tr, out = run_dr_generic(constraint, Q, x0, SolverConfig(
+            eps_cycle=1e-12, reflect_order=order))
+        checks[name + "_cycle"] = isinstance(out, CycleDetected) and (
+            out.period == 2 and first in (None, out.first_index))
+        checks[name + "_values"] = all(_close(tr.x[k], p, TIGHT)
+                                       for k, p in enumerate(orbit, 1))
     return ExperimentResult("pierra-2-cycles", all(checks.values()), checks)
 
 

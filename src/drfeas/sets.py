@@ -91,8 +91,10 @@ class ProjectableSet(abc.ABC):
         return 0.0
 
     def distance(self, x) -> float:
-        p = self.project_all(x)[0]
-        return float(np.linalg.norm(as_point(x, self.dim) - p))
+        """The least |x - p| over p in ``project_all(x)``; Sphere (defined at
+        the centre), ProductSet and FinitePointSet override it."""
+        x = as_point(x, self.dim)
+        return min(float(np.linalg.norm(x - p)) for p in self.project_all(x))
 
     def contains(self, x, tol: float = 1e-9) -> bool:
         """Whether ``distance(x) <= tol``: no set overrides this."""
@@ -176,20 +178,15 @@ class FinitePointSet(_FinitePoints):
     """An explicit finite set of points; projection by exhaustive comparison."""
 
     def __init__(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = np.asarray(points, dtype=float)
         if pts.size == 0:
             raise EmptySetError("finite set must be nonempty")
+        if pts.ndim != 2:
+            raise ValueError("finite set points must be a list of points, "
+                             f"got an array of shape {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise ValueError("finite set has non-finite coordinates")
-        # Deduplicate exact repeats, keeping first occurrence order.
-        seen: set[bytes] = set()
-        keep = []
-        for i, row in enumerate(pts):
-            k = row.tobytes()
-            if k not in seen:
-                seen.add(k)
-                keep.append(i)
-        self.points = pts[keep]
+        self.points = np.array(list({r.tobytes(): r for r in pts}.values()))
         self.points.setflags(write=False)
 
     def project_all(self, x) -> list[np.ndarray]:
@@ -197,6 +194,7 @@ class FinitePointSet(_FinitePoints):
         return _tie_filter(self.points, np.add.reduce(w * w, 1))
 
     def distance(self, x) -> float:
+        """The exact least distance: ``verifier._nearest`` matches its bits."""
         x = as_point(x, self.dim)
         d2 = np.sum((self.points - x) ** 2, axis=1)
         return float(np.sqrt(d2.min()))
@@ -236,6 +234,7 @@ class Sphere(ProjectableSet):
         return float(a @ self.center) - self.radius * float(np.linalg.norm(a))
 
     def distance(self, x) -> float:
+        """Also at the centre, where ``project_all`` raises."""
         x = as_point(x, self.dim)
         return abs(float(np.linalg.norm(x - self.center)) - self.radius)
 
@@ -494,10 +493,6 @@ class TriadicSet(_FinitePoints):
     def _ties_behind(self, a: np.ndarray) -> bool:
         return a[0] < 0     # at x = q only: see the class docstring
 
-    def distance(self, x) -> float:
-        x = as_point(x, 1)
-        return float(np.min(np.abs(self.values - x[0])))
-
     def key(self) -> tuple:
         return ("TriadicSet", self.depth)
 
@@ -673,6 +668,7 @@ class ProductSet(ProjectableSet):
                    for c, blk in zip(self.components, self._blocks(a)))
 
     def distance(self, x) -> float:
+        """Blockwise: also at a sphere block's centre, with no tie product."""
         x = as_point(x, self.dim)
         return float(np.sqrt(sum(
             (c.distance(blk) if isinstance(c, ProjectableSet)

@@ -1,4 +1,4 @@
-"""Mutants of ``run_dr``'s held steps, each with the tests that kill it.
+"""Mutants of the drivers' held steps and verdicts, each with its kills.
 
 Each row is one deliberate fault (mutation analysis, DeMillo, Lipton &
 Sayward 1978) in the code that decides how long ``run_dr`` holds q:
@@ -6,9 +6,12 @@ Sayward 1978) in the code that decides how long ``run_dr`` holds q:
 ``src/drfeas/engine.py``, and the finite sets' twin guard, the bound of
 a hold with no point ahead and ``BinaryKnapsackSet.ray_hold`` with its
 split search in ``src/drfeas/sets.py``; or in ``_tie_filter``, which
-picks the nearest points of every finite set.  A row holds the file,
-the exact old text, which must occur once in it, the text that replaces
-it, and the tests that fail on it.
+picks the nearest points of every finite set.  Further rows break the
+drivers' verdicts in ``engine.py`` (the divergence march's window, the
+cycle detector's table and its confirmation, ``run_ap``'s separate tags
+for x and q) and the knapsack search's rounded fast path.  A row holds
+the file, the exact old text, which must occur once in it, the text that
+replaces it, and the tests that fail on it.
 
     python tests/mutants.py              # each mutant against its tests
     python tests/mutants.py --all [ID]   # against the whole suite
@@ -52,6 +55,8 @@ GOLDEN_TRACE = ("tests/test_cli.py::TestGoldenOutput::"
 HOLD = "tests/test_sets.py::TestRayHold::"
 SCAN = ("tests/test_sets.py::TestFinitePointSet::"
         "test_projection_is_the_reference_scan")
+FULL_SCAN = ("tests/test_sets.py::TestBinaryKnapsackSplitSearch::"
+             "test_identical_to_full_scan")
 
 
 class Mutant(NamedTuple):
@@ -195,6 +200,27 @@ MUTANTS = (
     Mutant("exact-only-ties", SETS,
            "near = d2 <= d2[i] + TIE_TOL", "near = d2 <= d2[i]",
            (SCAN,)),
+    # the divergence march, the cycle detector and the knapsack fast path
+    Mutant("march-window-off-by-one", ENGINE,
+           "length >= window", "length > window",
+           (GOLDEN_TRACE, "tests/test_engine.py::TestRunDr::"
+                          "test_march_after_a_handover_starts_at_the_handover")),
+    Mutant("confirm-one-step", ENGINE,
+           "if done >= period:", "if done >= 1:",
+           ("tests/test_cli.py::TestGoldenOutput::"
+            "test_bundled_trace_is_byte_identical[corner-cycle.json]",
+            "tests/test_bench_contract.py::test_every_workload_run_is_pinned")),
+    Mutant("first-occurrence-kept", ENGINE,
+           "self.seen[key] = index", "self.seen.setdefault(key, index)",
+           ("tests/test_engine.py::TestDetectCycle::"
+            "test_a_match_closes_the_shortest_loop",)),
+    Mutant("ap-untagged-q", ENGINE,
+           'tag="q"', 'tag="x"',
+           ("tests/test_engine.py::TestRunAp::"
+            "test_x_and_q_in_one_grid_cell_are_different_states",)),
+    Mutant("cheapest-fast-path-unguarded", SETS,
+           "if (np.abs(g).min() > tol", "if (True",
+           (f"{FULL_SCAN}[lattice]", f"{FULL_SCAN}[scaled]")),
 )
 
 

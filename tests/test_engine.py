@@ -171,6 +171,12 @@ class TestDetectCycle:
         a, b = np.array([0.0, 1.0]), np.array([1.0, 0.0])
         assert detect_cycle([a, b] * 4, confirm=True) == (2, 0)
 
+    def test_a_match_closes_the_shortest_loop(self):
+        # 0 recurs at 2, 4, 5 and 6: matched against its first index 0
+        # instead of its last, each recurrence tries a longer loop and fails
+        states = [[0.0], [1.0], [0.0], [2.0], [0.0], [0.0], [0.0]]
+        assert detect_cycle(states, confirm=True) == (1, 4)
+
     def test_overflowing_grid_keys_do_not_collide(self):
         # |state| / eps_cycle overflows to inf here; distinct states must
         # not share that key, while an exact repeat is still a cycle
@@ -882,6 +888,14 @@ class TestRunAp:
         hs = HalfSpace(np.array([0.0, 1.0]), 0.0)
         trace, outcome = run_ap(Q, hs, [3.0, 3.0])
         assert isinstance(outcome, Solved)
+
+    def test_x_and_q_in_one_grid_cell_are_different_states(self):
+        # q = (0, 1e-4) and its foot x = (0, 0) share a 1e-3 cell; untagged,
+        # the pair would read as a fixed point, period 1
+        trace, outcome = run_ap(FinitePointSet([(0.0, 1e-4)]),
+                                HalfSpace([0.0, 1.0], 0.0), [0.0, 1.0],
+                                SolverConfig(eps_cycle=1e-3))
+        assert outcome == CycleDetected(period=2, first_index=1)
 
 
 class TestDivergenceScan:

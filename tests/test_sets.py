@@ -352,15 +352,18 @@ class TestTriadicSet:
             assert len(ties) == 2
 
     def test_matches_full_scan(self):
+        # the tail, 1e-150 and up, and inside tie bands (both neighbours
+        # within TIE_TOL), where the first nearest point is the farther
         T = TriadicSet(depth=20)
         rng = np.random.default_rng(1)
-        for _ in range(200):
-            x = rng.uniform(-1, 3)
+        tail = 10.0 ** rng.uniform(-150, 0.5, 200)
+        for x in [*rng.uniform(-1, 3, 200), *tail, 1.65e-9, 1.2e-6,
+                  4 / 3 + 2e-13]:
             assert T.distance([x]) == pytest.approx(
                 np.min(np.abs(T.values - x)), abs=0
             )
-            (p, *_) = T.project_all([x])
-            assert abs(p[0] - x) == pytest.approx(T.distance([x]), abs=1e-15)
+            ties = T.project_all([x])
+            assert min(abs(p[0] - x) for p in ties) == T.distance([x])
 
 
 class TestSlab:

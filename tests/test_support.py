@@ -20,14 +20,14 @@ SOURCES = sorted(glob.glob(os.path.join(ROOT, "src", "drfeas", "*.py")))
 NUMPY_ADDED = {
     "abs": "1.0", "add.reduce": "1.0", "all": "1.0", "any": "1.0",
     "arange": "1.0", "argsort": "1.0", "array": "1.0", "array_equal": "1.0",
-    "asarray": "1.0", "ascontiguousarray": "1.0", "atleast_2d": "1.0",
+    "asarray": "1.0", "ascontiguousarray": "1.0",
     "column_stack": "1.0", "concatenate": "1.0", "count_nonzero": "1.6",
     "cumsum": "1.0", "diff": "1.0", "empty": "1.0", "finfo": "1.0",
     "flatnonzero": "1.0", "float64": "1.0", "floating": "1.0",
     "fmax": "1.3", "frombuffer": "1.0", "full": "1.8", "inf": "1.0",
     "int32": "1.0", "int8": "1.0", "integer": "1.0", "isfinite": "1.0",
     "linalg.inv": "1.0", "linalg.norm": "1.0", "linalg.qr": "1.0",
-    "maximum": "1.0", "maximum.accumulate": "1.0", "min": "1.0",
+    "maximum": "1.0", "maximum.accumulate": "1.0",
     "minimum.accumulate": "1.0", "multiply.outer": "1.0",
     "ndarray": "1.0", "nonzero": "1.0", "ones": "1.0",
     "random.default_rng": "1.17", "searchsorted": "1.0", "sort": "1.0",
