@@ -592,6 +592,8 @@ def _iterate(strategy: _Strategy, x0, cfg: SolverConfig) -> tuple[Trace, RunOutc
     """The loop of every driver: stop rule, detectors, caps and the trace."""
     proj_set, constraint = strategy.proj_set, strategy.constraint
     x = as_point(x0, constraint.dim)
+    if not math.isfinite(x.dot(x)):  # every squared distance would be inf
+        raise ValueError("start point's squared norm overflows")
     if proj_set.dim != constraint.dim:
         raise DimensionMismatchError(f"set has dimension {proj_set.dim}, "
                                      f"constraint has dimension {constraint.dim}")

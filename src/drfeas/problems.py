@@ -186,8 +186,9 @@ class ProblemFile:
                 and all(map(_is_number, self.x0))):
             raise ProblemFormatError("x0 must be a nonempty list of numbers")
         x0 = np.asarray(self.x0, dtype=float)
-        if not np.all(np.isfinite(x0)):
-            raise ProblemFormatError("x0 must be a list of finite numbers")
+        with np.errstate(over="ignore"):  # one error line, no warning
+            if not np.isfinite(x0 @ x0):  # else every squared distance is inf
+                raise ProblemFormatError("x0 must be finite, of finite squared norm")
         if constraint.dim != proj_set.dim:
             raise ProblemFormatError(
                 f"dimension mismatch: constraint is {constraint.dim}-D, "

@@ -254,23 +254,24 @@ class BinaryKnapsackSet(ProjectableSet):
     partial corners of each half and sorts the second half by weight.  A
     call prices both halves along 1 - 2x, pairs each first half with its
     cheapest weight-feasible second half (a suffix minimum) and gathers the
-    corners within a rounding band of the best pair.  The band scales with
-    m + |1 - 2x|^2 and sum c + threshold, so it holds every tie at any |x|.
-    ``min_along(a)`` runs the same search with the costs a.
+    corners within a rounding band of the best pair, wide enough for every
+    tie at any |x|.  If row sums find no feasible corner there, or ties may
+    lie past it, a second and last gather reaches the cheapest surely
+    feasible pair plus that width.  ``min_along(a)`` searches the costs a.
 
-    The band only picks candidates.  Feasibility, distances and ties are
+    The band only picks candidates: feasibility, distances and ties are
     decided as a scan of all 2^m corners decides them, so the result is the
     scan's list, in increasing order of the corner read as a bit-string
     (first coordinate most significant).  Feasibility is sum(c * y) >=
     threshold summed row by row, which rounds a corner's weight the same
     way whatever other rows are summed with it; a BLAS product does not.
     A feasible rounded corner, every |x_i - 1/2| beyond rounding, is
-    returned at once, without the search.  m is at most KNAPSACK_CAP = 32,
-    where a search takes about 1 ms and construction 27-38 ms (Intel Xeon,
-    2 CPUs, numpy 2.4.6, best of 3 calls); at m = 14 a search takes 34-44
-    us and a rounded answer 9-13 us, against 2.5 ms for the full scan.
-    There ``ray_hold`` takes 7-10 us from the best single flip and 52-55 us
-    when it searches the split tables; 0.9-6.7 ms at m = 32.
+    returned at once.  m is at most KNAPSACK_CAP = 32, where a search takes
+    about 1 ms and construction 24-35 ms (Intel Xeon, 2 CPUs, numpy 2.4.6,
+    best of 3 calls); at m = 14 one gather takes 40-58 us, two (decimal
+    weights) 77-147 us, a rounded answer 10-18 us and the full scan 2.9 ms.
+    ``ray_hold`` takes 8-14 us from the best single flip and 63-85 us when
+    it searches the split tables; 1.0-20 ms at m = 32.
     """
 
     def __init__(self, c, threshold: float):
@@ -333,10 +334,10 @@ class BinaryKnapsackSet(ProjectableSet):
         a_i(2q_i - 1): the best single flip's crossing, 1/(2 max w_i), is the
         hold if its corner is feasible.  Else none crosses if q attains the
         support ``min_along(a)``, or ``_split_hold`` searches, from m = 16 in
-        rounds: 2 flips per half, then each count whose k/(2 S_k) is below
-        the answer.  Corners are at least 1 apart, so capped where rounding
-        reaches a quarter of that, none ties q from behind; shrunk by (16m +
-        48) eps below the true hold, it changes no run."""
+        at most two rounds: 2 flips per half, then each count whose k/(2 S_k)
+        is below the answer.  Corners are at least 1 apart, so capped where
+        rounding reaches a quarter of that, none ties q from behind; shrunk
+        by (16m + 48) eps below the true hold, it changes no run."""
         m, s, hd = self.dim, 2.0 * math.sqrt(self.dim), self.dim - self._tail_dim
         # Past this cap the rounding bound is a quarter of a corner's gap.
         cap = _ray_reach(0.25 + 2 * TIE_TOL, s, m)
@@ -354,10 +355,10 @@ class BinaryKnapsackSet(ProjectableSet):
             gt = float(q[hd:] @ a[hd:]) - self._tail @ a[hd:]
             top = m if self._tail_dim <= 7 else 2  # m <= 15: one round is faster
             lam = self._split_hold(q, gh, gt, top)
-            if top < m:  # more rounds while a count's bound is below lam
+            if top < m:  # a second round if a count's bound is below lam
                 gain = np.cumsum(np.sort(w)[::-1])  # S_k: no k flips gain more
                 bound = np.arange(1, m + 1)[gain > 0] / (2.0 * gain[gain > 0])
-                while (bound[top:] < lam).any():
+                if (bound[top:] < lam).any():  # once: it leaves bound[top:] >= lam
                     top = int(np.flatnonzero(bound < lam)[-1]) + 1
                     lam = self._split_hold(q, gh, gt, top)
         lam = min(cap, lam)
@@ -400,13 +401,14 @@ class BinaryKnapsackSet(ProjectableSet):
 
         The rounded corner y = [g < 0] costs least, and every other corner
         costs at least min |g_i| more in exact arithmetic; tol bounds twice
-        the rounding of these costs and of squared distances, plus TIE_TOL.
-        So if min |g_i| > tol and y is feasible, the scan returns y alone.
+        the rounding of these costs, split or summed by row, and of squared
+        distances (all at most m + |g|^2 for g = 1 - 2x), plus TIE_TOL.  So
+        if min |g_i| > tol and y is feasible, the scan returns y alone.
         """
         m = self.dim
-        # Bound on the rounding of split costs and of row sums: |sum(g * y)|
-        # and, for g = 1 - 2x, squared distances are at most m + |g|^2.
         tol = 8 * (m + 2) * _EPS * (m + float(g @ g)) + TIE_TOL
+        if not math.isfinite(tol):
+            raise ValueError("knapsack search costs overflow when squared")
         y = (g < 0).astype(float)[None]
         if (np.abs(g).min() > tol
                 and np.sum(y * self.c, axis=1)[0] >= self.threshold):
@@ -417,23 +419,18 @@ class BinaryKnapsackSet(ProjectableSet):
         suffix[-1] = np.inf
         np.minimum.accumulate(s_tail[::-1], out=suffix[-2::-1])
         best = s_head + suffix[self._reach]
-        lo = float(best.min())
-        hi = lo + tol
-        while True:
+        hi = float(best.min()) + tol
+        for _ in range(2):
             idx, cost = self._band(s_head, s_tail, best, hi)
             corners = _bit_rows(idx, m)
             feasible = np.sum(corners * self.c, axis=1) >= self.threshold
-            if feasible.any():
-                # No tie costs more than a feasible corner's cost plus tol.
-                anchor = float(cost[feasible].min())
-                if anchor + tol <= hi:
-                    break
-                hi = anchor + tol
-            elif hi == np.inf:  # every maybe-feasible corner was checked
-                raise EmptySetError("no corner is feasible by row sums")
-            else:
-                # Rounding alone keeps the band's corners out: widen it.
-                hi = lo + 4.0 * (hi - lo)
+            # No tie costs more than a feasible corner's cost plus tol.
+            if feasible.any() and float(cost[feasible].min()) + tol <= hi:
+                break
+            # Corners past _sure are feasible by row sums: a bound on every tie.
+            hi = float((s_head + suffix[self._sure]).min()) + tol
+        else:
+            raise EmptySetError("no corner is feasible by row sums")
         if idx.size == 1:
             return corners
         return corners[feasible][np.argsort(idx[feasible])]

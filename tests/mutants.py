@@ -9,9 +9,10 @@ split search in ``src/drfeas/sets.py``; or in ``_tie_filter``, which
 picks the nearest points of every finite set.  Further rows break the
 drivers' verdicts in ``engine.py`` (the divergence march's window, the
 cycle detector's table and its confirmation, ``run_ap``'s separate tags
-for x and q) and the knapsack search's rounded fast path.  A row holds
-the file, the exact old text, which must occur once in it, the text that
-replaces it, and the tests that fail on it.
+for x and q) and the knapsack search's rounded fast path and its second
+gather (its bound, the cost test that calls for it, the gather itself).
+A row holds the file, the exact old text, which must occur once in it,
+the text that replaces it, and the tests that fail on it.
 
     python tests/mutants.py              # each mutant against its tests
     python tests/mutants.py --all [ID]   # against the whole suite
@@ -57,6 +58,8 @@ SCAN = ("tests/test_sets.py::TestFinitePointSet::"
         "test_projection_is_the_reference_scan")
 FULL_SCAN = ("tests/test_sets.py::TestBinaryKnapsackSplitSearch::"
              "test_identical_to_full_scan")
+EDGE = ("tests/test_sets.py::TestBinaryKnapsack::"
+        "test_contains_agrees_with_projection_at_rounding_edge")
 
 
 class Mutant(NamedTuple):
@@ -169,9 +172,9 @@ MUTANTS = (
            (f"{HOLD}test_knapsack_against_all_corners",
             f"{HOLD}test_knapsack_no_crossing_takes_no_round")),
     Mutant("round-bound-le", SETS,
-           "while (bound[top:] < lam).any():\n"
+           "if (bound[top:] < lam).any():  # once: it leaves bound[top:] >= lam\n"
            "                    top = int(np.flatnonzero(bound < lam)[-1]) + 1",
-           "while (bound[top:] <= lam).any():\n"
+           "if (bound[top:] <= lam).any():\n"
            "                    top = int(np.flatnonzero(bound <= lam)[-1]) + 1",
            (f"{HOLD}test_knapsack_search_stops_at_the_bound",)),
     Mutant("no-gain-check-skipped", SETS,
@@ -221,6 +224,18 @@ MUTANTS = (
     Mutant("cheapest-fast-path-unguarded", SETS,
            "if (np.abs(g).min() > tol", "if (True",
            (f"{FULL_SCAN}[lattice]", f"{FULL_SCAN}[scaled]")),
+    # the knapsack search's second gather, up to the surely feasible bound
+    Mutant("sure-bound-is-reach", SETS,
+           "suffix[self._sure]", "suffix[self._reach]",
+           (EDGE,)),
+    Mutant("anchor-check-dropped", SETS,
+           "if feasible.any() and float(cost[feasible].min()) + tol <= hi:",
+           "if feasible.any():",
+           ("tests/test_sets.py::TestBinaryKnapsackSplitSearch::"
+            "test_ties_beyond_a_rounded_out_corner",)),
+    Mutant("one-gather-only", SETS,
+           "for _ in range(2):", "for _ in range(1):",
+           (EDGE,)),
 )
 
 

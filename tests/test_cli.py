@@ -260,12 +260,15 @@ class TestBadInput:
         # solved to MaxIterations as if 2-D, and as the single point (0, 2)
         ("set", {"type": "finite", "points": [[[0.0, 2.0], [1.0, -2.0]]]}),
         ("set", {"type": "finite", "points": [0.0, 2.0]}),
+        # every squared distance overflowed, so the points tied, and the
+        # run took (0, 2), which is not nearest, and exited 4
+        ("x0", [1e200, 0.0]),
         ("x0", None),
         (None, None),
     ], ids=["config", "set-type", "constraint-type", "product-empty",
             "product-component-type", "knapsack-weights", "cone-directions",
             "block-dim", "finite-nan", "finite-nested", "finite-flat",
-            "missing-x0", "not-an-object"])
+            "x0-square-overflow", "missing-x0", "not-an-object"])
     def test_rejected_problem(self, part, value, tmp_path, capsys):
         # part None: the file is a list; value None: the part is left out
         data = json.loads(open(problem("two-points.json")).read())
@@ -275,6 +278,15 @@ class TestBadInput:
             del data[part]
         else:
             data[part] = value
+        assert main(["solve", write_problem(tmp_path, data)]) == 1
+        assert self.assert_one_error_line(capsys) == ""
+
+    def test_knapsack_start_whose_squared_norm_overflows(self, tmp_path,
+                                                         capsys):
+        # the search's costs overflowed, and it printed a traceback ending
+        # "ValueError: need at least one array to concatenate"
+        data = json.loads(open(problem("knapsack.json")).read())
+        data["x0"] = [1e308, 0.0, 0.0]
         assert main(["solve", write_problem(tmp_path, data)]) == 1
         assert self.assert_one_error_line(capsys) == ""
 

@@ -484,6 +484,15 @@ class TestRunBoundary:
                 run()
         assert Q.calls == 0
 
+    def test_start_point_whose_squared_norm_overflows_is_rejected(self):
+        # every squared distance from x0 was inf, so every point tied and
+        # the runs took q = 0, not the nearest point 1, as Solved at step 0
+        Q = FinitePointSet([(0.0,), (1.0,)])
+        with np.errstate(over="ignore"):
+            for run in _drivers(Q, HalfSpace([1.0], 0.5), [1e200]):
+                with pytest.raises(ValueError, match="squared norm overflows"):
+                    run()
+
     def test_overflowing_iterate_raises(self):
         # the step from x0 = 0 toward q = 1.5e308 overflows; the next
         # projection rejects the non-finite iterate

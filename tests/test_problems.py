@@ -201,12 +201,14 @@ class TestRejection:
         ("set", {"type": "finite", "points": [[[0.0, 2.0]], [[1.0, -2.0]]]},
          "list of points"),
         ("set", {"type": "finite", "points": [0.0, 2.0]}, "list of points"),
+        # finite coordinates whose squares overflow tie every point
+        ("x0", [1e200, 0.0], "x0 must be finite, of finite squared norm"),
         ("x0", None, "missing top-level field 'x0'"),
         (None, None, "problem file must be a JSON object"),
     ], ids=["config", "set-type", "constraint-type", "product-empty",
             "product-component-type", "knapsack-weights", "cone-directions",
             "block-dim", "finite-nan", "finite-nested", "finite-flat",
-            "missing-x0", "not-an-object"])
+            "x0-square-overflow", "missing-x0", "not-an-object"])
     def test_rejected_spec(self, part, value, match):
         # part None: the file is a list; value None: the part is left out
         data = minimal()

@@ -254,6 +254,11 @@ def _knapsack_instance(family, m, rng):
         c = rng.integers(0, 5, m).astype(float)
         c[rng.integers(m)] += 1.0
         threshold = float(c @ rng.integers(0, 2, m))  # reached exactly
+    elif family == "decimal":
+        # a corner's decimal weight, which its float weight may round
+        # below (0.3 + 0.6 < 0.9): the band then holds no feasible corner
+        c = rng.integers(1, 10, m) / 10
+        threshold = round(float(np.round(c * 10) @ rng.integers(0, 2, m)) / 10, 1)
     else:
         c = rng.uniform(0.0, 3.0, m)
         threshold = float(rng.uniform(0.0, c.sum()))
@@ -278,22 +283,37 @@ def _assert_same_ties(ties, ref):
         assert p.dtype == r.dtype and np.array_equal(p, r)
 
 
-KNAPSACK_FAMILIES = ("random", "integer", "lattice", "scaled", "zero-threshold")
+KNAPSACK_FAMILIES = ("random", "integer", "lattice", "scaled", "zero-threshold",
+                     "decimal")
 
 
 class TestBinaryKnapsackSplitSearch:
     @pytest.mark.parametrize("family", KNAPSACK_FAMILIES)
-    def test_identical_to_full_scan(self, family):
+    def test_identical_to_full_scan(self, family, monkeypatch):
+        # and no search gathers its band more than twice
+        band, gathers = BinaryKnapsackSet._band, []
+        monkeypatch.setattr(BinaryKnapsackSet, "_band", lambda ks, *args: (
+            gathers.append(None) or band(ks, *args)))
         rng = np.random.default_rng(KNAPSACK_FAMILIES.index(family))
         most = 0
         for m in range(1, 17):
             for _ in range(3):
                 c, threshold, x = _knapsack_instance(family, m, rng)
                 ref = _scan(c, threshold, x)
+                gathers.clear()
                 _assert_same_ties(BinaryKnapsackSet(c, threshold).project_all(x), ref)
+                assert len(gathers) <= 2
                 most = max(most, len(ref))
         if family in ("lattice", "scaled"):
             assert most > 20  # mass ties, exact or by rounding
+
+    def test_costs_whose_squares_overflow_are_rejected(self):
+        # |x|^2 is finite but |1 - 2x|^2 is not: the search's tolerance was
+        # inf, and its band gathered nothing to concatenate
+        ks = BinaryKnapsackSet([2.0, 1.0, 3.0], 3.0)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="overflow"):
+                ks.project_all([8e153, 0.0, 0.0])
 
     def test_corner_kept_out_by_rounding_only(self):
         # [1,1,0] weighs one ulp under the threshold, so only the far
@@ -583,10 +603,23 @@ def _dinkelbach_hold(ks, q, a):
 
 
 def _split_rounds(monkeypatch):
-    """The ``top`` of each ``_split_hold`` round the knapsack hold runs."""
-    search, tops = BinaryKnapsackSet._split_hold, []
-    monkeypatch.setattr(BinaryKnapsackSet, "_split_hold", lambda ks, q, gh, gt, top: (
-        tops.append(top) or search(ks, q, gh, gt, top)))
+    """The ``top`` of each ``_split_hold`` round the knapsack hold runs;
+    a ``ray_hold`` call that runs more than two rounds fails."""
+    search, hold = BinaryKnapsackSet._split_hold, BinaryKnapsackSet.ray_hold
+    tops, rounds = [], []
+
+    def held(ks, q, a):
+        rounds.clear()
+        return hold(ks, q, a)
+
+    def searched(ks, q, gh, gt, top):
+        tops.append(top)
+        rounds.append(top)
+        assert len(rounds) <= 2, rounds
+        return search(ks, q, gh, gt, top)
+
+    monkeypatch.setattr(BinaryKnapsackSet, "ray_hold", held)
+    monkeypatch.setattr(BinaryKnapsackSet, "_split_hold", searched)
     return tops
 
 

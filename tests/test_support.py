@@ -22,7 +22,8 @@ NUMPY_ADDED = {
     "arange": "1.0", "argsort": "1.0", "array": "1.0", "array_equal": "1.0",
     "asarray": "1.0", "ascontiguousarray": "1.0",
     "column_stack": "1.0", "concatenate": "1.0", "count_nonzero": "1.6",
-    "cumsum": "1.0", "diff": "1.0", "empty": "1.0", "finfo": "1.0",
+    "cumsum": "1.0", "diff": "1.0", "empty": "1.0", "errstate": "1.0",
+    "finfo": "1.0",
     "flatnonzero": "1.0", "float64": "1.0", "floating": "1.0",
     "fmax": "1.3", "frombuffer": "1.0", "full": "1.8", "inf": "1.0",
     "int32": "1.0", "int8": "1.0", "integer": "1.0", "isfinite": "1.0",
