@@ -3,7 +3,8 @@
 Exit codes encode the run outcome for scripting:
 0 solved, 2 diverging, 3 cycle detected, 4 iteration cap reached,
 5 degenerate projection, 1 input or usage error (one ``error:`` line on
-stderr).  The setting flags come from ``drfeas.problems.SETTINGS``.
+stderr), such as a run's ``ValueError`` on an input past the float range.
+The setting flags come from ``drfeas.problems.SETTINGS``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .engine import (
     run_ap,
     run_dr_generic,
 )
-from .problems import SETTINGS, ProblemFormatError, build_problem, solver_config
+from .problems import SETTINGS, build_problem, solver_config
 
 __all__ = ["main"]
 
@@ -250,7 +251,7 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         return args.func(args)
-    except (argparse.ArgumentError, ProblemFormatError, OSError) as exc:
+    except (argparse.ArgumentError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

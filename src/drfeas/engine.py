@@ -25,9 +25,11 @@ tuple of ``IterateRecord`` objects, and the run's fingerprint are built
 when first read and cached.
 
 Points are checked once, when a driver starts: x0, and that the set and the
-constraint share a dimension.  In the loop the one point check is the set's
-``project_all``, which also rejects an iterate that has overflowed.
-``run_dr`` skips it inside a constant-q segment.  Every step leaves x on
+constraint share a dimension.  In the loop each new x's squared norm, which
+the norm cap reads, is tested before x is projected: an x whose squared norm
+is not finite ends the run as MaxIterations(norm_capped=True), with the last
+recorded d_qH, in every driver.  The set's ``project_all`` checks its point
+again; ``run_dr`` skips it inside a constant-q segment.  Every step leaves x on
 q's ray x = q - lam*a at a known lam: -s of x = q + s*a after the outside
 case, 0 after the inside case (x = q).  The set's ``ray_hold`` is asked once
 per unique q, on the step after q's own, and q is reused while 0 <= lam <
@@ -55,7 +57,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .geometry import DimensionMismatchError, HalfSpace, as_point
+from .geometry import DimensionMismatchError, HalfSpace, _point, as_point
 from .sets import DegenerateProjectionError, ProjectableSet, _integer
 
 __all__ = [
@@ -144,15 +146,14 @@ class Trace:
     (driver tag, set and constraint keys, x0, settings) when first read.
     """
 
-    __slots__ = ("dim", "_cols", "_fingerprint_parts", "_fingerprint",
-                 "_records")
+    __slots__ = ("dim", "_cols", "_inputs", "_fingerprint", "_records")
 
-    def __init__(self, dim: int, fingerprint_parts: tuple):
+    def __init__(self, dim: int, inputs: tuple):
         self.dim = dim
         # x, q (flattened row by row), d_xH, d_qH, d_xL
         self._cols = (array("d"), array("d"), array("d"), array("d"),
                       array("d"))
-        self._fingerprint_parts = fingerprint_parts
+        self._inputs = inputs   # keyed when the fingerprint is first read
         self._fingerprint: Optional[str] = None
         self._records: Optional[tuple[IterateRecord, ...]] = None
 
@@ -169,7 +170,9 @@ class Trace:
     @property
     def fingerprint(self) -> str:
         if self._fingerprint is None:
-            self._fingerprint = _fingerprint(*self._fingerprint_parts)
+            tag, proj_set, constraint, x0, key, cfg = self._inputs
+            self._fingerprint = _fingerprint(tag, proj_set.key(),
+                                             constraint.key(), x0, key(cfg))
         return self._fingerprint
 
     @property
@@ -412,15 +415,17 @@ class _Strategy:
     list; ``verdict(k, x, q, d_xH, d_qH, trace)`` may end the run, by
     default on a confirmed cycle of x on the eps_cycle grid; ``advance(k,
     x, q, src, trace)`` gives the step and x the loop resumes at.  ``tag``
-    and ``key``, the settings the run reads, go into the fingerprint; the
-    run ends once |x| > ``cap``.
+    and ``key(cfg)``, the settings the run reads, go into the fingerprint;
+    the run ends once |x| > ``cap``.  The cycle detector is built at the
+    first verdict, so a run solved at step 0 builds none.
     """
 
     tag, cap = "", NORM_CAP
+    key = staticmethod(lambda cfg: cfg.key())
 
     def __init__(self, proj_set: ProjectableSet, constraint, cfg: SolverConfig):
-        self.proj_set, self.constraint, self.key = proj_set, constraint, cfg.key()
-        self.cycles = _CycleDetector(cfg.eps_cycle, confirm=True)
+        self.proj_set, self.constraint = proj_set, constraint
+        self.eps_cycle = cfg.eps_cycle
 
     def nearest(self, x) -> tuple[np.ndarray, np.ndarray]:
         return self.proj_set.project_all(x)[0], x
@@ -434,6 +439,8 @@ class _Strategy:
         return dx, c._distance(q), dx, q.tolist()
 
     def verdict(self, k, x, q, d_xH, d_qH, trace) -> Optional[RunOutcome]:
+        if not k:
+            self.cycles = _CycleDetector(self.eps_cycle, confirm=True)
         hit = self.cycles.add(x, k)
         return hit and CycleDetected(*hit)
 
@@ -446,10 +453,10 @@ class _HalfSpaceSplit(_Strategy):
     <= lam < the set's ``ray_hold``."""
 
     tag = "dr"
+    key = staticmethod(lambda cfg: (cfg.max_iter, cfg.eps_h, NORM_CAP))
 
     def __init__(self, proj_set: ProjectableSet, hs: HalfSpace, cfg: SolverConfig):
         self.proj_set, self.constraint, self.cfg = proj_set, hs, cfg
-        self.key = (cfg.max_iter, cfg.eps_h, NORM_CAP)
         self.length, self.support = 0, None
         self.q, self.hold = None, 0.0   # the last q if unique; its ray_hold
         self.lam = 0.0                  # of x = q - lam*a, after every step
@@ -573,13 +580,12 @@ class _TwoSetStep(_Strategy):
 class _Alternating(_Strategy):
     """x_{k+1} = P_A(q_k), watched over the half-steps x_0, q_0, x_1, ..."""
 
-    tag, cap = "ap", math.inf
-
-    def __init__(self, proj_set: ProjectableSet, constraint, cfg: SolverConfig):
-        super().__init__(proj_set, constraint, cfg)
-        self.key = (cfg.max_iter, cfg.eps_h, cfg.eps_cycle)   # no order or cap
+    tag, cap = "ap", math.inf   # its key holds no order or cap
+    key = staticmethod(lambda cfg: (cfg.max_iter, cfg.eps_h, cfg.eps_cycle))
 
     def verdict(self, k, x, q, d_xH, d_qH, trace):
+        if not k:
+            self.cycles = _CycleDetector(self.eps_cycle, confirm=True)
         hit = (self.cycles.add(x, 2 * k, tag="x")
                or self.cycles.add(q, 2 * k + 1, tag="q"))
         return hit and CycleDetected(*hit)
@@ -591,14 +597,14 @@ class _Alternating(_Strategy):
 def _iterate(strategy: _Strategy, x0, cfg: SolverConfig) -> tuple[Trace, RunOutcome]:
     """The loop of every driver: stop rule, detectors, caps and the trace."""
     proj_set, constraint = strategy.proj_set, strategy.constraint
-    x = as_point(x0, constraint.dim)
-    if not math.isfinite(x.dot(x)):  # every squared distance would be inf
+    x, xx = _point(x0, constraint.dim)
+    if not math.isfinite(xx):  # every squared distance would be inf
         raise ValueError("start point's squared norm overflows")
     if proj_set.dim != constraint.dim:
         raise DimensionMismatchError(f"set has dimension {proj_set.dim}, "
                                      f"constraint has dimension {constraint.dim}")
-    trace = Trace(x.size, (strategy.tag, proj_set.key(), constraint.key(),
-                           x.tobytes(), strategy.key))
+    trace = Trace(x.size, (strategy.tag, proj_set, constraint, x.tobytes(),
+                           strategy.key, cfg))
     xs, qs, d_xH_col, d_qH_col, d_xL_col = trace._cols
     eps_h, max_iter = cfg.eps_h, cfg.max_iter
     outcome: Optional[RunOutcome]
@@ -615,8 +621,8 @@ def _iterate(strategy: _Strategy, x0, cfg: SolverConfig) -> tuple[Trace, RunOutc
         d_xH_col.append(d_xH)
         d_qH_col.append(d_qH)
         d_xL_col.append(d_xL)
-        if d_qH <= eps_h:
-            outcome = Solved(q=q.copy(), iterations=k)
+        if d_qH <= eps_h:   # q is a fresh array by project_all's rule
+            outcome = Solved(q=q, iterations=k)
             break
         outcome = strategy.verdict(k, x, q, d_xH, d_qH, trace)
         if outcome is not None:
@@ -625,10 +631,14 @@ def _iterate(strategy: _Strategy, x0, cfg: SolverConfig) -> tuple[Trace, RunOutc
             outcome = MaxIterations(d_qH)
             break
         # math.sqrt(x.dot(x)) is np.linalg.norm(x) for a 1-D float array.
-        if math.sqrt(float(x.dot(x))) > strategy.cap:
+        if math.sqrt(xx) > strategy.cap:
             outcome = MaxIterations(d_qH, norm_capped=True)
             break
         k, x = strategy.advance(k, x, q, src, trace)
+        xx = x.dot(x)
+        if not math.isfinite(xx):   # x overflowed: end before projecting it
+            outcome = MaxIterations(d_qH, norm_capped=True)
+            break
     return trace, outcome
 
 

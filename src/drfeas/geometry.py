@@ -48,18 +48,24 @@ def as_point(coords, dim: int | None = None) -> np.ndarray:
     Contiguity makes the bits of every later reduction independent of the
     input's memory layout.
     """
+    return _point(coords, dim)[0]
+
+
+def _point(coords, dim: int | None = None) -> tuple[np.ndarray, float]:
+    """``as_point``'s array and its |p|², which may be inf: the drivers
+    read both, so a start point is reduced once."""
     p = np.ascontiguousarray(coords, dtype=float)  # a scalar becomes 1-D
     if p.ndim != 1:
         raise ValueError(f"point must be 1-D, got shape {p.shape}")
     if p.size == 0:
         raise ValueError("point must have dimension >= 1")
-    if not math.isfinite(p.dot(p)) and not np.isfinite(p).all():
+    if not math.isfinite(pp := p.dot(p)) and not np.isfinite(p).all():
         raise ValueError("point has non-finite coordinates")
     if dim is not None and p.size != dim:
         raise DimensionMismatchError(
             f"expected dimension {dim}, got {p.size}"
         )
-    return p
+    return p, pp
 
 
 def unit_normal(a, *offsets, kind: str = "constraint"):

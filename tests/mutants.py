@@ -9,8 +9,9 @@ split search in ``src/drfeas/sets.py``; or in ``_tie_filter``, which
 picks the nearest points of every finite set.  Further rows break the
 drivers' verdicts in ``engine.py`` (the divergence march's window, the
 cycle detector's table and its confirmation, ``run_ap``'s separate tags
-for x and q) and the knapsack search's rounded fast path and its second
-gather (its bound, the cost test that calls for it, the gather itself).
+for x and q, the end of a run at an overflowed iterate) and the knapsack
+search's rounded fast path and its second gather (its bound, the cost
+test that calls for it, the gather itself).
 A row holds the file, the exact old text, which must occur once in it,
 the text that replaces it, and the tests that fail on it.
 
@@ -199,7 +200,10 @@ MUTANTS = (
     Mutant("unique-row-shared", SETS,
            "return [candidates[i].copy()]", "return [candidates[i]]",
            (SCAN, "tests/test_sets.py::TestFinitePointSet::"
-                  "test_projection_is_brute_force_argmin")),
+                  "test_projection_is_brute_force_argmin",
+            # Solved keeps project_all's q uncopied
+            "tests/test_engine.py::TestRunCosts::"
+            "test_solved_q_owns_its_data")),
     Mutant("exact-only-ties", SETS,
            "near = d2 <= d2[i] + TIE_TOL", "near = d2 <= d2[i]",
            (SCAN,)),
@@ -221,6 +225,12 @@ MUTANTS = (
            'tag="q"', 'tag="x"',
            ("tests/test_engine.py::TestRunAp::"
             "test_x_and_q_in_one_grid_cell_are_different_states",)),
+    # the loop's test of each new iterate, before it is projected
+    Mutant("overflowed-iterate-projected", ENGINE,
+           "if not math.isfinite(xx):   # x overflowed: end before "
+           "projecting it", "if False:",
+           ("tests/test_engine.py::TestRunBoundary::"
+            "test_overflowing_iterate_ends_the_run",)),
     Mutant("cheapest-fast-path-unguarded", SETS,
            "if (np.abs(g).min() > tol", "if (True",
            (f"{FULL_SCAN}[lattice]", f"{FULL_SCAN}[scaled]")),

@@ -290,6 +290,15 @@ class TestBadInput:
         assert main(["solve", write_problem(tmp_path, data)]) == 1
         assert self.assert_one_error_line(capsys) == ""
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_knapsack_search_costs_overflow(self, tmp_path, capsys):
+        # |x0|^2 is finite, but the search's |1 - 2x0|^2 is not: the run's
+        # ValueError used to escape as a traceback
+        data = json.loads(open(problem("knapsack.json")).read())
+        data["x0"] = [8e153, 0.0, 0.0]
+        assert main(["solve", write_problem(tmp_path, data)]) == 1
+        assert self.assert_one_error_line(capsys) == ""
+
     def test_integer_past_the_digit_limit(self, tmp_path, capsys):
         # json.loads raises a plain ValueError for an integer of more than
         # 4300 digits, which used to escape as a traceback

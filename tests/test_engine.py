@@ -493,15 +493,20 @@ class TestRunBoundary:
                 with pytest.raises(ValueError, match="squared norm overflows"):
                     run()
 
-    def test_overflowing_iterate_raises(self):
-        # the step from x0 = 0 toward q = 1.5e308 overflows; the next
-        # projection rejects the non-finite iterate
-        Q = FinitePointSet([[1.5e308]])
+    def test_overflowing_iterate_ends_the_run(self):
+        # the step from x0 = 0 toward q = (1.5e308, 1.5e308) overflows; the
+        # run ends with q's d(q,H) before it projects the iterate, which
+        # used to raise from the projection
+        Q = _CountingSet([(1.5e308, 1.5e308)])
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="non-finite"):
-                run_dr(Q, HalfSpace([1.0], 0.0), [0.0])
-            with pytest.raises(ValueError, match="non-finite"):
-                run_dr_generic(Hyperplane([1.0], 0.0), Q, [0.0])
+            for run in _drivers(Q, HalfSpace([1.0, 0.0], 0.0), [0.0, 0.0]):
+                Q.calls = 0
+                trace, outcome = run()
+                assert outcome == MaxIterations(1.5e308, norm_capped=True)
+                assert len(trace) == 1 and Q.calls == 1
+                for col in (trace.x, trace.q, trace.d_xH, trace.d_qH,
+                            trace.d_xL):
+                    assert np.isfinite(col).all()
 
     def test_trace_does_not_depend_on_the_start_point_layout(self):
         # a start given as a matrix column used to step through other last
@@ -518,6 +523,58 @@ class TestRunBoundary:
             assert np.array_equal(strided.q, plain.q)
             assert repr(outcome) == repr(plain_outcome)
             assert strided.fingerprint == plain.fingerprint
+
+
+class TestRunCosts:
+    """What a run keeps and builds beyond its steps."""
+
+    def test_solved_q_owns_its_data(self):
+        # Solved keeps the q project_all returned, with no copy: each
+        # driver solved at step 0, and run_dr after holding q = (0, 1)
+        # from step 1 on, handing over to (5, -1)
+        Q = FinitePointSet([(0.0, 1.0), (2.0, 3.0)])
+        runs = _drivers(Q, HalfSpace([0.0, 1.0], 2.0), [0.1, 1.0])
+        held = FinitePointSet([(0.0, 1.0), (5.0, -1.0)])
+        runs.append(lambda: run_dr(held, HalfSpace([0.0, 1.0], 0.0),
+                                   [0.0, 1.0]))
+        for run, points in zip(runs, [Q.points] * 3 + [held.points]):
+            trace, outcome = run()
+            assert isinstance(outcome, Solved)
+            assert not np.shares_memory(outcome.q, points)
+            q_col = trace.q.copy()
+            outcome.q[:] = 7.0
+            assert np.array_equal(trace.q, q_col)
+        assert outcome.iterations > 4
+
+    def test_a_run_solved_at_step_zero_builds_nothing_more(self,
+                                                          monkeypatch):
+        # no cycle detector, and no key until the fingerprint is read
+        built, keyed = [], []
+
+        class Detector(engine._CycleDetector):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "_CycleDetector", Detector)
+        for cls in (FinitePointSet, HalfSpace, SolverConfig):
+            monkeypatch.setattr(cls, "key", lambda self, key=cls.key:
+                                keyed.append(type(self)) or key(self))
+        Q = FinitePointSet([(0.0, 1.0), (2.0, 3.0)])
+        for run, cfg_keyed in zip(
+                _drivers(Q, HalfSpace([0.0, 1.0], 2.0), [0.1, 1.0]),
+                (False, True, False)):
+            trace, outcome = run()
+            assert outcome.iterations == 0
+            assert built == [] and keyed == []
+            trace.fingerprint
+            assert keyed == ([FinitePointSet, HalfSpace]
+                             + [SolverConfig] * cfg_keyed)
+            keyed.clear()
+        # a run past step 0 builds its detector once
+        run_ap(Q, HalfSpace([0.0, 1.0], 0.0), [0.1, 1.0])
+        assert len(built) == 1
+
 
 class _RecordingSet(FinitePointSet):
     """Records every point it is asked to project."""
