@@ -7,10 +7,11 @@ import os
 
 import pytest
 
-from drfeas import problems
+from drfeas import problems, verifier
 from drfeas.cli import build_parser, main
 from drfeas.engine import SolverConfig
 from drfeas.problems import SETTINGS
+from drfeas.repro import EXPERIMENTS
 
 PROBLEM_DIR = os.path.join(os.path.dirname(__file__), "..", "problems")
 
@@ -290,14 +291,37 @@ class TestBadInput:
         assert main(["solve", write_problem(tmp_path, data)]) == 1
         assert self.assert_one_error_line(capsys) == ""
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_knapsack_search_costs_overflow(self, tmp_path, capsys):
         # |x0|^2 is finite, but the search's |1 - 2x0|^2 is not: the run's
-        # ValueError used to escape as a traceback
+        # ValueError used to escape as a traceback, and an overflow
+        # RuntimeWarning from the search's tolerance came before it
         data = json.loads(open(problem("knapsack.json")).read())
         data["x0"] = [8e153, 0.0, 0.0]
         assert main(["solve", write_problem(tmp_path, data)]) == 1
         assert self.assert_one_error_line(capsys) == ""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command, code", [("solve", 4), ("compare", 0)])
+    def test_overflowing_point_prints_its_outcome_alone(self, command, code,
+                                                        tmp_path, capsys):
+        # four RuntimeWarnings came before solve's outcome line, and six
+        # before compare's table
+        data = {
+            "constraint": {"type": "halfspace", "a": [1.0, 0.0], "b": 0.0},
+            "set": {"type": "finite", "points": [[1.5e308, 1.5e308]]},
+            "x0": [0.0, 0.0],
+        }
+        assert main([command, write_problem(tmp_path, data)]) == code
+        out, err = capsys.readouterr()
+        assert err == ""
+        outcome = "MaxIterations: final d(q,H)=1.5e+308 (norm cap reached)"
+        if command == "solve":
+            assert out == outcome + "\n"
+        else:
+            assert [line.split("  ")[0] for line in out.splitlines()] == [
+                "method", "DR", "AP"]
+            assert out.count(outcome) == 2
 
     def test_integer_past_the_digit_limit(self, tmp_path, capsys):
         # json.loads raises a plain ValueError for an integer of more than
@@ -419,10 +443,36 @@ class TestRepro:
 
     def test_unknown_experiment(self, capsys):
         assert main(["repro", "nope"]) == 1
-        assert "unknown experiment" in capsys.readouterr().err
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_unknown_experiment_names_every_experiment(self, capsys):
+        assert main(["repro", "nope"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert all(repr(name) in err for name in [*EXPERIMENTS, "all"])
+
+    def test_help_lists_every_experiment(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["repro", "-h"])
+        out = capsys.readouterr().out
+        assert all(name in out for name in EXPERIMENTS)
 
 
 class TestVerify:
+    @pytest.mark.parametrize("flags, given", [
+        ([], {}),
+        (["--trials", "5"], {"trials": 5}),
+        (["--dims", "2,3", "--seed", "4", "--oracle-trials", "0"],
+         {"dims": (2, 3), "seed": 4, "oracle_trials": 0}),
+    ])
+    def test_passes_only_the_flags_given(self, flags, given, monkeypatch):
+        # run_all_suites' signature is the one copy of verify's defaults
+        calls = []
+        monkeypatch.setattr(verifier, "run_all_suites",
+                            lambda **kwargs: calls.append(kwargs) or [])
+        assert main(["verify", *flags]) == 0
+        assert calls == [given]
+
     def test_small_run_emits_json_reports(self, capsys):
         code = main([
             "verify", "--trials", "50", "--oracle-trials", "5",
