@@ -3,8 +3,10 @@
 Exit codes encode the run outcome for scripting:
 0 solved, 2 diverging, 3 cycle detected, 4 iteration cap reached,
 5 degenerate projection, 1 input or usage error (one ``error:`` line on
-stderr), such as a run's ``ValueError`` on an input past the float range.
-The setting flags come from ``drfeas.problems.SETTINGS``.
+stderr, and no numpy overflow warning), such as a run's ``ValueError`` on
+an input past the float range.  Names and defaults are the library's:
+``problems.SETTINGS``, ``repro.EXPERIMENTS`` (``repro -h`` lists them) and
+``verifier.run_all_suites``'s defaults for the flags ``verify`` is not given.
 """
 
 from __future__ import annotations
@@ -104,11 +106,13 @@ def _add_setting_flags(p: argparse.ArgumentParser) -> None:
                            type=kind, choices=choices, default=None)
 
 
+def _given(args, names) -> dict:
+    return {n: getattr(args, n) for n in names if getattr(args, n) is not None}
+
+
 def _load(args):
     constraint, proj_set, x0, cfg = build_problem(args.problem)
-    flags = {name: getattr(args, name) for name in SETTINGS
-             if getattr(args, name) is not None}
-    return constraint, proj_set, x0, solver_config(flags, cfg)
+    return constraint, proj_set, x0, solver_config(_given(args, SETTINGS), cfg)
 
 
 def _emit_trace(trace, outcome, args) -> None:
@@ -150,15 +154,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_repro(args) -> int:
-    if args.name == "all":
-        names = list(repro_mod.EXPERIMENTS)
-    elif args.name in repro_mod.EXPERIMENTS:
-        names = [args.name]
-    else:
-        print(f"error: unknown experiment {args.name!r}; choose from "
-              f"{', '.join(sorted(repro_mod.EXPERIMENTS))} or 'all'",
-              file=sys.stderr)
-        return 1
+    names = repro_mod.EXPERIMENTS if args.name == "all" else [args.name]
     all_passed = True
     for name in names:
         result = repro_mod.run_experiment(name)
@@ -168,10 +164,8 @@ def cmd_repro(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    reports = verifier_mod.run_all_suites(
-        trials=args.trials, dims=args.dims, seed=args.seed,
-        oracle_trials=args.oracle_trials,
-    )
+    flags = _given(args, ("trials", "dims", "seed", "oracle_trials"))
+    reports = verifier_mod.run_all_suites(**flags)
     for report in reports:
         print(json.dumps(report.to_json_dict(), indent=2))
     return 0 if all(r.passed for r in reports) else 1
@@ -227,16 +221,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.set_defaults(func=cmd_compare)
 
     p_repro = sub.add_parser("repro", help="run named experiments")
-    p_repro.add_argument("name", help="experiment name or 'all'")
+    p_repro.add_argument("name", choices=[*repro_mod.EXPERIMENTS, "all"])
     p_repro.set_defaults(func=cmd_repro)
 
     p_verify = sub.add_parser("verify", help="run the property suites")
     trials = _checked(lambda text: verifier_mod.check_trials(int(text)))
-    p_verify.add_argument("--trials", type=trials, default=10000)
-    p_verify.add_argument("--oracle-trials", type=trials, default=100)
-    p_verify.add_argument("--dims", type=_checked(_dims), default="1,2,3,4,5",
+    p_verify.add_argument("--trials", type=trials)
+    p_verify.add_argument("--oracle-trials", type=trials)
+    p_verify.add_argument("--dims", type=_checked(_dims),
                           help="comma-separated ambient dimensions")
-    p_verify.add_argument("--seed", type=_checked(_seed), default=0)
+    p_verify.add_argument("--seed", type=_checked(_seed))
     p_verify.set_defaults(func=cmd_verify)
     return parser
 
@@ -250,7 +244,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        return args.func(args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except (argparse.ArgumentError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -267,11 +267,11 @@ class BinaryKnapsackSet(ProjectableSet):
     way whatever other rows are summed with it; a BLAS product does not.
     A feasible rounded corner, every |x_i - 1/2| beyond rounding, is
     returned at once.  m is at most KNAPSACK_CAP = 32, where a search takes
-    about 1 ms and construction 24-35 ms (Intel Xeon, 2 CPUs, numpy 2.4.6,
-    best of 3 calls); at m = 14 one gather takes 40-58 us, two (decimal
-    weights) 77-147 us, a rounded answer 10-18 us and the full scan 2.9 ms.
-    ``ray_hold`` takes 8-14 us from the best single flip and 63-85 us when
-    it searches the split tables; 1.0-20 ms at m = 32.
+    about 1 ms and construction 53-59 ms (Intel Xeon, 2 CPUs, numpy 2.4.6; best
+    of 3 calls, of 5 builds for each of 3 random c); at m = 14 one gather takes
+    40-58 us, two (decimal weights) 77-147 us, a rounded answer 10-18 us and
+    the full scan 2.9 ms.  ``ray_hold`` takes 8-14 us from the best single
+    flip and 63-85 us when it searches the split tables; 1.0-20 ms at m = 32.
     """
 
     def __init__(self, c, threshold: float):

@@ -1,4 +1,5 @@
-"""Mutants of the drivers' held steps and verdicts, each with its kills.
+"""Mutants of the drivers, the sets and the checks around them, each with
+its kills.
 
 Each row is one deliberate fault (mutation analysis, DeMillo, Lipton &
 Sayward 1978) in the code that decides how long ``run_dr`` holds q:
@@ -11,7 +12,11 @@ drivers' verdicts in ``engine.py`` (the divergence march's window, the
 cycle detector's table and its confirmation, ``run_ap``'s separate tags
 for x and q, the end of a run at an overflowed iterate) and the knapsack
 search's rounded fast path and its second gather (its bound, the cost
-test that calls for it, the gather itself).
+test that calls for it, the gather itself).  The last rows break a
+constraint's normal in ``src/drfeas/geometry.py``, which fig1's
+orientation guard must notice, and the two checks that ``main`` in
+``src/drfeas/cli.py`` leaves to one place: argparse's experiment names
+and the silenced overflow warnings around a command.
 A row holds the file, the exact old text, which must occur once in it,
 the text that replaces it, and the tests that fail on it.
 
@@ -42,6 +47,8 @@ from typing import NamedTuple
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ENGINE = "src/drfeas/engine.py"
 SETS = "src/drfeas/sets.py"
+GEOMETRY = "src/drfeas/geometry.py"
+CLI = "src/drfeas/cli.py"
 BOUNDS = ("tests/test_engine.py::TestClosedFormSegments::"
           "test_a_segment_ends_at_each_bound")
 CROSSING = ("tests/test_engine.py::TestSegmentReuse::"
@@ -246,6 +253,25 @@ MUTANTS = (
     Mutant("one-gather-only", SETS,
            "for _ in range(2):", "for _ in range(1):",
            (EDGE,)),
+    # a normal with a[0] > 0 flipped: the flipped half-space of fig1 is then
+    # its own, and only the orientation guard compares the two
+    Mutant("normal-first-coordinate-nonpositive", GEOMETRY,
+           'object.__setattr__(self, "a", a)',
+           'object.__setattr__(self, "a", -a if a[0] > 0 else a)',
+           ("tests/test_repro.py::test_experiment_passes[fig1]",
+            "tests/test_repro.py::test_every_experiment_is_pinned")),
+    # the CLI's one check of an experiment name and its silenced warnings
+    Mutant("repro-name-unchecked", CLI,
+           'p_repro.add_argument("name", choices=[*repro_mod.EXPERIMENTS, '
+           '"all"])', 'p_repro.add_argument("name")',
+           ("tests/test_cli.py::TestRepro::test_unknown_experiment",
+            "tests/test_cli.py::TestRepro::test_help_lists_every_experiment")),
+    Mutant("overflow-warnings-shown", CLI,
+           'with np.errstate(over="ignore", invalid="ignore"):', "if True:",
+           ("tests/test_cli.py::TestBadInput::"
+            "test_knapsack_search_costs_overflow",
+            "tests/test_cli.py::TestBadInput::"
+            "test_overflowing_point_prints_its_outcome_alone")),
 )
 
 

@@ -442,14 +442,12 @@ class TestRepro:
         assert "PASS" in capsys.readouterr().out
 
     def test_unknown_experiment(self, capsys):
-        assert main(["repro", "nope"]) == 1
-        assert "invalid choice" in capsys.readouterr().err
-
-    def test_unknown_experiment_names_every_experiment(self, capsys):
+        # argparse's choices are the one check of a name
         assert main(["repro", "nope"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert all(repr(name) in err for name in [*EXPERIMENTS, "all"])
+        assert "invalid choice" in err
+        assert all(name in err for name in EXPERIMENTS)
 
     def test_help_lists_every_experiment(self, capsys):
         with pytest.raises(SystemExit):
