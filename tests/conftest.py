@@ -7,6 +7,7 @@ rounding ``column_bound`` allows.
 """
 
 import itertools
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -101,6 +102,13 @@ def stepped_run(Q, hs, x0, cfg):
                               or [np.zeros(0)] * 5)
     return SimpleNamespace(x=x.reshape(-1, a.size), q=q.reshape(-1, a.size),
                            d_xH=d_xH, d_qH=d_qH, d_xL=d_xL), outcome
+
+
+def pytest_report_header(config):
+    """The ``drfeas`` tree under test: pyproject's ``pythonpath`` puts the
+    checkout's ``src/`` ahead of ``PYTHONPATH``, so a copy is tested only
+    by running pytest inside that copy."""
+    return f"drfeas under test: {os.path.dirname(engine.__file__)}"
 
 
 @pytest.fixture

@@ -1001,6 +1001,28 @@ class TestDivergenceScan:
                 driver.increment, driver.start_index)
             assert np.array_equal(cert.q_fixed, driver.q_fixed)
 
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_certificate_offsets_are_the_per_row_dots(self, n):
+        # the offsets, bit for bit, from x rows as an array and as a list
+        rng = np.random.default_rng(n)
+        hs = HalfSpace(rng.normal(size=n), float(rng.uniform(-2, 2)))
+        q, xs = rng.uniform(-10, 10, n), rng.uniform(-1e3, 1e3, (40, n))
+        for length in (2, 26, 40):
+            expect = [float(hs.a @ (q - x)).hex() for x in xs[1 - length:]]
+            for rows in (xs, list(xs)):
+                cert = engine._certificate(hs, 39, length, q, 0.5, rows)
+                assert [o.hex() for o in cert.offsets] == expect
+        # and from a run's x column: the x of the march's later steps
+        Q = FinitePointSet(rng.uniform(-3, 3, (4, n)) + 4.0 * hs.a)
+        hs = HalfSpace(hs.a, float((Q.points @ hs.a).min()) - 1.0)
+        trace, outcome = run_dr(Q, hs, rng.uniform(-3, 3, n))
+        assert isinstance(outcome, Diverging)
+        cert = outcome.certificate
+        marched = trace.x[cert.start_index + 1:]
+        assert len(marched) == len(cert.offsets) == SolverConfig.window
+        assert [o.hex() for o in cert.offsets] == [
+            float(hs.a @ (cert.q_fixed - x)).hex() for x in marched]
+
     def test_shrinking_march_yields_no_certificate(self):
         hs = HalfSpace(np.array([1.0]), 0.0)
         Q = TriadicSet()

@@ -111,6 +111,26 @@ class TestFinitePointSet:
         Q = FinitePointSet([(1, 1), (1, 1), (2, 2)])
         assert Q.points.shape == (2, 2)
 
+    @pytest.mark.parametrize("repeats", [False, True])
+    def test_points_are_a_fresh_copy_in_first_occurrence_order(self,
+                                                               repeats):
+        pts = np.random.default_rng(3).uniform(-5, 5, (6, 3))
+        if repeats:
+            pts[[2, 4]], pts[5] = pts[1], pts[0]
+            pts[3] = (0.0, -0.0, 0.0)   # not a repeat of (0, 0, 0) ...
+            pts[4] = (0.0, 0.0, 0.0)    # ... by its bytes
+        firsts = list(dict.fromkeys(p.tobytes() for p in pts))
+        assert (len(firsts) < len(pts)) == repeats
+        for given in (pts, np.asfortranarray(pts), pts[::-1][::-1],
+                      pts.tolist()):
+            Q = FinitePointSet(given)
+            assert [p.tobytes() for p in Q.points] == firsts
+            assert Q.points.dtype == np.float64
+            assert Q.points.flags.c_contiguous
+            assert not Q.points.flags.writeable
+            assert not np.shares_memory(Q.points, pts)
+        assert pts.flags.writeable
+
     def test_empty_rejected(self):
         with pytest.raises(EmptySetError):
             FinitePointSet([])

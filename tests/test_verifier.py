@@ -7,6 +7,7 @@ exercised at reduced trial counts so failures localize quickly.
 import hashlib
 import inspect
 import json
+import math
 import operator
 from dataclasses import replace
 from types import SimpleNamespace
@@ -18,11 +19,12 @@ from drfeas import verifier
 from drfeas.engine import (Diverging, SolverConfig, Solved, dr_step,
                            dr_step_rows, run_dr)
 from drfeas.geometry import HalfSpace
-from drfeas.sets import FinitePointSet
+from drfeas.sets import TIE_TOL, FinitePointSet
 from drfeas.verifier import (
     MUTANTS,
     SUITES,
     _certificate_valid,
+    _first_nearest,
     _halfspaces,
     _mutant,
     _nearest,
@@ -370,6 +372,50 @@ def test_batch_nearest_agrees_on_random_sets():
     assert ties > 50
 
 
+def _first_index(pts, x):
+    """The row index in pts of ``FinitePointSet(pts).project_all(x)[0]``."""
+    q = FinitePointSet(pts).project_all(x)[0]
+    return [p.tobytes() for p in pts].index(q.tobytes())
+
+
+def test_first_nearest_is_project_alls_first_point():
+    # lattice points and starts, so exact ties are common, and repeated rows
+    rng = np.random.default_rng(11)
+    ties = 0
+    for _ in range(400):
+        n = int(rng.integers(1, 6))
+        pts = np.round(rng.uniform(-2, 2, (5, n)))
+        pts[rng.random(5) < 0.3] = pts[int(rng.integers(5))]
+        x = np.round(rng.uniform(-2, 2, n) * 2) / 2
+        assert _first_nearest(pts, x) == _first_index(pts, x)
+        ties += len(FinitePointSet(pts).project_all(x)) > 1
+    assert ties > 50
+
+
+def _twins_at_the_tie_bound(x, near):
+    """1-D coordinates one ulp apart, the first the last inside the tie set
+    of the point ``near`` seen from x, the second the first outside it."""
+    lim = (np.float64(near) - x) ** 2 + TIE_TOL
+    y = x - math.sqrt(lim)
+    while (np.float64(y) - x) ** 2 <= lim:
+        y = math.nextafter(y, -math.inf)
+    while (np.float64(y) - x) ** 2 > lim:
+        y = math.nextafter(y, math.inf)
+    return y, math.nextafter(y, -math.inf)
+
+
+@pytest.mark.parametrize("x, near", [(0.0, 1.0), (3.0, 3.37), (-7.25, -5.0),
+                                     (1e4, 1e4 + 2.0)])
+def test_first_nearest_splits_twins_at_the_tie_bound(x, near):
+    # the farther twin comes first: it is the answer only inside the tie set
+    inside, outside = _twins_at_the_tie_bound(x, near)
+    for twin, expect in ((inside, 0), (outside, 1)):
+        for pts in (np.array([[twin], [near]]),
+                    np.array([[twin], [near], [twin], [near]])):
+            assert _first_nearest(pts, np.array([x])) == expect
+            assert _first_index(pts, [x]) == expect
+
+
 @pytest.mark.parametrize("n", range(1, 17))
 def test_row_normaliser_gives_the_half_space_bits(n):
     # _halfspaces normalises the drawn rows as HalfSpace(a_i, b_i) does
@@ -601,6 +647,23 @@ def test_lemma_batch_steps_each_dimension_in_one_call_per_step(seed):
                for n, b in calls)
     assert len(offsets[0]) + len(offsets[10]) == 20
     assert not entering & {float(b) for b in np.concatenate(offsets)}
+
+
+@pytest.mark.parametrize("index, reason", [(0, "entered-H"),
+                                           (1, "sandwich")])
+def test_lockstep_reports_the_claim_a_forced_q_breaks(monkeypatch, index,
+                                                      reason):
+    # q forced to one point of each family: c, on L, or 2s a + c, twice as
+    # far from H as x0; a sandwich failure alone must still be reported
+    def forced(pts, x):
+        mask = np.zeros(pts.shape[:2], bool)
+        mask[:, index] = True
+        return mask, None
+
+    monkeypatch.setattr(verifier, "_nearest", forced)
+    report = check_lemmas(trials=40, dims=(1, 2, 3), seed=4)
+    assert [f["trial"] for f in report.failures] == list(range(0, 40, 2))
+    assert {f["reason"] for f in report.failures} == {reason}
 
 
 def _record_lemmas(monkeypatch, trials, seed):
