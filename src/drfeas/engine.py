@@ -270,9 +270,9 @@ def dr_step_rows(x, q, a, b) -> np.ndarray:
 
 
 def _dots(a, x):
-    """<a_i, x_i> for each row, bit for bit ``a_i.dot(x_i)`` (the same BLAS
-    dot on the same n; zero padding could change its blocking)."""
-    return (a[:, None, :] @ x[:, :, None])[:, 0, 0]
+    """<a_i, x_i> per row (<a, x_i> for one row a), bit for bit a_i.dot(x_i):
+    the same BLAS dot on the same n; zero padding could change its blocking."""
+    return (a[..., None, :] @ x[:, :, None])[:, 0, 0]
 
 
 def dr_step_generic(x, constraint, proj_set: ProjectableSet,
@@ -369,13 +369,14 @@ def _march(length: int, aq: float, d_xH: float, d_qH: float, hs: HalfSpace,
 def _certificate(hs: HalfSpace, k: int, length: int, q: np.ndarray,
                  d_qH: float, xs) -> DivergenceCertificate:
     """The certificate of a march of ``length`` steps ending at step k:
-    its q and d_qH, and offsets from the x of each later march step
-    (``xs`` holds the x of steps 0..k)."""
+    its q and d_qH, and offsets <a, q - x> from the x of each later march
+    step (``xs``, an array or a list, holds the x of steps 0..k)."""
+    d = q - xs[1 - length:]
     return DivergenceCertificate(
         q_fixed=q.copy(),
         increment=d_qH,
         start_index=k + 1 - length,
-        offsets=tuple(float(hs.a @ (q - x_i)) for x_i in xs[1 - length:]),
+        offsets=tuple(_dots(hs.a, d).tolist()),
     )
 
 

@@ -178,15 +178,19 @@ class FinitePointSet(_FinitePoints):
     """An explicit finite set of points; projection by exhaustive comparison."""
 
     def __init__(self, points):
-        pts = np.asarray(points, dtype=float)
+        pts = np.array(points, dtype=float, order="C")    # a copy of its own
         if pts.size == 0:
             raise EmptySetError("finite set must be nonempty")
         if pts.ndim != 2:
             raise ValueError("finite set points must be a list of points, "
                              f"got an array of shape {pts.shape}")
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise ValueError("finite set has non-finite coordinates")
-        self.points = np.array(list({r.tobytes(): r for r in pts}.values()))
+        raw, w = pts.tobytes(), 8 * pts.shape[1]
+        rows = dict.fromkeys([raw[i:i + w] for i in range(0, len(raw), w)])
+        if len(rows) < len(pts):    # a repeat: keep each row's first copy
+            pts = np.frombuffer(b"".join(rows)).reshape(-1, pts.shape[1])
+        self.points = pts
         self.points.setflags(write=False)
 
     def project_all(self, x) -> list[np.ndarray]:

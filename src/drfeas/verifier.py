@@ -20,6 +20,7 @@ trajectories one at a time in trial order, calling ``step_fn(x, q, hs)``
 (``engine._dr_step``: ``dr_step`` without input checks on the points the
 suite built, or its mutant) once per step, each building its
 FinitePointSet through this module's global name just before its first
+step, from points placed in one row pass, and searching it once per
 step.  So adding an odd trial T (``check_lemmas(T + 1)`` against
 ``check_lemmas(T)``) only appends T's ``step_fn`` calls, and the last set
 built is T's, with T's start as the first step after it; a benchmark rerun
@@ -172,7 +173,7 @@ def _halfspaces(rng, k, n):
 
 def _values(a, b, x):
     """<a_i, x_i> - b_i for each row."""
-    return (a * x).sum(axis=1) - b
+    return np.add.reduce(a * x, 1) - b
 
 
 def _tangents(rng, a):
@@ -232,8 +233,9 @@ def _nearest(pts, x):
     """Nearest rows of pts (..., P, n) to x (..., n), as a mask, and the
     least squared distance; by FinitePointSet.project_all's rule: squared
     distances, d2 <= min + TIE_TOL, exact duplicate rows counted once."""
-    d2 = ((pts - x[..., None, :]) ** 2).sum(axis=-1)
-    d2min = d2.min(axis=-1)
+    w = pts - x[..., None, :]
+    d2 = np.add.reduce(w * w, -1)
+    d2min = np.minimum.reduce(d2, -1)
     mask = d2 <= d2min[..., None] + TIE_TOL
     if np.count_nonzero(mask) > d2min.size:  # a row with a tie
         keys = np.ascontiguousarray(pts).view(np.uint64)
@@ -243,7 +245,7 @@ def _nearest(pts, x):
 
 
 def _norms(v):
-    return np.linalg.norm(v, axis=-1)
+    return np.sqrt(np.add.reduce(v * v, -1))  # np.linalg.norm(v, axis=-1)
 
 
 def _fail(report, **data):
@@ -440,7 +442,7 @@ _BLOCK = 512  # lemma trials drawn at once; bounds the suite's memory
 def _unit(rng, n):
     while True:
         v = rng.normal(size=n)
-        norm = np.linalg.norm(v)
+        norm = math.sqrt(v.dot(v))     # np.linalg.norm(v), bit for bit
         if norm > 1e-6:
             return v / norm
 
@@ -487,8 +489,12 @@ def check_lemmas(trials=10000, dims=(1, 2, 3, 4, 5), seed=0,
 def _first_nearest(pts, x):
     """The row index of ``FinitePointSet(pts).project_all(x)[0]`` in pts:
     dropping a repeated row never drops its first copy."""
-    d2 = ((pts - x) ** 2).sum(axis=-1)
-    return (d2 <= d2.min() + TIE_TOL).argmax()
+    w = pts - x
+    d2 = np.add.reduce(w * w, 1).tolist()
+    tie = min(d2) + TIE_TOL
+    for j, v in enumerate(d2):
+        if v <= tie:
+            return j
 
 
 def _outside_trajectories(report, n, trials, g, s, c, rows_fn):
@@ -499,7 +505,9 @@ def _outside_trajectories(report, n, trials, g, s, c, rows_fn):
     Q factor of g[i] and shifted by c[i].  A trial leaves the batch at its
     first failure.  Dimensions are batched apart: zero padding to a common
     one changes the summation order of the row sums from 8 columns on.
-    Each step of the live trials is one call ``rows_fn(x, q, a, b)``.
+    Each step of the live trials is one call ``rows_fn(x, q, a, b)``, on
+    the batch's own arrays while all are live.  One mask before the call
+    and one after find a failure; only then is its claim named.
     """
     k, live = len(trials), np.ones(len(trials), bool)
     a = np.ascontiguousarray(np.linalg.qr(np.array(g))[0][:, :, 0])
@@ -517,30 +525,41 @@ def _outside_trajectories(report, n, trials, g, s, c, rows_fn):
         _fail(report, trial=trials[i], dim=n, reason=reason, **data)
 
     # Python's max(0.0, v), which reads NaN as 0, is np.fmax(v, 0.0)
-    dxh, prev_dxl = np.fmax(_dots(ha, x) - hb, 0.0), np.inf
+    vx, prev_dxl, rows = _dots(ha, x) - hb, np.inf, np.arange(k)
+    dxh = np.fmax(vx, 0.0)
     # stop well above the tie-tolerance scale, where the limit point would
     # legitimately enter the tie set and the trajectory would enter H
     for _ in range(10):
-        q = pts[np.arange(k), _nearest(pts, x)[0].argmax(axis=1)]
+        q = pts[rows, _nearest(pts, x)[0].argmax(axis=1)]
         dqh = np.fmax(_dots(ha, q) - hb, 0.0)
-        dxl = np.abs(_dots(ha, x) - hb)
-        for i in np.flatnonzero(live & ~((dxh > TOL) & (dqh > TOL))):
-            fail(i, "entered-H", x=x[i], q=q[i])
-        for i in np.flatnonzero(live & ~((dqh < dxh) & (dxh < 2.0 * dqh + TOL))):
-            fail(i, "sandwich", x=x[i], q=q[i])
-        for i in np.flatnonzero(live & ~(dxl < prev_dxl)):
-            fail(i, "not-decreasing", x=x[i])
-        if not live.any():
-            return
-        nxt = x.copy()
-        nxt[live] = rows_fn(x[live], q[live], ha[live], hb[live])
+        dxl = np.abs(vx)
+        held = ((dxh > TOL) & (dqh > TOL) & (dqh < dxh)
+                & (dxh < 2.0 * dqh + TOL) & (dxl < prev_dxl))
+        if not held[live].all():
+            for i in np.flatnonzero(live & ~((dxh > TOL) & (dqh > TOL))):
+                fail(i, "entered-H", x=x[i], q=q[i])
+            for i in np.flatnonzero(live & ~((dqh < dxh) & (dxh < 2.0 * dqh + TOL))):
+                fail(i, "sandwich", x=x[i], q=q[i])
+            for i in np.flatnonzero(live & ~(dxl < prev_dxl)):
+                fail(i, "not-decreasing", x=x[i])
+            if not live.any():
+                return
+        if live.all():
+            nxt = rows_fn(x, q, ha, hb)
+        else:
+            nxt = x.copy()
+            nxt[live] = rows_fn(x[live], q[live], ha[live], hb[live])
         vnh = _dots(ha, nxt) - hb
-        for i in np.flatnonzero(live & ~np.isfinite(vnh)):
-            fail(i, "non-finite-step", x=x[i], q=q[i], next=nxt[i])
         dnh = np.fmax(vnh, 0.0)
-        for i in np.flatnonzero(live & (np.abs(dnh - (dxh - dqh)) > TOL)):
-            fail(i, "decrease-identity", x=x[i], q=q[i], next=nxt[i])
-        x, dxh, prev_dxl = nxt, dnh, dxl
+        held = np.isfinite(vnh) & (np.abs(dnh - (dxh - dqh)) <= TOL)
+        if not held[live].all():
+            for i in np.flatnonzero(live & ~np.isfinite(vnh)):
+                fail(i, "non-finite-step", x=x[i], q=q[i], next=nxt[i])
+            for i in np.flatnonzero(live & (np.abs(dnh - (dxh - dqh)) > TOL)):
+                fail(i, "decrease-identity", x=x[i], q=q[i], next=nxt[i])
+            if not live.any():
+                return
+        x, vx, dxh, prev_dxl = nxt, vnh, dnh, dxl
 
 
 def _inside_draws(rng, n):
@@ -560,28 +579,28 @@ def _inside_trajectory(report, a, b, on_L, far, x, step_fn):
     60 steps; a trial that does not is vacuous).  Failure data, or None."""
     hs = HalfSpace(a, b)
     a, b = hs.a, hs.b
-
-    def onto_L(p):
-        return p - (float(a.dot(p)) - b) * a
-
-    # Inside points sit either exactly on the boundary or clearly off it.
-    # Settling takes on the order of gap / d(q,L) steps, so a point at a
-    # tiny positive depth would need an unbounded budget; the two sampled
-    # regimes cover both resolutions of the eventually-constant claim.
-    inside = [onto_L(p) if depth is None else onto_L(p) - depth * a
-              for p, depth in on_L]
-    # The remaining points are uniform and may fall inside H too; one that
-    # lands less deep than the inside regime goes onto L instead.
-    far = [onto_L(p) if -0.05 < float(a.dot(p)) - b < 0.0 else p for p in far]
-    pts = FinitePointSet(inside + far).points
-    vals = [float(a.dot(p)) - b for p in pts]
+    # The points for L go onto L, then into H unless they stay on it.  A
+    # point at a tiny depth would need an unbounded budget (settling takes
+    # about gap / d(q,L) steps), so the two regimes cover both resolutions
+    # of the eventually-constant claim; a uniform point less than 0.05
+    # deep in H goes onto L.  _dots gives each row's float(a.dot(p)).
+    pts = np.concatenate(([p for p, _ in on_L], far))
+    v = _dots(a, pts) - b
+    moved = (-0.05 < v) & (v < 0.0)
+    moved[:2] = True
+    pts = np.where(moved[:, None], pts - v[:, None] * a, pts)
+    for p, (_, depth) in zip(pts, on_L):
+        if depth is not None:
+            p -= depth * a
+    pts = FinitePointSet(pts).points
+    vals = (_dots(a, pts) - b).tolist()
     # not v > TOL is max(0.0, v) <= TOL; a NaN step is caught first
     vx = float(a.dot(x)) - b
     for _ in range(60):
         j = _first_nearest(pts, x)
-        q = pts[j]
         if not (vx > TOL or vals[j] > TOL):
             break
+        q = pts[j]
         nxt = step_fn(x, q, hs)
         vx = float(a.dot(nxt)) - b
         if not math.isfinite(vx):
@@ -593,14 +612,13 @@ def _inside_trajectory(report, a, b, on_L, far, x, step_fn):
     # Settling can take on the order of gap / d(q,L) steps, so the budget
     # is generous; the claims are checked at every step along the way.  A
     # repeated index is a repeated q, at distance 0 with an equal d(q,L).
-    prev_j = None
+    prev_j = j
     for _ in range(2000):
-        j = _first_nearest(pts, x)
         q = pts[j]
         if vals[j] > TOL:
             return {"reason": "q-left-H", "x": x, "q": q}
         dql = abs(vals[j])
-        if prev_j is not None and j != prev_j:
+        if j != prev_j:
             if dql < prev_dql - TOL:
                 return {"reason": "dqL-decreased", "x": x, "q": q}
             d = q - pts[prev_j]
@@ -615,6 +633,7 @@ def _inside_trajectory(report, a, b, on_L, far, x, step_fn):
         if math.sqrt(dd) <= 1e-12:
             return None
         x = nxt
+        j = _first_nearest(pts, x)
     return {"reason": "x-not-eventually-constant", "x": x}
 
 

@@ -16,7 +16,10 @@ test that calls for it, the gather itself).  The last rows break a
 constraint's normal in ``src/drfeas/geometry.py``, which fig1's
 orientation guard must notice, and the two checks that ``main`` in
 ``src/drfeas/cli.py`` leaves to one place: argparse's experiment names
-and the silenced overflow warnings around a command.
+and the silenced overflow warnings around a command.  The last three
+break the offsets of a divergence certificate in ``engine.py`` and, in
+``src/drfeas/verifier.py``, the lemma suite's tie rule for its nearest
+point and the one mask its lockstep tests before each step.
 A row holds the file, the exact old text, which must occur once in it,
 the text that replaces it, and the tests that fail on it.
 
@@ -49,6 +52,7 @@ ENGINE = "src/drfeas/engine.py"
 SETS = "src/drfeas/sets.py"
 GEOMETRY = "src/drfeas/geometry.py"
 CLI = "src/drfeas/cli.py"
+VERIFIER = "src/drfeas/verifier.py"
 BOUNDS = ("tests/test_engine.py::TestClosedFormSegments::"
           "test_a_segment_ends_at_each_bound")
 CROSSING = ("tests/test_engine.py::TestSegmentReuse::"
@@ -272,6 +276,23 @@ MUTANTS = (
             "test_knapsack_search_costs_overflow",
             "tests/test_cli.py::TestBadInput::"
             "test_overflowing_point_prints_its_outcome_alone")),
+    # the certificate's offsets, from the x after the march's first step
+    Mutant("certificate-one-x-early", ENGINE,
+           "d = q - xs[1 - length:]", "d = q - xs[-length:]",
+           ("tests/test_engine.py::TestDivergenceScan::"
+            "test_certificate_offsets_are_the_per_row_dots",
+            "tests/test_bench_contract.py::test_every_workload_run_is_pinned")),
+    # the lemma suite's first nearest point and its lockstep's one mask
+    Mutant("first-nearest-strict-tie", VERIFIER,
+           "        if v <= tie:", "        if v < tie:",
+           ("tests/test_verifier.py::"
+            "test_first_nearest_splits_twins_at_the_tie_bound",)),
+    Mutant("lockstep-mask-without-sandwich", VERIFIER,
+           "(dqh > TOL) & (dqh < dxh)\n"
+           "                & (dxh < 2.0 * dqh + TOL) & (dxl < prev_dxl))",
+           "(dqh > TOL)\n                & (dxl < prev_dxl))",
+           ("tests/test_verifier.py::"
+            "test_lockstep_reports_the_claim_a_forced_q_breaks[1-sandwich]",)),
 )
 
 

@@ -29,7 +29,8 @@ NUMPY_ADDED = {
     "int32": "1.0", "int8": "1.0", "integer": "1.0", "isfinite": "1.0",
     "linalg.inv": "1.0", "linalg.norm": "1.0", "linalg.qr": "1.0",
     "maximum": "1.0", "maximum.accumulate": "1.0",
-    "minimum.accumulate": "1.0", "multiply.outer": "1.0",
+    "minimum.accumulate": "1.0", "minimum.reduce": "1.0",
+    "multiply.outer": "1.0",
     "ndarray": "1.0", "nonzero": "1.0", "ones": "1.0",
     "random.default_rng": "1.17", "searchsorted": "1.0", "sort": "1.0",
     "sqrt": "1.0", "subtract": "1.0", "sum": "1.0", "tril": "1.0",

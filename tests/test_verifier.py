@@ -666,6 +666,23 @@ def test_lockstep_reports_the_claim_a_forced_q_breaks(monkeypatch, index,
     assert {f["reason"] for f in report.failures} == {reason}
 
 
+def test_lockstep_ends_when_every_trial_has_failed():
+    # under the mutant every never-entering trial fails its first step, so
+    # each dimension's batch is stepped once; no call gets zero rows
+    _, inject = MUTANTS["lemmas"]
+    rows_fn, sizes = inject["rows_fn"], []
+
+    def step_rows(x, q, a, b):
+        sizes.append((a.shape[1], len(b)))
+        return rows_fn(x, q, a, b)
+
+    report = check_lemmas(trials=60, dims=(1, 3, 5), seed=2,
+                          step_fn=inject["step_fn"], rows_fn=step_rows)
+    assert [f["trial"] for f in report.failures] == list(range(0, 60, 2))
+    assert [n for n, _ in sizes] == [1, 3, 5]
+    assert sum(k for _, k in sizes) == 30
+
+
 def _record_lemmas(monkeypatch, trials, seed):
     """check_lemmas' FinitePointSet builds, each with the number of steps
     taken before it, and its step_fn calls as (x, q, half-space)."""
